@@ -57,12 +57,3 @@ class ValidationConfig:
     constraints: ConstraintConfig = field(default_factory=ConstraintConfig)
     drift: DriftConfig = field(default_factory=DriftConfig)
     output_dir: str = "/tmp/dpr_out"
-    num_partitions: int = 16                # checkpointable work units
-    # run the profile and constraint pipelines concurrently (two streaming
-    # executions sharing the cluster). None = AUTO: concurrent while the
-    # pending input is small (≤ concurrent_max_bytes — overlap hides the
-    # second pipeline's latency), sequential beyond (on bandwidth-bound
-    # nodes the doubled concurrent memory traffic slows BOTH stages more
-    # than the overlap saves; see pipelines/validate.py measurements).
-    concurrent_stages: bool | None = None
-    concurrent_max_bytes: int = 256 * 1024 * 1024

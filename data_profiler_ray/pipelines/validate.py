@@ -1,15 +1,26 @@
 """End-to-end validation run: profile + constraints + drift, resumable.
 
-The north-rule lifecycle (SURVEY.md §3.4): one streaming pass per pending
-partition set —
+The north-rule lifecycle (SURVEY.md §3.4). One call over the pending
+partitions runs, one after the other:
 
-    read_parquet(pending shards, include_paths) → part column
-      → per-partition profile partials (map_batches, Arrow zero-copy)
-          → groupby(part) merge → per-partition state checkpoint
-      → row-local constraint checks (stateless map_batches)
-      → conversation checks (hash shuffle on conv_id, narrow projection)
-      → per-partition outputs: violations.parquet, verdicts.parquet,
-        lineage.json, state.pkl, _DONE marker
+1. the profile stream: ``read_parquet(pending shards)`` → part column →
+   per-block profile partials (``map_batches``, Arrow zero-copy), pulled to
+   the driver and merged per partition (``profile_partials_by_part``);
+2. the constraint stream: a narrow ``read_parquet`` of the key columns →
+   part column → range-partition sort on (conv_id, turn_idx) → one task per
+   sorted block that checks it (row-local and conversation checks) and
+   writes its verdict and violation rows to per-partition parquet
+   (``_PartOutputWriter``). The driver reads only the per-part tally rows
+   and the o(#blocks) cut pieces, merges the pieces and writes their rows
+   (``stages.constraints.check_and_write``);
+3. per-partition checkpoints: state.pkl, lineage.json, _DONE marker;
+4. the final merge of every partition's state (done + fresh) on the
+   driver, or as a fan-in task tree when the states are large
+   (``merge_state_blobs_distributed``), then profile.json, the verdict
+   rollup and drift.
+
+Schemas and the sort width come from the Parquet footers, so no Ray Data
+execution runs only to learn a schema or a size.
 
 Resume semantics: a partition with a ``_DONE`` marker is SKIPPED entirely —
 its saved profile state, verdicts and lineage are reloaded and merged with
@@ -30,11 +41,12 @@ those into the baseline spec (stages/drift.py).
 
 from __future__ import annotations
 
+import datetime
 import glob
 import hashlib
 import json
 import os
-import pickle
+import shutil
 import time
 
 import numpy as np
@@ -44,43 +56,17 @@ import pyarrow.parquet as pq
 
 import ray.data
 
-try:
-    # Ray's read_parquet probes `from fsspec.implementations.http import
-    # HTTPFileSystem` on EVERY path resolution, catching only
-    # ModuleNotFoundError. In this env the import always fails (no aiohttp),
-    # and two Dataset reads starting on different threads (the concurrent
-    # profile+constraint execution below) can race the repeated import and
-    # surface a plain ImportError instead. Registering a benign stub module
-    # makes the probe deterministic; with no aiohttp there can be no real
-    # HTTP filesystem, so `isinstance(..., HTTPFileSystem)` is always False.
-    import fsspec.implementations.http  # noqa: F401
-except ImportError:  # pragma: no cover - environment-dependent
-    try:
-        import sys as _sys
-        import types as _types
-
-        import fsspec.implementations  # noqa: F401
-
-        _stub = _types.ModuleType("fsspec.implementations.http")
-
-        class _NoHTTPFileSystem:  # never instantiated; isinstance-only
-            pass
-
-        _stub.HTTPFileSystem = _NoHTTPFileSystem
-        _sys.modules["fsspec.implementations.http"] = _stub
-        import fsspec
-
-        fsspec.implementations.http = _stub
-    except Exception:
-        pass
-
 from ..config import ValidationConfig
-from ..stages.constraints import (VIOLATION_SCHEMA,
-                                  conversation_checks_parts, split_verdicts)
+from ..stages.constraints import (VIOLATION_SCHEMA, check_and_write,
+                                  split_verdicts)
 from ..stages.drift import bin_accumulators, drift_from_counts, spec_from_profile
-from ..stages.profile import (_merge_states, dumps_state, finalize_profile,
+from ..stages.profile import (dumps_state, finalize_profile,
                               merge_state_blobs_distributed,
                               profile_partials_by_part)
+
+# stage timings in summary["timings"]; a stage that did not run reports 0
+_TIMING_KEYS = ("profile", "constraints", "checkpoint_write", "final_merge",
+                "rollup")
 
 
 def _part_of(path: str) -> str:
@@ -95,12 +81,24 @@ def _add_part_column(batch: pa.Table) -> pa.Table:
     return batch.append_column("part", parts)
 
 
+def _column_bytes(paths: list[str], columns: list[str]) -> int:
+    """Uncompressed bytes of ``columns`` over ``paths``, from the footers."""
+    total = 0
+    for path in paths:
+        md = pq.ParquetFile(path).metadata
+        for rg in range(md.num_row_groups):
+            group = md.row_group(rg)
+            total += sum(group.column(i).total_uncompressed_size
+                         for i in range(group.num_columns)
+                         if group.column(i).path_in_schema in columns)
+    return total
+
+
 def run_validation(input_dir: str, cfg: ValidationConfig,
                    baseline_profile: dict | None = None) -> dict:
     """Validate every parquet shard under ``input_dir``; resumable."""
-    import datetime
     t0 = datetime.datetime.now()
-    timings: dict[str, float] = {}
+    timings = dict.fromkeys(_TIMING_KEYS, 0.0)
     out = cfg.output_dir
     os.makedirs(os.path.join(out, "parts"), exist_ok=True)
     shards = sorted(glob.glob(os.path.join(input_dir, "*.parquet")))
@@ -117,7 +115,6 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
 
     # clear leftovers of crashed/partial runs for pending parts (workers
     # write verdict files before the _DONE marker lands)
-    import shutil
     for p in pending:
         shutil.rmtree(os.path.join(out, "parts", _part_of(p)),
                       ignore_errors=True)
@@ -131,99 +128,61 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
         # Ray's default block sizing keeps fold batches near the counter
         # caps; the per-part state merge handles multi-block parts.
         ds = ray.data.read_parquet(pending, include_paths=True)
+        # the unmapped read's schema comes from the Parquet footers; the
+        # mapped dataset's schema() would execute the read
+        read_schema = ds.schema()
+        schema = pa.schema(
+            [pa.field(n, t) for n, t in zip(read_schema.names,
+                                            read_schema.types)]
+            + [pa.field("part", pa.string())])
         ds = ds.map_batches(_add_part_column, batch_format="pyarrow")
         ccfg = cfg.constraints
         narrow_cols = [c for c in (ccfg.group_column, ccfg.order_column,
                                    ccfg.ts_column, ccfg.role_column,
                                    ccfg.tool_column)
-                       if c in ds.schema().names]
+                       if c in schema.names]
         # projection-pruned narrow read for constraints: text never leaves
-        # storage on this path; row-local violations are emitted by the
-        # block checker itself, so no extra scan
+        # storage on this path
         ds_narrow = ray.data.read_parquet(
-            pending, include_paths=True, columns=narrow_cols)
-        ds_narrow = ds_narrow.map_batches(_add_part_column,
-                                          batch_format="pyarrow")
+            pending, include_paths=True, columns=narrow_cols).map_batches(
+            _add_part_column, batch_format="pyarrow")
 
-        # run the profile pass and the constraint pass CONCURRENTLY — they
-        # are independent Dataset executions (wide read vs narrow read) and
-        # overlap keeps the cluster busy through each other's barriers
-        t0w = time.time()
+        # the two streams run one after the other: overlapping them on one
+        # pinned CPU was no faster and raised driver peak RSS
+        t = time.time()
+        states = profile_partials_by_part(ds, cfg.profile, schema=schema)
+        timings["profile"] = time.time() - t
 
-        def _profile_job():
-            t = time.time()
-            tbl = profile_partials_by_part(ds, cfg.profile)
-            timings["profile"] = time.time() - t
-            return tbl if tbl.num_rows else None
-
-        def _constraint_job():
-            """Consume the constraint stream WITHOUT materializing verdict
-            OR violation rows on the driver: both are written to
-            per-partition parquet from the WORKERS (idempotent
-            content-hashed filenames, so task retries overwrite identically;
-            on a cluster this path would be shared/object storage).
-            Violation rows are capped per kind per task
-            (``max_violations_per_kind``); only per-part TALLY rows — a few
-            ints each — come back to the driver, so driver memory is
-            independent of violation count (round-1 scale-killer #6)."""
-            t = time.time()
-            checked, fixed = conversation_checks_parts(
-                ds_narrow, ccfg, emit_row_violations=True)
-            writer = _PartOutputWriter(os.path.join(out, "parts"),
-                                       ccfg.max_violations_per_kind)
-            # ONE pass over the checked stream (the writer skips the
-            # cut-piece partial rows inline); the merged cut conversations
-            # (o(#blocks) rows, already on the driver) go through the same
-            # writer directly — no extra filter pass, no union op
-            tallies = _concat_any(checked.map_batches(
-                writer, batch_format="pyarrow"))
-            if fixed.num_rows:
-                tallies = pa.concat_tables([tallies, writer(fixed)])
-            timings["constraints"] = time.time() - t
-            return tallies
-
-        # Stage scheduling: AUTO by input size. Concurrent execution of the
-        # two pipelines wins while the working set is small (18.1 s vs
-        # 25.2 s sequential at 8 CPUs / 1M turns) but collapses at larger
-        # inputs on bandwidth-bound hardware: at 4M turns / 8 CPUs each
-        # stage ran 3-8× slower inside the concurrent run (profile 91 s vs
-        # 27 s solo, constraints 107 s vs 13 s solo) — two full pipelines
-        # double the concurrent memory traffic and the cores starve.
-        concurrent = getattr(cfg, "concurrent_stages", None)
-        if concurrent is None:
-            pending_bytes = sum(os.path.getsize(p) for p in pending)
-            concurrent = pending_bytes <= getattr(
-                cfg, "concurrent_max_bytes", 256 * 1024 * 1024)
-        if concurrent:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                f_prof = pool.submit(_profile_job)
-                f_con = pool.submit(_constraint_job)
-                states = f_prof.result()
-                tally_tbl = f_con.result()
-        else:
-            tally_tbl = _constraint_job()
-            states = _profile_job()
+        # verdict and violation rows are written to per-partition parquet
+        # by the sort tasks (idempotent content-hashed filenames, so task
+        # retries overwrite identically; on a cluster this path would be
+        # shared/object storage). Violation rows are capped per kind per
+        # task (``max_violations_per_kind``); only per-part TALLY rows — a
+        # few ints each — and the cut pieces come back to the driver, so
+        # driver memory is independent of violation count.
+        t = time.time()
+        writer = _PartOutputWriter(os.path.join(out, "parts"),
+                                   ccfg.max_violations_per_kind)
+        tally_tbl = check_and_write(
+            ds_narrow, ccfg, writer, columns=schema.names,
+            nbytes=_column_bytes(pending, narrow_cols))
+        timings["constraints"] = time.time() - t
         tallies_by_part: dict[str, dict] = {}
-        if tally_tbl.num_rows:
-            for r in tally_tbl.to_pylist():
-                agg = tallies_by_part.setdefault(
-                    r["part"], {k: 0 for k in _TALLY_COUNT_COLS})
-                for k in _TALLY_COUNT_COLS:
-                    agg[k] += r[k]
-        prof_s = timings.get("profile", time.time() - t0w)
-        con_s = timings.get("constraints", time.time() - t0w)
+        for r in tally_tbl.to_pylist():
+            agg = tallies_by_part.setdefault(
+                r["part"], dict.fromkeys(_TALLY_COUNT_COLS, 0))
+            for k in _TALLY_COUNT_COLS:
+                agg[k] += r[k]
 
         tck = time.time()
         # --- per-partition checkpoint outputs (driver work: O(#parts) tiny
         # JSON/pickle writes; violation + verdict parquet already written
         # by the workers) ---
         state_by_part: dict[str, tuple[int, bytes]] = {}
-        if states is not None:
-            for part, rows, blob in zip(states.column("part").to_pylist(),
-                                        states.column("rows").to_pylist(),
-                                        states.column("state").to_pylist()):
-                state_by_part[part] = (rows, blob)
+        for part, rows, blob in zip(states.column("part").to_pylist(),
+                                    states.column("rows").to_pylist(),
+                                    states.column("state").to_pylist()):
+            state_by_part[part] = (rows, blob)
         for path in pending:
             part = _part_of(path)
             pdir = os.path.join(out, "parts", part)
@@ -232,13 +191,14 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
             with open(os.path.join(pdir, "state.pkl"), "wb") as f:
                 f.write(blob)
             tal = tallies_by_part.get(
-                part, {k: 0 for k in _TALLY_COUNT_COLS})
+                part, dict.fromkeys(_TALLY_COUNT_COLS, 0))
             by_kind = {k[4:]: tal[k] for k in _TALLY_COUNT_COLS
                        if k.startswith("n_v_") and tal[k] > 0}
             n_viol = sum(by_kind.values())
             lineage = {
                 "part": part,
                 "input_path": path,
+                "input_bytes": os.path.getsize(path),
                 "rows_in": rows,
                 "n_conversations": tal["n_conversations"],
                 "n_violations": n_viol,
@@ -246,22 +206,19 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
                 "n_failed_conversations": tal["n_failed"],
                 "passed": n_viol == 0,
                 "state_digest": hashlib.sha256(blob).hexdigest()[:16],
-                "profile_stage_s": round(prof_s, 3),
-                "constraint_stage_s": round(con_s, 3),
                 "completed_at": time.time(),
             }
             with open(os.path.join(pdir, "lineage.json"), "w") as f:
                 json.dump(lineage, f, indent=2)
             with open(os.path.join(pdir, "_DONE"), "w") as f:
                 f.write("ok")
-        timings["checkpoint_write"] = round(time.time() - tck, 3)
+        timings["checkpoint_write"] = time.time() - tck
 
     # --- final merge across ALL partitions (done + fresh) ---
     tfm = time.time()
     blobs, lineages = [], []
     for path in shards:
-        part = _part_of(path)
-        pdir = os.path.join(out, "parts", part)
+        pdir = os.path.join(out, "parts", _part_of(path))
         with open(os.path.join(pdir, "state.pkl"), "rb") as f:
             blobs.append(f.read())
         with open(os.path.join(pdir, "lineage.json")) as f:
@@ -272,21 +229,20 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
                                filenames=shards)
     with open(os.path.join(out, "profile.json"), "w") as f:
         json.dump(profile, f, indent=2, default=str)
-    timings["final_merge"] = round(time.time() - tfm, 3)
+    timings["final_merge"] = time.time() - tfm
 
     n_convs = sum(l["n_conversations"] for l in lineages)
     n_failed = sum(l["n_failed_conversations"] for l in lineages)
     # convenience single-file verdict rollup ONLY while small; at scale the
     # partitioned parts/<part>/verdicts/*.parquet files ARE the output
     if n_convs <= _VERDICT_ROLLUP_MAX_ROWS:
-        import glob as _glob
-        files = sorted(_glob.glob(
+        files = sorted(glob.glob(
             os.path.join(out, "parts", "*", "verdicts", "*.parquet")))
         if files:
             trl = time.time()
             pq.write_table(pa.concat_tables([pq.read_table(f) for f in files]),
                            os.path.join(out, "verdicts.parquet"))
-            timings["rollup"] = round(time.time() - trl, 3)
+            timings["rollup"] = time.time() - trl
 
     drift = None
     if baseline_profile is not None:
@@ -334,7 +290,7 @@ _TALLY_SCHEMA = pa.schema([("part", pa.string())]
 
 
 class _PartOutputWriter:
-    """map_batches callable over the conversation_checks stream: writes the
+    """Sort-task writer (``check_and_write``'s ``writer``): writes the
     batch's verdict rows to ``<parts_root>/<part>/verdicts/v-<digest>.
     parquet`` and its violation rows (capped per kind per task) to
     ``<parts_root>/<part>/violations/x-<digest>.parquet`` from the WORKER,
@@ -349,17 +305,13 @@ class _PartOutputWriter:
     shared/object storage.
     """
 
+    schema = _TALLY_SCHEMA
+
     def __init__(self, parts_root: str, max_per_kind: int):
         self.parts_root = parts_root
         self.max_per_kind = max_per_kind
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..stages.constraints import split_verdicts
-        if batch.num_rows == 0:
-            return _TALLY_SCHEMA.empty_table()
-        from ..stages.constraints import _META_KINDS
-        batch = batch.filter(pc.invert(pc.is_in(
-            batch.column("kind"), value_set=pa.array(_META_KINDS))))
         if batch.num_rows == 0:
             return _TALLY_SCHEMA.empty_table()
         is_v = pc.equal(batch.column("kind"), "__verdict__")
@@ -419,13 +371,3 @@ class _PartOutputWriter:
             return _TALLY_SCHEMA.empty_table()
         return pa.Table.from_pylist(rows, schema=_TALLY_SCHEMA)
 
-
-def _concat_any(ds: "ray.data.Dataset") -> pa.Table:
-    tables = [t for t in ds.iter_batches(batch_format="pyarrow")
-              if t.num_rows]
-    if not tables:
-        return pa.table({"part": pa.array([], pa.string()),
-                         "n_conversations": pa.array([], pa.int64()),
-                         "n_failed": pa.array([], pa.int64()),
-                         "n_turns": pa.array([], pa.int64())})
-    return pa.concat_tables(tables)

@@ -23,27 +23,26 @@ Execution shape (SURVEY.md §3.4):
 
 - Row-local checks (role domain, tool registry) are STATELESS ``map_batches``
   over zero-copy Arrow — they never shuffle and scale linearly.
-- Conversation-local checks (uniqueness, gaps, ts order) hash-shuffle ONLY
-  the key columns (``conv_id, turn_idx, ts, role`` — ``text`` is projected
-  away so the wide payload never enters the exchange) and run as
-  ``groupby(conv_id).map_groups`` with an in-group sort.  Shuffle volume is
+- Conversation-local checks (uniqueness, gaps, ts order) range-sort ONLY
+  the key columns (``conv_id, turn_idx, ts, role, tool, part`` — ``text``
+  is projected away so the wide payload never enters the exchange) and run
+  vectorized over each sorted block (``_BlockChecker``). Shuffle volume is
   o(input) because the text column dominates transcript bytes.
-  Boundary carry (r5, the ``stages/segments.py`` CutKernel protocol): a
-  block-boundary conversation piece whose turn diffs are all exactly 1 and
-  whose ts is non-decreasing ships ONE fixed-size ``__cutpart__`` partial
-  row (n, first, last, ts_first, ts_last, bad-role/tool counts); dup/ts/
-  role/tool counts merge associatively across pieces and turn contiguity
-  merges via interval arithmetic over the per-piece (first, last) ranges —
-  driver carry is o(#blocks) bytes even when ONE conversation spans every
-  block. Only a piece that is anomalous IN ISOLATION (internal dup, gap,
-  or ts regression) ships its raw (turn, ts) pairs as a ``__rawpiece__``
-  row, so the driver pull is bounded by the anomalous pieces alone, never
-  by conversation length.
-  Hot conversations: Ray Data's sort-based groupby shuffle spills oversized
-  groups rather than OOMing; per-turn-local subsets of these checks could be
-  salted ``(conv_id, turn_idx % k)``, but duplicate detection and gap
-  detection need the whole turn set per conversation, so the unsalted key is
-  the correctness-bearing choice (SURVEY.md §7.3).
+  Boundary carry (the ``stages/segments.py`` CutKernel protocol): a block's
+  first and last conversation may be cut by the sort, so each ships as one
+  PIECE_SCHEMA row. A piece whose turn diffs are all exactly 1 and whose ts
+  is non-decreasing is fixed-size (n, first, last, ts_first, ts_last,
+  bad-role/tool counts); dup/ts/role/tool counts merge associatively across
+  pieces and turn contiguity merges via interval arithmetic over the
+  per-piece (first, last) ranges — driver carry is o(#blocks) bytes even
+  when ONE conversation spans every block. Only a piece that is anomalous
+  IN ISOLATION (internal dup, gap, or ts regression) also carries its raw
+  (turn, ts) lists, so the driver pull is bounded by the anomalous pieces
+  alone, never by conversation length.
+  Hot conversations: a range sort splits a conversation larger than a
+  block across blocks instead of building one oversized group; duplicate
+  and gap detection need the whole turn set per conversation, which the
+  piece merge reassembles exactly (SURVEY.md §7.3).
 """
 
 from __future__ import annotations
@@ -80,6 +79,52 @@ VERDICT_SCHEMA = pa.schema([
     ("n_dangling_tool", pa.int64()),
     ("passed", pa.bool_()),
 ])
+
+
+# one cut piece per row: a block's first or last conversation, which the
+# range sort may have cut across blocks. ``piece_turns``/``piece_ts`` hold
+# the raw (turn, ts) run of a piece that is anomalous in isolation (internal
+# dup, gap or ts regression) and are null for a clean (dense, non-decreasing)
+# piece, whose first/last/ts fields describe it completely.
+PIECE_SCHEMA = pa.schema([
+    ("conv_id", pa.string()),
+    ("part", pa.string()),
+    ("piece_n", pa.int64()),
+    ("piece_first", pa.int64()),
+    ("piece_last", pa.int64()),
+    ("piece_ts_first", pa.int64()),
+    ("piece_ts_last", pa.int64()),
+    ("piece_bad_role", pa.int64()),
+    ("piece_bad_tool", pa.int64()),
+    ("piece_turns", pa.list_(pa.int64())),
+    ("piece_ts", pa.list_(pa.int64())),
+])
+
+
+def _with_pieces(schema: pa.Schema) -> pa.Schema:
+    """``schema`` widened by the piece columns it lacks: the sort task
+    returns its output rows and its cut pieces in one table, and a row is a
+    piece exactly when ``piece_n`` is valid."""
+    return pa.schema(list(schema) + [f for f in PIECE_SCHEMA
+                                     if f.name not in schema.names])
+
+
+def _stack(tables: list[pa.Table], schema: pa.Schema) -> pa.Table:
+    """Concatenate tables holding subsets of ``schema``'s columns; a column
+    a table lacks is null in its rows."""
+    return pa.concat_tables([pa.Table.from_arrays(
+        [t.column(f.name) if f.name in t.column_names
+         else pa.nulls(t.num_rows, f.type) for f in schema], schema=schema)
+        for t in tables])
+
+
+def _split_pieces(tbl: pa.Table, schema: pa.Schema
+                  ) -> tuple[pa.Table, pa.Table]:
+    """Inverse of ``_stack`` over a sort-task output: (rows of ``schema``,
+    PIECE_SCHEMA pieces)."""
+    is_piece = pc.is_valid(tbl.column("piece_n"))
+    return (tbl.filter(pc.invert(is_piece)).select(schema.names),
+            tbl.filter(is_piece).select(PIECE_SCHEMA.names))
 
 
 def _empty_violations() -> pa.Table:
@@ -254,12 +299,16 @@ class _BlockChecker:
       on the clean path; only conversations with an actual turn-structure
       anomaly fall back to the exact per-conversation routine to emit
       detailed violation rows), and
-    - emits the first/last group as a mergeable cut-piece partial
-      (``__cutpart__``: one fixed-size row when the piece is clean in
-      isolation; ``__rawpiece__``: a compact (turn, ts) IPC cell
-      otherwise), merged exactly on the driver in o(#blocks) bytes
-      (``_merge_cut_pieces``).
+    - emits the first/last group as a mergeable cut piece (one
+      PIECE_SCHEMA row: fixed-size when the piece is clean in isolation,
+      with its raw (turn, ts) lists otherwise), merged exactly on the
+      driver in o(#blocks) bytes (``_merge_cut_pieces``).
+
+    ``check`` returns (violation + verdict rows, pieces); calling the
+    checker returns both in one table of ``schema``.
     """
+
+    schema = _with_pieces(VIOLATION_SCHEMA)
 
     def __init__(self, cfg: ConstraintConfig, emit_row_violations: bool = False,
                  assume_complete: bool = False):
@@ -275,10 +324,13 @@ class _BlockChecker:
                          if self.tool_set is not None else None)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        return _stack(list(self.check(batch)), self.schema)
+
+    def check(self, batch: pa.Table) -> tuple[pa.Table, pa.Table]:
         cfg = self.cfg
         n = batch.num_rows
         if n == 0:
-            return _empty_violations()
+            return _empty_violations(), PIECE_SCHEMA.empty_table()
         batch = batch.combine_chunks()
         if self.assume_complete:
             # bucket path: rows arrive grouped but unsorted — sort locally
@@ -378,10 +430,10 @@ class _BlockChecker:
             out_tables.append(_check_conversation(sub, cfg, self.role_set,
                                                   self.tool_set))
 
-        # boundary groups → mergeable cut-piece partials (CutKernel
-        # protocol, segments.py): a clean piece ships ONE fixed-size
-        # __cutpart__ row; an anomalous-in-isolation piece ships its
-        # (turn, ts) pairs as one compact __rawpiece__ IPC cell
+        # boundary groups → mergeable cut pieces (CutKernel protocol,
+        # segments.py): a clean piece is ONE fixed-size row; a piece that is
+        # anomalous in isolation also carries its (turn, ts) run
+        pieces: list[dict] = []
         if not self.assume_complete:
             for g in np.unique([0, g_count - 1]):
                 s, e = int(starts[g]), int(ends[g])
@@ -390,87 +442,82 @@ class _BlockChecker:
                     piece_clean = bool(np.all(np.diff(turn[s:e]) == 1))
                     if piece_clean and has_ts:
                         piece_clean = bool(np.all(np.diff(ts[s:e]) >= 0))
-                out_tables.append(self._encode_piece(
+                pieces.append(self._piece(
                     batch, s, e, turn, ts if has_ts else None, piece_clean,
                     int(n_bad_role[g]), int(n_bad_tool[g])))
 
-        return pa.concat_tables(out_tables) if out_tables else _empty_violations()
+        rows = (pa.concat_tables(out_tables) if out_tables
+                else _empty_violations())
+        return rows, pa.Table.from_pylist(pieces, schema=PIECE_SCHEMA)
 
-    def _encode_piece(self, batch: pa.Table, s: int, e: int,
-                      turn: np.ndarray, ts: np.ndarray | None,
-                      clean: bool, nbr: int, nbt: int) -> pa.Table:
-        conv_id = batch.column("conv_id")[s].as_py()
-        part = (batch.column("part")[s].as_py()
-                if "part" in batch.column_names else None)
-        if clean:
-            tsf = str(int(ts[s])) if ts is not None else ""
-            tsl = str(int(ts[e - 1])) if ts is not None else ""
-            detail = (f"{e - s}|{int(turn[s])}|{int(turn[e - 1])}|"
-                      f"{tsf}|{tsl}|{nbr}|{nbt}")
-            kind, col, val = "__cutpart__", None, None
-        else:
-            import base64
-            from .segments import _ipc_bytes
-            cols = {"turn": pa.array(turn[s:e].astype(np.int64))}
-            if ts is not None:
-                cols["ts"] = pa.array(ts[s:e])
-            detail = base64.b64encode(_ipc_bytes(pa.table(cols))).decode()
-            kind, col, val = "__rawpiece__", str(nbr), str(nbt)
-        return pa.table({
-            "kind": pa.array([kind], pa.string()),
-            "conv_id": pa.array([conv_id], pa.string()),
-            "turn_idx": pa.array([int(turn[s])], pa.int32()),
-            "column": pa.array([col], pa.string()),
-            "value": pa.array([val], pa.string()),
-            "detail": pa.array([detail], pa.string()),
-            "part": pa.array([part], pa.string()),
-        }, schema=VIOLATION_SCHEMA)
-
-
-_META_KINDS = ("__cutpart__", "__rawpiece__")
-
-
-def _decode_piece(row: dict) -> dict:
-    """One cut piece from its carried partial row (merge-side inverse of
-    ``_BlockChecker._encode_piece``)."""
-    if row["kind"] == "__cutpart__":
-        n, first, last, tsf, tsl, nbr, nbt = row["detail"].split("|")
-        first, last = int(first), int(last)
+    @staticmethod
+    def _piece(batch: pa.Table, s: int, e: int, turn: np.ndarray,
+               ts: np.ndarray | None, clean: bool, nbr: int, nbt: int
+               ) -> dict:
+        raw = not clean  # only a piece anomalous in isolation ships its run
         return {
-            "n": int(n), "first": first, "last": last,
-            "ts_first": int(tsf) if tsf else None,
-            "ts_last": int(tsl) if tsl else None,
-            "nbr": int(nbr), "nbt": int(nbt), "n_dup_int": 0,
-            "intervals": [(first, last)], "dup_vals": [], "ts_regs": [],
-            "uniq": None, "counts": None, "part": row["part"],
+            "conv_id": batch.column("conv_id")[s].as_py(),
+            "part": (batch.column("part")[s].as_py()
+                     if "part" in batch.column_names else None),
+            "piece_n": e - s,
+            "piece_first": int(turn[s]),
+            "piece_last": int(turn[e - 1]),
+            "piece_ts_first": int(ts[s]) if ts is not None else None,
+            "piece_ts_last": int(ts[e - 1]) if ts is not None else None,
+            "piece_bad_role": nbr,
+            "piece_bad_tool": nbt,
+            "piece_turns": turn[s:e].tolist() if raw else None,
+            "piece_ts": (ts[s:e].tolist() if raw and ts is not None
+                         else None),
         }
-    import base64
-    from .segments import _ipc_table
-    tbl = _ipc_table(base64.b64decode(row["detail"]))
-    t = tbl.column("turn").to_numpy(zero_copy_only=False)
-    order = np.argsort(t, kind="stable")
-    t = t[order]
+
+
+def _decode_piece(row: dict, turns: pa.Array | None,
+                  tss: pa.Array | None) -> dict:
+    """One cut piece from its PIECE_SCHEMA row (merge-side inverse of
+    ``_BlockChecker._piece``); ``turns``/``tss`` are its raw lists. The
+    sort orders a block by (conv_id, turn), so a raw run is turn-sorted."""
+    first, last = row["piece_first"], row["piece_last"]
+    piece = {
+        "n": row["piece_n"], "first": first, "last": last,
+        "ts_first": row["piece_ts_first"], "ts_last": row["piece_ts_last"],
+        "nbr": row["piece_bad_role"], "nbt": row["piece_bad_tool"],
+        "n_dup_int": 0, "intervals": [(first, last)], "dup_vals": [],
+        "ts_regs": [], "uniq": None, "counts": None, "part": row["part"],
+    }
+    if turns is None:
+        return piece
+    t = turns.to_numpy(zero_copy_only=False)
     uniq, counts = np.unique(t, return_counts=True)
     brk = np.flatnonzero(np.diff(uniq) > 1)
     iv_s = np.r_[0, brk + 1]
     iv_e = np.r_[brk, uniq.size - 1]
-    piece = {
-        "n": int(t.size), "first": int(t[0]), "last": int(t[-1]),
-        "ts_first": None, "ts_last": None,
-        "nbr": int(row["column"] or 0), "nbt": int(row["value"] or 0),
+    piece.update({
         "n_dup_int": int(t.size - uniq.size),
         "intervals": [(int(uniq[a]), int(uniq[b]))
                       for a, b in zip(iv_s, iv_e)],
         "dup_vals": [int(v) for v in uniq[counts > 1]],
-        "ts_regs": [], "uniq": uniq, "counts": counts, "part": row["part"],
-    }
-    if "ts" in tbl.column_names:
-        ts = tbl.column("ts").to_numpy(zero_copy_only=False)[order]
-        piece["ts_first"], piece["ts_last"] = int(ts[0]), int(ts[-1])
-        d = np.diff(ts)
+        "uniq": uniq, "counts": counts,
+    })
+    if tss is not None:
+        d = np.diff(tss.to_numpy(zero_copy_only=False))
         piece["ts_regs"] = [(int(t[i + 1]), int(-d[i]))
                             for i in np.flatnonzero(d < 0)]
     return piece
+
+
+def _fixed_rows(cfg: ConstraintConfig, pieces: pa.Table) -> pa.Table:
+    """Violation + verdict rows (VIOLATION_SCHEMA) of every conversation
+    that has cut pieces, from the merge of its pieces."""
+    by_conv: dict[str, list[dict]] = {}
+    turns, tss = pieces.column("piece_turns"), pieces.column("piece_ts")
+    rows = pieces.drop_columns(["piece_turns", "piece_ts"]).to_pylist()
+    for i, row in enumerate(rows):
+        by_conv.setdefault(row["conv_id"], []).append(
+            _decode_piece(row, turns[i].values, tss[i].values))
+    fixed = [_merge_cut_pieces(cfg, c, by_conv[c]) for c in sorted(by_conv)]
+    return (pa.concat_tables([t.cast(VIOLATION_SCHEMA) for t in fixed])
+            if fixed else _empty_violations())
 
 
 def _merge_cut_pieces(cfg: ConstraintConfig, conv_id: str,
@@ -639,88 +686,118 @@ def conversation_checks_bucketed(ds: "ray.data.Dataset",
                             assume_complete=True)
 
     def check_bucket(group: pa.Table) -> pa.Table:
-        return checker(group.drop_columns(["__bucket"]))
+        return checker.check(group.drop_columns(["__bucket"]))[0]
 
     return narrow.map_batches(add_bucket, batch_format="pyarrow") \
         .groupby("__bucket").map_groups(check_bucket, batch_format="pyarrow")
+
+
+def _sorted_checks(ds: "ray.data.Dataset", cfg: ConstraintConfig, fn,
+                   columns: list[str] | None = None,
+                   nbytes: int | None = None) -> "ray.data.Dataset":
+    """Narrow projection → range-partition sort on (conv_id, turn_idx) →
+    ``fn`` over each sorted block (one task per block).
+
+    ``columns``: the names ``ds`` has (default ``ds.schema()``, which
+    executes a mapped dataset). ``nbytes``: the narrow columns' size, e.g.
+    from the Parquet footers; without it the projection is materialized so
+    that ``shuffle_width`` can take ``size_bytes()`` without a second
+    execution."""
+    names = ds.schema().names if columns is None else columns
+    cols = [cfg.group_column, cfg.order_column] + [
+        c for c in (cfg.ts_column, cfg.role_column, cfg.tool_column, "part")
+        if c in names]
+    narrow = ds.select_columns(cols)
+    if nbytes is None:
+        narrow = narrow.materialize()
+    # width: Ray's sort splits each of B blocks ~4-way, so B beyond ~24 on a
+    # small input recreates the tiny-partition exchange (measured 8.6 s →
+    # 1.25 s at 1M rows by coalescing 64 → 16 blocks first); large inputs
+    # derive B from bytes/128MB (stages/segments.shuffle_width)
+    from .segments import shuffle_width
+    width = shuffle_width(narrow, nbytes=nbytes)
+    return narrow.repartition(width).sort(
+        [cfg.group_column, cfg.order_column]).map_batches(
+        fn, batch_format="pyarrow", batch_size=None)
 
 
 def conversation_checks_parts(ds: "ray.data.Dataset", cfg: ConstraintConfig,
                               emit_row_violations: bool = False,
                               stats: dict | None = None
                               ) -> tuple["ray.data.Dataset", pa.Table]:
-    """Internal split form of ``conversation_checks``: returns
-    ``(checked, fixed)`` where ``checked`` is the materialized block-check
-    stream STILL containing ``__cutpart__``/``__rawpiece__`` partial rows
-    (consumers filter them inline — avoids an extra full pass over the
-    stream) and ``fixed`` is the driver-computed CutKernel merge of the
-    o(#blocks) cut-piece partials (violations + verdict rows,
-    VIOLATION_SCHEMA). ``stats`` (optional) receives ``carry_bytes`` /
-    ``carry_rows`` / ``n_blocks`` for tests asserting the o(#blocks)
-    carry bound.
+    """Split form of ``conversation_checks``: returns ``(checked, fixed)``.
+
+    ``checked`` is the materialized block-check stream in
+    ``_with_pieces(VIOLATION_SCHEMA)``: violation and verdict rows plus the
+    ≤2 cut-piece rows per block (valid ``piece_n``), which consumers drop.
+    ``fixed`` holds the violation + verdict rows (VIOLATION_SCHEMA) of the
+    conversations with cut pieces, merged on the driver from o(#blocks)
+    piece rows even when one whale conversation spans every block.
+    ``stats`` (optional) receives ``carry_bytes`` / ``carry_rows`` /
+    ``n_blocks`` for tests asserting the o(#blocks) carry bound.
+
+    ``check_and_write`` is the form that writes outputs inside the sort
+    task and needs no second pass over ``checked``.
     """
-    cols = [cfg.group_column, cfg.order_column]
-    names = ds.schema().names
-    for c in (cfg.ts_column, cfg.role_column, cfg.tool_column, "part"):
-        if c in names:
-            cols.append(c)
-    narrow = ds.select_columns(cols)
-
-    # Coalesce before the range-partition sort: with many small input blocks
-    # Ray's sort fans B input blocks into ~4B tiny partitions and the
-    # exchange drowns in per-object overhead (measured 8.6s → 1.25s at 1M
-    # rows by coalescing 64 → 16 blocks first). Target ~2 blocks per CPU;
-    # at cluster scale block count should instead track
-    # bytes / target_max_block_size.
-    # width: Ray's sort splits each of B blocks ~4-way, so B beyond ~24 on
-    # a small input recreates the tiny-partition exchange; large inputs
-    # derive B from bytes/128MB (stages/segments.shuffle_width, r2 item 3)
-    # (materialize first: size_bytes() on the lazy projection would execute
-    # it AND the sort would re-execute it — double parquet decode)
-    from .segments import shuffle_width
-    narrow = narrow.materialize()
-    narrow = narrow.repartition(shuffle_width(narrow))
-
-    checked = narrow.sort([cfg.group_column, cfg.order_column]).map_batches(
-        _BlockChecker(cfg, emit_row_violations=emit_row_violations),
-        batch_format="pyarrow", batch_size=None).materialize()
-    # `checked` is o(input) but NOT O(1): one verdict row per conversation.
-    # It stays DISTRIBUTED (materialized into the object store); only the
-    # ≤2 cut-piece PARTIAL rows per block (fixed-size `__cutpart__`, plus
-    # compact `__rawpiece__` (turn, ts) cells for the rare
-    # anomalous-in-isolation pieces) are pulled to the driver and merged
-    # associatively per conversation — o(#blocks) driver bytes even when
-    # one whale conversation spans every block (VERDICT r4 item 1).
-    meta_tbls = [
-        t.cast(VIOLATION_SCHEMA) for t in checked.map_batches(
-            lambda b: b.filter(pc.is_in(b.column("kind"),
-                                        value_set=pa.array(_META_KINDS))),
-            batch_format="pyarrow").iter_batches(batch_format="pyarrow")]
-    meta = (pa.concat_tables(meta_tbls) if meta_tbls
-            else _empty_violations())
+    checker = _BlockChecker(cfg, emit_row_violations=emit_row_violations)
+    checked = _sorted_checks(ds, cfg, checker).materialize()
+    piece_tbls = list(checked.map_batches(
+        lambda b: _split_pieces(b, VIOLATION_SCHEMA)[1],
+        batch_format="pyarrow").iter_batches(batch_format="pyarrow"))
+    pieces = (pa.concat_tables(piece_tbls) if piece_tbls
+              else PIECE_SCHEMA.empty_table())
     if stats is not None:
-        stats["carry_rows"] = meta.num_rows
-        stats["carry_bytes"] = sum(
-            len(d) for d in meta.column("detail").to_pylist() if d)
+        stats["carry_rows"] = pieces.num_rows
+        stats["carry_bytes"] = pieces.nbytes
         stats["n_blocks"] = checked.num_blocks()
+    return checked, _fixed_rows(cfg, pieces)
 
-    fixed: list[pa.Table] = []
-    if meta.num_rows:
-        by_conv: dict[str, list[dict]] = {}
-        for row in meta.to_pylist():
-            by_conv.setdefault(row["conv_id"], []).append(_decode_piece(row))
-        for conv_id in sorted(by_conv):
-            fixed.append(_merge_cut_pieces(cfg, conv_id, by_conv[conv_id]))
-    fixed_tbl = (pa.concat_tables([t.cast(VIOLATION_SCHEMA) for t in fixed])
-                 if fixed else VIOLATION_SCHEMA.empty_table())
-    return checked, fixed_tbl
+
+class _CheckAndWrite:
+    """Sort-task callable: block checks, then ``writer`` over the block's
+    violation + verdict rows; returns the writer's rows and the cut pieces
+    in one table of ``_with_pieces(writer.schema)``."""
+
+    def __init__(self, cfg: ConstraintConfig, writer):
+        self.checker = _BlockChecker(cfg, emit_row_violations=True)
+        self.writer = writer
+        self.schema = _with_pieces(writer.schema)
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        rows, pieces = self.checker.check(batch)
+        return _stack([self.writer(rows), pieces], self.schema)
+
+
+def check_and_write(ds: "ray.data.Dataset", cfg: ConstraintConfig, writer,
+                    columns: list[str] | None = None,
+                    nbytes: int | None = None) -> pa.Table:
+    """Conversation + row-local checks whose outputs never reach the
+    driver: each sort task hands its block's violation and verdict rows to
+    ``writer`` (a callable VIOLATION_SCHEMA table → ``writer.schema``
+    table, e.g. one that writes files and returns tallies). The driver
+    reads the small stream of writer rows and cut pieces once, merges the
+    pieces, and passes the merged rows through ``writer`` itself.
+
+    Returns every writer row (``writer.schema``). ``columns`` and
+    ``nbytes`` are as in ``_sorted_checks``."""
+    stream = _sorted_checks(ds, cfg, _CheckAndWrite(cfg, writer), columns,
+                            nbytes)
+    out, pieces = [], []
+    for b in stream.iter_batches(batch_format="pyarrow", batch_size=None):
+        rows, piece_rows = _split_pieces(b, writer.schema)
+        out.append(rows)
+        pieces.append(piece_rows)
+    fixed = _fixed_rows(cfg, pa.concat_tables(pieces) if pieces
+                        else PIECE_SCHEMA.empty_table())
+    out.append(writer(fixed))
+    return pa.concat_tables(out)
 
 
 def conversation_checks(ds: "ray.data.Dataset", cfg: ConstraintConfig,
                         emit_row_violations: bool = False
                         ) -> "ray.data.Dataset":
     """Range-partition sort on (conv_id, turn_idx) → vectorized block checks
-    → exact re-check of block-boundary conversations (tiny second pass).
+    → driver merge of the block-boundary conversations' cut pieces.
 
     Returns a Dataset of VIOLATION_SCHEMA rows, including one
     ``__verdict__`` row per conversation carrying the tally in ``detail``.
@@ -729,9 +806,7 @@ def conversation_checks(ds: "ray.data.Dataset", cfg: ConstraintConfig,
     checked, fixed_tbl = conversation_checks_parts(
         ds, cfg, emit_row_violations=emit_row_violations)
     main = checked.map_batches(
-        lambda b: b.filter(pc.invert(pc.is_in(
-            b.column("kind"), value_set=pa.array(_META_KINDS))))
-        .cast(VIOLATION_SCHEMA),
+        lambda b: _split_pieces(b, VIOLATION_SCHEMA)[0],
         batch_format="pyarrow")
     if fixed_tbl.num_rows:
         return main.union(ray.data.from_arrow(fixed_tbl))

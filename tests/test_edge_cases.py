@@ -92,3 +92,62 @@ def test_constraints_turn_not_starting_at_zero():
     v = verdicts.to_pandas().iloc[0]
     assert not v["passed"]
     assert v["n_turn_gap"] > 0   # contiguity demands 0..n-1
+
+
+def _one_conversation(n_turns: int) -> pa.Table:
+    base = pd.Timestamp("2025-01-01").value // 1000
+    turn = np.arange(n_turns, dtype=np.int32)
+    return pa.table({
+        "conv_id": pa.array(["only"] * n_turns),
+        "turn_idx": pa.array(turn),
+        "role": pa.array(np.where(turn % 2 == 0, "user", "assistant")),
+        "text": pa.array(["hello"] * n_turns),
+        "tool": pa.array([None] * n_turns, pa.string()),
+        "ts": pa.array(base + turn.astype(np.int64) * 1000,
+                       pa.timestamp("us")),
+    })
+
+
+def _validate_shards(tmp_path, tbl: pa.Table, n_shards: int) -> dict:
+    import pyarrow.parquet as pq
+
+    from data_profiler_ray.config import ValidationConfig
+    from data_profiler_ray.pipelines.validate import run_validation
+    src = tmp_path / "in"
+    src.mkdir()
+    per = -(-tbl.num_rows // n_shards)
+    for i in range(n_shards):
+        pq.write_table(tbl.slice(i * per, per),
+                       str(src / f"part-{i:05d}.parquet"))
+    return run_validation(str(src), ValidationConfig(
+        output_dir=str(tmp_path / "out")))
+
+
+def _only_verdict(summary: dict, n_turns: int) -> None:
+    import os
+
+    import pyarrow.parquet as pq
+    assert summary["n_conversations"] == 1
+    assert summary["n_violations"] == 0
+    assert summary["passed"]
+    verdicts = pq.read_table(os.path.join(summary["output_dir"],
+                                          "verdicts.parquet")).to_pylist()
+    assert verdicts == [{
+        "conv_id": "only", "part": "part-00000", "n_turns": n_turns,
+        "n_duplicate_key": 0, "n_turn_gap": 0, "n_ts_regression": 0,
+        "n_bad_role": 0, "n_dangling_tool": 0, "passed": True}]
+
+
+def test_validate_single_conversation(tmp_path):
+    """One conversation in one shard: no conversation lies inside a sorted
+    block, so every verdict comes from the cut-piece merge."""
+    s = _validate_shards(tmp_path, _one_conversation(1000), 1)
+    assert s["total_rows"] == 1000
+    _only_verdict(s, 1000)
+
+
+def test_validate_whale_only(tmp_path):
+    """One conversation spread over several shards and every sort block."""
+    s = _validate_shards(tmp_path, _one_conversation(40_000), 4)
+    assert s["total_rows"] == 40_000
+    _only_verdict(s, 40_000)

@@ -3,6 +3,7 @@ oracle computed on the same data (SURVEY.md §5.2 item 2)."""
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 import ray.data
 
@@ -111,3 +112,75 @@ def test_tree_reduction_multiple_levels(sf_dir):
     assert v["mean"] == pytest.approx(pdf["l_quantity"].mean())
     assert v["n_distinct"] == pdf["l_quantity"].nunique()
     assert v["median"] == pytest.approx(pdf["l_quantity"].median())
+
+
+def _state_blobs(n_blobs: int, rows: int) -> tuple[list[bytes], dict]:
+    """Per-part state blobs of int / float / string columns, plus the
+    concatenated raw columns."""
+    from data_profiler_ray.stages.profile import dumps_state
+    from data_profiler_ray.state.column import make_accumulator
+    rng = np.random.default_rng(11)
+    blobs, raw = [], {"i": [], "f": [], "s": []}
+    for _ in range(n_blobs):
+        tbl = pa.table({
+            "i": pa.array(rng.integers(0, 1000, rows)),
+            "f": pa.array(rng.normal(0, 1, rows)),
+            "s": pa.array(rng.choice(["a", "b", "c", "d"], rows)),
+        })
+        accs = {}
+        for name in tbl.column_names:
+            accs[name] = make_accumulator(tbl.schema.field(name))
+            accs[name].update(tbl.column(name))
+            raw[name].append(tbl.column(name).to_numpy())
+        blobs.append(dumps_state((rows, accs)))
+    return blobs, {k: np.concatenate(v) for k, v in raw.items()}
+
+
+def test_merge_driver_and_tree_agree(monkeypatch):
+    """merge_state_blobs_distributed's driver path (total bytes under the
+    limit) and its fan-in tree path give the same profile: exact rows,
+    counts, extrema, distinct counts and value counts; moments up to float
+    reassociation; sketch quantiles within the KLL rank error."""
+    import ray.data as rd
+
+    from data_profiler_ray.stages import profile as prof_mod
+    blobs, raw = _state_blobs(8, 5000)
+    n = 8 * 5000
+
+    def no_job(*a, **k):
+        raise AssertionError("driver path started a Ray Data job")
+
+    monkeypatch.setattr(rd, "from_arrow", no_job)
+    rows_d, merged_d = prof_mod.merge_state_blobs_distributed(blobs, fan_in=2)
+    monkeypatch.undo()
+
+    jobs = []
+    real_from_arrow = rd.from_arrow
+
+    def counting(*a, **k):
+        jobs.append(1)
+        return real_from_arrow(*a, **k)
+
+    monkeypatch.setattr(rd, "from_arrow", counting)
+    monkeypatch.setattr(prof_mod, "_DRIVER_MERGE_MAX_BYTES", 0)
+    rows_t, merged_t = prof_mod.merge_state_blobs_distributed(blobs, fan_in=2)
+    assert jobs  # the tree ran as Ray Data jobs
+
+    assert rows_d == rows_t == n
+    for name in ("i", "f", "s"):
+        d, t = merged_d[name].result(), merged_t[name].result()
+        for key in ("count", "num_missing", "n_distinct", "min", "max",
+                    "freq_value_counts", "n_zeros", "n_negative"):
+            assert d.get(key) == t.get(key), (name, key)
+        for key in ("mean", "std", "variance", "skewness", "kurtosis",
+                    "sum"):
+            if key in d:
+                assert t[key] == pytest.approx(d[key], rel=1e-12), (name, key)
+    assert merged_d["i"].result()["median"] == merged_t["i"].result()["median"]
+    qs = [0.05, 0.25, 0.5, 0.75, 0.95]
+    x = np.sort(raw["f"])
+    for merged in (merged_d, merged_t):
+        kll = merged["f"].kll
+        assert kll.n == n
+        ranks = np.searchsorted(x, kll.quantile(qs)) / n
+        assert np.max(np.abs(ranks - qs)) < 0.01

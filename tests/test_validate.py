@@ -180,3 +180,23 @@ def test_violation_counts_match_duckdb_oracle():
     for k in ("n_duplicate_key", "n_turn_gap", "n_ts_regression",
               "n_bad_role", "n_dangling_tool"):
         assert int(got.iloc[0][k]) > 0, k
+
+
+def test_timings_and_lineage(transcripts_dir, tmp_path):
+    """summary["timings"] always has every stage key the benchmark reads,
+    also when nothing is recomputed; lineage.json holds per-partition facts
+    only (no global stage times)."""
+    keys = {"profile", "constraints", "checkpoint_write", "final_merge",
+            "rollup"}
+    cfg = _cfg(str(tmp_path / "out"))
+    s1 = run_validation(transcripts_dir, cfg)
+    assert keys <= set(s1["timings"])
+    assert s1["timings"]["constraints"] > 0
+    for lin in s1["lineage"]:
+        assert lin["input_bytes"] == os.path.getsize(lin["input_path"])
+        assert "profile_stage_s" not in lin
+        assert "constraint_stage_s" not in lin
+    s2 = run_validation(transcripts_dir, cfg)
+    assert s2["parts_recomputed"] == 0
+    assert keys <= set(s2["timings"])
+    assert s2["timings"]["constraints"] == 0
