@@ -32,7 +32,6 @@ class ProfileConfig:
 class ConstraintConfig:
     """Transcript-table constraint suite (north rule)."""
 
-    key_columns: tuple[str, str] = ("conv_id", "turn_idx")   # uniqueness key
     group_column: str = "conv_id"
     order_column: str = "turn_idx"
     ts_column: str = "ts"

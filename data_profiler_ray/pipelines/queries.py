@@ -1816,7 +1816,7 @@ def _stratified_sql() -> str:
 
 def _transcript_counts_sql() -> str:
     """DuckDB replica of the per-kind verdict tallies over the RAW fixture
-    parquet (constraints semantics, stages/constraints.py:_check_conversation):
+    parquet (constraints semantics, stages/constraints.py:_merge_conversation):
 
     - duplicate_key: extra rows per (conv, turn) group = SUM(cnt-1);
     - turn_gap: |setdiff(0..d-1, uniq)| + |setdiff(uniq, 0..d-1)| where d =

@@ -57,8 +57,7 @@ import pyarrow.parquet as pq
 import ray.data
 
 from ..config import ValidationConfig
-from ..stages.constraints import (VIOLATION_SCHEMA, check_and_write,
-                                  split_verdicts)
+from ..stages.constraints import VIOLATION_SCHEMA, check_and_write
 from ..stages.drift import bin_accumulators, drift_from_counts, spec_from_profile
 from ..stages.profile import (dumps_state, finalize_profile,
                               merge_state_blobs_distributed,
@@ -290,9 +289,9 @@ _TALLY_SCHEMA = pa.schema([("part", pa.string())]
 
 
 class _PartOutputWriter:
-    """Sort-task writer (``check_and_write``'s ``writer``): writes the
-    batch's verdict rows to ``<parts_root>/<part>/verdicts/v-<digest>.
-    parquet`` and its violation rows (capped per kind per task) to
+    """Sort-task writer (``check_and_write``'s ``writer``): writes a
+    block's verdicts to ``<parts_root>/<part>/verdicts/v-<digest>.
+    parquet`` and its violations (capped per kind per task) to
     ``<parts_root>/<part>/violations/x-<digest>.parquet`` from the WORKER,
     and emits ONE tally row per part — the driver never sees verdict or
     violation rows, so its memory is independent of violation count.
@@ -311,63 +310,45 @@ class _PartOutputWriter:
         self.parts_root = parts_root
         self.max_per_kind = max_per_kind
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _TALLY_SCHEMA.empty_table()
-        is_v = pc.equal(batch.column("kind"), "__verdict__")
-        vrows = batch.filter(is_v)
-        viol = batch.filter(pc.invert(is_v))
-        verdicts = split_verdicts(vrows)[1] if vrows.num_rows else None
-        parts: set[str] = set()
-        if verdicts is not None:
-            parts |= set(pc.unique(verdicts.column("part")).to_pylist())
-        if viol.num_rows:
-            parts |= set(pc.unique(viol.column("part")).to_pylist())
+    def __call__(self, violations: pa.Table, verdicts: pa.Table) -> pa.Table:
+        parts = (set(pc.unique(verdicts.column("part")).to_pylist())
+                 | set(pc.unique(violations.column("part")).to_pylist()))
         rows = []
         for part in sorted(p for p in parts if p is not None):
             row = {"part": part, **{c: 0 for c in _TALLY_COUNT_COLS}}
-            if verdicts is not None:
-                sub = verdicts.filter(pc.equal(verdicts.column("part"), part))
-                if sub.num_rows:
-                    pdir = os.path.join(self.parts_root, part, "verdicts")
-                    os.makedirs(pdir, exist_ok=True)
-                    digest = hashlib.md5(
-                        "".join(sub.column("conv_id").to_pylist()).encode()
-                    ).hexdigest()[:16]
-                    pq.write_table(sub, os.path.join(pdir,
-                                                     f"v-{digest}.parquet"))
-                    row["n_conversations"] = sub.num_rows
-                    row["n_failed"] = int(pc.sum(pc.cast(
-                        pc.invert(sub.column("passed")),
-                        pa.int64())).as_py() or 0)
-                    row["n_turns"] = int(pc.sum(
-                        sub.column("n_turns")).as_py() or 0)
-            if viol.num_rows:
-                sv = viol.filter(pc.equal(viol.column("part"), part))
-                if sv.num_rows:
-                    kinds = sv.column("kind").to_numpy(zero_copy_only=False)
-                    keep_idx = []
-                    for k in _VIOLATION_KINDS:
-                        idx = np.flatnonzero(kinds == k)
-                        row[f"n_v_{k}"] = int(idx.size)
-                        keep_idx.append(idx[: self.max_per_kind])
-                    other = np.flatnonzero(~np.isin(kinds,
-                                                    _VIOLATION_KINDS))
-                    if other.size:  # unknown kinds: keep capped, count too
-                        row["n_v_other"] = int(other.size)
-                        keep_idx.append(other[: self.max_per_kind])
-                    capped = sv.take(pa.array(np.sort(
-                        np.concatenate(keep_idx))))
-                    pdir = os.path.join(self.parts_root, part, "violations")
-                    os.makedirs(pdir, exist_ok=True)
-                    digest = hashlib.md5(
-                        ("|".join(capped.column("conv_id").to_pylist())
-                         + f"|{capped.num_rows}").encode()).hexdigest()[:16]
-                    pq.write_table(capped.cast(VIOLATION_SCHEMA),
-                                   os.path.join(pdir,
-                                                f"x-{digest}.parquet"))
+            sub = verdicts.filter(pc.equal(verdicts.column("part"), part))
+            if sub.num_rows:
+                pdir = os.path.join(self.parts_root, part, "verdicts")
+                os.makedirs(pdir, exist_ok=True)
+                digest = hashlib.md5(
+                    "".join(sub.column("conv_id").to_pylist()).encode()
+                ).hexdigest()[:16]
+                pq.write_table(sub, os.path.join(pdir, f"v-{digest}.parquet"))
+                row["n_conversations"] = sub.num_rows
+                row["n_failed"] = int(pc.sum(pc.cast(
+                    pc.invert(sub.column("passed")), pa.int64())).as_py() or 0)
+                row["n_turns"] = int(pc.sum(
+                    sub.column("n_turns")).as_py() or 0)
+            sv = violations.filter(pc.equal(violations.column("part"), part))
+            if sv.num_rows:
+                kinds = sv.column("kind").to_numpy(zero_copy_only=False)
+                keep_idx = []
+                for k in _VIOLATION_KINDS:
+                    idx = np.flatnonzero(kinds == k)
+                    row[f"n_v_{k}"] = int(idx.size)
+                    keep_idx.append(idx[: self.max_per_kind])
+                other = np.flatnonzero(~np.isin(kinds, _VIOLATION_KINDS))
+                if other.size:  # unknown kinds: keep capped, count too
+                    row["n_v_other"] = int(other.size)
+                    keep_idx.append(other[: self.max_per_kind])
+                capped = sv.take(pa.array(np.sort(np.concatenate(keep_idx))))
+                pdir = os.path.join(self.parts_root, part, "violations")
+                os.makedirs(pdir, exist_ok=True)
+                digest = hashlib.md5(
+                    ("|".join(capped.column("conv_id").to_pylist())
+                     + f"|{capped.num_rows}").encode()).hexdigest()[:16]
+                pq.write_table(capped.cast(VIOLATION_SCHEMA),
+                               os.path.join(pdir, f"x-{digest}.parquet"))
             rows.append(row)
-        if not rows:
-            return _TALLY_SCHEMA.empty_table()
         return pa.Table.from_pylist(rows, schema=_TALLY_SCHEMA)
 

@@ -8,8 +8,8 @@ import pytest
 import ray.data
 
 from data_profiler_ray.config import ConstraintConfig
-from data_profiler_ray.stages.constraints import (
-    conversation_checks, row_violations, split_verdicts)
+from data_profiler_ray.stages.constraints import (VERDICT_SCHEMA,
+                                                  conversation_checks)
 from data_profiler_ray.synthetic import TOOL_REGISTRY
 
 
@@ -18,33 +18,23 @@ def cfg():
     return ConstraintConfig(tool_registry=TOOL_REGISTRY)
 
 
-def _collect(ds):
-    from data_profiler_ray.stages.constraints import VIOLATION_SCHEMA
-    tables = [b for b in ds.iter_batches(batch_format="pyarrow")]
-    if not tables:
-        return VIOLATION_SCHEMA.empty_table()
-    return pa.concat_tables([t.cast(VIOLATION_SCHEMA) for t in tables])
-
-
 def test_clean_transcripts_all_pass(transcripts_dir, cfg):
     ds = ray.data.read_parquet(transcripts_dir)
-    violations, verdicts = split_verdicts(
-        _collect(conversation_checks(ds, cfg)))
+    violations, verdicts = conversation_checks(ds, cfg)
     assert violations.num_rows == 0
     v = verdicts.to_pandas()
     pdf = pd.read_parquet(transcripts_dir)
     assert len(v) == pdf["conv_id"].nunique()
     assert v["passed"].all()
     assert v["n_turns"].sum() == len(pdf)
-    rv = _collect(row_violations(ds, cfg))
+    rv, _ = conversation_checks(ds, cfg, emit_row_violations=True)
     assert rv.num_rows == 0
 
 
 def test_dirty_transcripts_violations(dirty_transcripts_dir, cfg):
     ds = ray.data.read_parquet(dirty_transcripts_dir)
     pdf = pd.read_parquet(dirty_transcripts_dir)
-    violations, verdicts = split_verdicts(
-        _collect(conversation_checks(ds, cfg)))
+    violations, verdicts = conversation_checks(ds, cfg)
     vdf = violations.to_pandas()
     vv = verdicts.to_pandas()
 
@@ -59,7 +49,7 @@ def test_dirty_transcripts_violations(dirty_transcripts_dir, cfg):
     # oracle: bad roles
     bad_role = pdf[~pdf["role"].isin(cfg.role_domain)]
     assert vv["n_bad_role"].sum() == len(bad_role)
-    rv = _collect(row_violations(ds, cfg)).to_pandas()
+    rv = conversation_checks(ds, cfg, emit_row_violations=True)[0].to_pandas()
     got_roles = rv[rv["kind"] == "bad_role"]
     assert len(got_roles) == len(bad_role)
     assert set(got_roles["value"].unique()) == set(bad_role["role"].unique())
@@ -99,8 +89,7 @@ def test_turn_gap_detection_exact(cfg):
             pa.timestamp("us")),
     })
     ds = ray.data.from_arrow(tbl)
-    violations, verdicts = split_verdicts(
-        _collect(conversation_checks(ds, cfg)))
+    violations, verdicts = conversation_checks(ds, cfg)
     vdf = violations.to_pandas()
     gaps = vdf[vdf["kind"] == "turn_gap"]
     # c1 has turns {0,1,3,4}: missing 2,3 expected-range mismatch → indices
@@ -111,26 +100,51 @@ def test_turn_gap_detection_exact(cfg):
     assert v.loc["c2", "passed"]
 
 
-def test_bucketed_checks_match_sorted_path(dirty_transcripts_dir, cfg):
-    from data_profiler_ray.stages.constraints import conversation_checks_bucketed
-    ds = ray.data.read_parquet(dirty_transcripts_dir)
-    v1, d1 = split_verdicts(_collect(conversation_checks(ds, cfg)))
-    v2, d2 = split_verdicts(_collect(conversation_checks_bucketed(ds, cfg)))
-    a = d1.to_pandas().sort_values("conv_id").reset_index(drop=True)
-    b = d2.to_pandas().sort_values("conv_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)
-    va = v1.to_pandas().sort_values(["kind", "conv_id", "turn_idx"]).reset_index(drop=True)
-    vb = v2.to_pandas().sort_values(["kind", "conv_id", "turn_idx"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(va[["kind", "conv_id", "turn_idx"]],
-                                  vb[["kind", "conv_id", "turn_idx"]])
+def _oracle(pdf: pd.DataFrame, cfg) -> tuple[pd.DataFrame, set]:
+    """Per-conversation pandas replica of the checks: (VERDICT_SCHEMA frame
+    sorted by conv_id, {(kind, conv_id, turn_idx)} of the conversation-level
+    violations)."""
+    rows, found = [], set()
+    for conv, g in pdf.groupby("conv_id", sort=True):
+        g = g.sort_values("turn_idx", kind="stable")
+        turns = g["turn_idx"].to_numpy()
+        uniq, counts = np.unique(turns, return_counts=True)
+        found |= {("duplicate_key", conv, int(t)) for t in uniq[counts > 1]}
+        expected = set(range(uniq.size))
+        gaps = expected.symmetric_difference(uniq.tolist())
+        found |= {("turn_gap", conv, t) for t in gaps}
+        reg = (g["ts"].astype("int64").diff() < 0).to_numpy()
+        found |= {("ts_regression", conv, int(t)) for t in turns[reg]}
+        n_role = int((g["role"].notna()
+                      & ~g["role"].isin(cfg.role_domain)).sum())
+        n_tool = int((g["tool"].notna()
+                      & ~g["tool"].isin(cfg.tool_registry)).sum())
+        counts = [len(g), int((counts - 1).sum()), len(gaps), int(reg.sum()),
+                  n_role, n_tool]
+        rows.append([conv, None] + counts + [not any(counts[1:])])
+    return pd.DataFrame(rows, columns=VERDICT_SCHEMA.names), found
 
 
-def test_bucketed_checks_with_row_violations(dirty_transcripts_dir, cfg):
-    from data_profiler_ray.stages.constraints import conversation_checks_bucketed
+def test_checks_match_pandas_oracle(dirty_transcripts_dir, cfg):
+    """Every conversation's verdict and conversation-level violations equal
+    an independent pandas per-conversation replica, at the default sort
+    width, which cuts conversations at block edges."""
     ds = ray.data.read_parquet(dirty_transcripts_dir)
-    out = _collect(conversation_checks_bucketed(ds, cfg,
-                                                emit_row_violations=True))
-    viol, verd = split_verdicts(out)
+    stats = {}
+    violations, verdicts = conversation_checks(ds, cfg, stats=stats)
+    assert stats["n_blocks"] >= 2 and stats["carry_rows"] > 0
+    exp_verdicts, exp_found = _oracle(pd.read_parquet(dirty_transcripts_dir),
+                                      cfg)
+    got = verdicts.to_pandas().sort_values("conv_id").reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, exp_verdicts)
+    vdf = violations.to_pandas()
+    assert set(map(tuple, vdf[["kind", "conv_id", "turn_idx"]].values)) \
+        == exp_found
+
+
+def test_checks_with_row_level_violations(dirty_transcripts_dir, cfg):
+    ds = ray.data.read_parquet(dirty_transcripts_dir)
+    viol, _ = conversation_checks(ds, cfg, emit_row_violations=True)
     pdf = pd.read_parquet(dirty_transcripts_dir)
     vdf = viol.to_pandas()
     bad_role = pdf[~pdf["role"].isin(cfg.role_domain)]

@@ -7,8 +7,7 @@ import pytest
 import ray.data
 
 from data_profiler_ray.config import ConstraintConfig, ProfileConfig
-from data_profiler_ray.stages.constraints import (conversation_checks,
-                                                  split_verdicts)
+from data_profiler_ray.stages.constraints import conversation_checks
 from data_profiler_ray.stages.profile import profile_dataset
 
 
@@ -65,12 +64,7 @@ def test_constraints_single_conversation_single_turn():
         "ts": pa.array([0], pa.timestamp("us")),
     })
     cfg = ConstraintConfig()
-    out = pa.concat_tables([b.cast(tbl.schema.empty_table().schema
-                                   if False else b.schema)
-                            for b in conversation_checks(
-                                ray.data.from_arrow(tbl), cfg)
-                            .iter_batches(batch_format="pyarrow")])
-    violations, verdicts = split_verdicts(out)
+    violations, verdicts = conversation_checks(ray.data.from_arrow(tbl), cfg)
     assert violations.num_rows == 0
     v = verdicts.to_pandas()
     assert len(v) == 1 and v.iloc[0]["passed"]
@@ -85,13 +79,36 @@ def test_constraints_turn_not_starting_at_zero():
         "tool": pa.array([None] * 3, pa.string()),
         "ts": pa.array([0, 1, 2], pa.timestamp("us")),
     })
-    out = pa.concat_tables(list(conversation_checks(
-        ray.data.from_arrow(tbl), ConstraintConfig())
-        .iter_batches(batch_format="pyarrow")))
-    violations, verdicts = split_verdicts(out)
+    violations, verdicts = conversation_checks(ray.data.from_arrow(tbl),
+                                               ConstraintConfig())
     v = verdicts.to_pandas().iloc[0]
     assert not v["passed"]
     assert v["n_turn_gap"] > 0   # contiguity demands 0..n-1
+
+
+def test_constraints_null_ts_at_block_edge():
+    """A null ts on a conversation's first or last row is carried as null
+    and compares as the oracle's ``ts < LAG(ts)`` does: a comparison with a
+    null is no regression. (Sorted into blocks of a row or two, every
+    conversation here is cut at a block edge.)"""
+    tbl = pa.table({
+        "conv_id": pa.array(["a"] * 3 + ["b"] * 3 + ["c"] * 3),
+        "turn_idx": pa.array([0, 1, 2] * 3, pa.int32()),
+        "role": pa.array(["user"] * 9),
+        "tool": pa.array([None] * 9, pa.string()),
+        "ts": pa.array([None, 5, 3, 1, None, 0, 1, 2, None],
+                       pa.timestamp("us")),
+    })
+    violations, verdicts = conversation_checks(ray.data.from_arrow(tbl),
+                                               ConstraintConfig())
+    assert violations.select(["kind", "conv_id", "turn_idx", "detail"]
+                             ).to_pylist() == [
+        {"kind": "ts_regression", "conv_id": "a", "turn_idx": 2,
+         "detail": "ts decreased by 2us"}]
+    v = verdicts.to_pandas().set_index("conv_id").sort_index()
+    assert v["n_ts_regression"].tolist() == [1, 0, 0]
+    assert v["passed"].tolist() == [False, True, True]
+    assert (v["n_turns"] == 3).all()
 
 
 def _one_conversation(n_turns: int) -> pa.Table:

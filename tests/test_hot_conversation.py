@@ -10,8 +10,7 @@ import pytest
 import ray.data
 
 from data_profiler_ray.config import ConstraintConfig
-from data_profiler_ray.stages.constraints import (conversation_checks,
-                                                  split_verdicts)
+from data_profiler_ray.stages.constraints import conversation_checks
 
 
 @pytest.fixture(scope="module")
@@ -56,10 +55,7 @@ def hot_conv_dir(tmp_path_factory):
 def test_hot_conversation_exact(hot_conv_dir):
     ds = ray.data.read_parquet(hot_conv_dir)
     cfg = ConstraintConfig()
-    out = pa.concat_tables([
-        b for b in conversation_checks(ds, cfg).iter_batches(
-            batch_format="pyarrow")])
-    violations, verdicts = split_verdicts(out)
+    violations, verdicts = conversation_checks(ds, cfg)
     v = verdicts.to_pandas().set_index("conv_id")
     assert len(v) == 201
     hot = v.loc["conv-hot"]
@@ -124,12 +120,11 @@ def test_whale_conversation_carry_is_o_blocks(whale_conv_dir):
     carry o(#blocks) FIXED-SIZE partials (<64 KB/block), never the whale's
     raw rows, and still produce the exact verdict."""
     from data_profiler_ray.config import ConstraintConfig
-    from data_profiler_ray.stages.constraints import (
-        conversation_checks_parts, split_verdicts)
+    from data_profiler_ray.stages.constraints import conversation_checks_parts
     ds = ray.data.read_parquet(whale_conv_dir)
     cfg = ConstraintConfig()
     stats = {}
-    checked, fixed = conversation_checks_parts(
+    _, verdicts = conversation_checks_parts(
         ds, cfg, emit_row_violations=True, stats=stats)
     assert stats["n_blocks"] >= 2
     # o(#blocks) carry: every cut piece is clean → fixed-size partial rows
@@ -138,7 +133,6 @@ def test_whale_conversation_carry_is_o_blocks(whale_conv_dir):
     # the 500k-row whale must NOT have been pulled raw
     assert stats["carry_rows"] <= 2 * stats["n_blocks"]
 
-    _, verdicts = split_verdicts(fixed)
     v = verdicts.to_pandas().set_index("conv_id")
     assert "conv-whale" in v.index
     assert v.loc["conv-whale", "n_turns"] == 500_000

@@ -132,24 +132,29 @@ def test_part_output_writer_idempotent(tmp_path):
     import pyarrow as pa
 
     from data_profiler_ray.pipelines.validate import _PartOutputWriter
-    from data_profiler_ray.stages.constraints import VIOLATION_SCHEMA
-    batch = pa.table({
-        "kind": pa.array(["__verdict__", "bad_role", "__verdict__",
-                          "duplicate_key"]),
-        "conv_id": pa.array(["c1", "c1", "c2", "c2"]),
-        "turn_idx": pa.array([5, 2, 3, 1], pa.int32()),
-        "column": pa.array([None, "role", None, None], pa.string()),
-        "value": pa.array([None, "moderator", None, None], pa.string()),
-        "detail": pa.array(["0|0|0|1|0|0", None, "1|0|0|0|0|0", "count=2"],
-                           pa.string()),
-        "part": pa.array(["p0", "p0", "p0", "p0"]),
+    from data_profiler_ray.stages.constraints import (VERDICT_SCHEMA,
+                                                      VIOLATION_SCHEMA)
+    violations = pa.table({
+        "kind": pa.array(["bad_role", "duplicate_key"]),
+        "conv_id": pa.array(["c1", "c2"]),
+        "turn_idx": pa.array([2, 1], pa.int32()),
+        "column": pa.array(["role", None], pa.string()),
+        "value": pa.array(["moderator", None], pa.string()),
+        "detail": pa.array([None, "count=2"], pa.string()),
+        "part": pa.array(["p0", "p0"]),
     }, schema=VIOLATION_SCHEMA)
+    verdicts = pa.table({
+        "conv_id": pa.array(["c1", "c2"]), "part": pa.array(["p0", "p0"]),
+        "n_turns": [5, 3], "n_duplicate_key": [0, 1], "n_turn_gap": [0, 0],
+        "n_ts_regression": [0, 0], "n_bad_role": [1, 0],
+        "n_dangling_tool": [0, 0], "passed": [False, False],
+    }, schema=VERDICT_SCHEMA)
     root = str(tmp_path / "parts")
     w = _PartOutputWriter(root, max_per_kind=100)
-    t1 = w(batch)
+    t1 = w(violations, verdicts)
     files1 = {f: open(f, "rb").read()
               for f in glob.glob(f"{root}/p0/*/*.parquet")}
-    t2 = w(batch)  # simulated retry
+    t2 = w(violations, verdicts)  # simulated retry
     files2 = {f: open(f, "rb").read()
               for f in glob.glob(f"{root}/p0/*/*.parquet")}
     assert t1.to_pydict() == t2.to_pydict()

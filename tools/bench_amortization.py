@@ -122,6 +122,8 @@ def _prepare_inputs() -> tuple[str, str]:
         for f in sorted(glob.glob(os.path.join(src, "*.parquet"))):
             dst = os.path.join(COMBINED_DIR, f"{tag}-{os.path.basename(f)}")
             if not os.path.exists(dst):
+                if os.path.lexists(dst):  # a link whose target is gone
+                    os.unlink(dst)
                 os.symlink(f, dst)
     # settle async writeback of anything just generated so the first timed
     # run isn't fighting this box's ~8 MB/s disk flush
