@@ -13,7 +13,7 @@ Reference surface (SURVEY.md §2.10 / §3.1-3.3):
 - JSON output writer (``utils.py:28-75``).
 
 Everything funnels into the distributed accumulator pipeline
-(stages/profile.py) — one streaming pass, tree-merged state.
+(stages/profile.py) — one streaming pass, state folded on the driver.
 """
 
 from __future__ import annotations

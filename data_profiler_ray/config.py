@@ -21,8 +21,6 @@ class ProfileConfig:
     light_mode: bool = False               # skip per-type describes (profiler.py:428)
     max_freq_distr: int = 10               # top-K in frequency distributions
     num_cat_perc_threshold: float = 0.5    # numeric->categorical rule threshold
-    batch_size: int | None = None   # None = one batch per block (max parallelism)
-    merge_shards: int = 32                 # tree-reduction fan-in before driver merge
     types_dict: dict[str, str] | None = None  # user override of detected types
     geometry_columns: list[str] | None = None  # WKT columns → GeometryAccumulator
     geometry_crs: str = "EPSG:4326"        # EPSG:326xx/327xx reproject (r5)
@@ -45,7 +43,6 @@ class ConstraintConfig:
 
 @dataclass
 class DriftConfig:
-    numeric_psi_bins: int = 10
     psi_threshold: float = 0.2      # common industry threshold
     ks_threshold: float = 0.1
 

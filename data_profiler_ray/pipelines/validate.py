@@ -14,10 +14,9 @@ partitions runs, one after the other:
    and the o(#blocks) cut pieces, merges the pieces and writes their rows
    (``stages.constraints.check_and_write``);
 3. per-partition checkpoints: state.pkl, lineage.json, _DONE marker;
-4. the final merge of every partition's state (done + fresh) on the
-   driver, or as a fan-in task tree when the states are large
-   (``merge_state_blobs_distributed``), then profile.json, the verdict
-   rollup and drift.
+4. the final merge of every partition's state (done + fresh): one fold
+   on the driver (``merge_states``), then profile.json, the verdict rollup
+   and drift.
 
 Schemas and the sort width come from the Parquet footers, so no Ray Data
 execution runs only to learn a schema or a size.
@@ -46,6 +45,7 @@ import glob
 import hashlib
 import json
 import os
+import pathlib
 import shutil
 import time
 
@@ -59,8 +59,7 @@ import ray.data
 from ..config import ValidationConfig
 from ..stages.constraints import VIOLATION_SCHEMA, check_and_write
 from ..stages.drift import bin_accumulators, drift_from_counts, spec_from_profile
-from ..stages.profile import (dumps_state, finalize_profile,
-                              merge_state_blobs_distributed,
+from ..stages.profile import (dumps_state, finalize_profile, merge_states,
                               profile_partials_by_part)
 
 # stage timings in summary["timings"]; a stage that did not run reports 0
@@ -215,15 +214,15 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
 
     # --- final merge across ALL partitions (done + fresh) ---
     tfm = time.time()
-    blobs, lineages = [], []
+    lineages = []
     for path in shards:
-        pdir = os.path.join(out, "parts", _part_of(path))
-        with open(os.path.join(pdir, "state.pkl"), "rb") as f:
-            blobs.append(f.read())
-        with open(os.path.join(pdir, "lineage.json")) as f:
+        with open(os.path.join(out, "parts", _part_of(path),
+                               "lineage.json")) as f:
             lineages.append(json.load(f))
 
-    total_rows, merged = merge_state_blobs_distributed(blobs)
+    total_rows, merged = merge_states(
+        pathlib.Path(out, "parts", _part_of(p), "state.pkl").read_bytes()
+        for p in shards)
     profile = finalize_profile(total_rows, merged, cfg.profile, t0,
                                filenames=shards)
     with open(os.path.join(out, "profile.json"), "w") as f:

@@ -1,18 +1,19 @@
-"""Distributed table profiling: one streaming pass, tree-merged accumulators.
+"""Distributed table profiling: one streaming pass, one driver-side fold.
 
 Replaces the reference's whole-file pandas loop
 (``/root/reference/stelardataprofiler/tabular_timeseries/profiler.py:329-403``)
 with the Ray-Data-native shape from SURVEY.md §3.4:
 
     read_parquet → map_batches(partial accumulators, batch_format="pyarrow")
-        → groupby(shard).map_groups(merge)  [tree reduction]
-        → driver merge of ≤merge_shards tiny states → profile dict
+        → iter_batches to the driver → merge_states fold → profile dict
 
 Each block contributes ONE small row holding the pickled accumulator bundle
-(a few KB per column: moments + KLL + HLL + capped counter), so the shuffle
-volume of the reduction is o(input) regardless of data size. The final
-profile dict has the reference's three-part shape
-(``analysis`` / ``table`` / ``variables``, profiler.py:343-362).
+(a few KB per column: moments + KLL + HLL + capped counter), so what the
+driver pulls is o(input) regardless of data size. The accumulators are
+mergeable summaries, so folding the partials one at a time in stream order
+gives the same profile as any merge tree. The final profile dict has the
+reference's three-part shape (``analysis`` / ``table`` / ``variables``,
+profiler.py:343-362).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import pickle
 import zlib
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
@@ -95,25 +97,36 @@ class _PartialProfiler:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if self.part_column is None:
-            return pa.table({
-                "rows": pa.array([len(batch)], type=pa.int64()),
-                "state": pa.array([self._fold(batch)], type=pa.large_binary()),
-            })
-        parts, rows, states = [], [], []
-        import pyarrow.compute as pc
-        for part in pc.unique(batch.column(self.part_column)).to_pylist():
-            sub = batch.filter(pc.equal(batch.column(self.part_column), part))
-            parts.append(part)
-            rows.append(len(sub))
-            states.append(self._fold(sub, part=part))
+            subs = [(None, batch)]
+        else:
+            col = batch.column(self.part_column)
+            subs = [(p, batch.filter(pc.equal(col, p)))
+                    for p in pc.unique(col).to_pylist()]
         return pa.table({
-            "part": pa.array(parts, type=pa.string()),
-            "rows": pa.array(rows, type=pa.int64()),
-            "state": pa.array(states, type=pa.large_binary()),
+            "part": pa.array([p for p, _ in subs], type=pa.string()),
+            "rows": pa.array([len(sub) for _, sub in subs], type=pa.int64()),
+            "state": pa.array([self._fold(sub, part=p) for p, sub in subs],
+                              type=pa.large_binary()),
         })
 
 
-def _merge_states(blobs: list[bytes]) -> tuple[int, dict[str, ColumnAccumulator]]:
+def _partials(ds: "ray.data.Dataset", schema: pa.Schema,
+              config: ProfileConfig, part_column: str | None = None):
+    """Yield ``(part, rows, blob)`` for every partial-state row of ``ds``,
+    one block at a time (``part`` is None without a ``part_column``)."""
+    stream = ds.map_batches(_PartialProfiler(schema, config, part_column),
+                            batch_format="pyarrow", batch_size=None)
+    for b in stream.iter_batches(batch_format="pyarrow", batch_size=None):
+        yield from zip(b.column("part").to_pylist(),
+                       b.column("rows").to_pylist(),
+                       b.column("state").to_pylist())
+
+
+def merge_states(blobs) -> tuple[int, dict[str, ColumnAccumulator]]:
+    """Fold state blobs into ``(rows, {column: accumulator})``, unpickling
+    one blob at a time so the driver holds one merged state plus one
+    partial. The only merge of profile states: every accumulator merges
+    associatively, so a fold in stream order is a valid merge."""
     total_rows = 0
     merged: dict[str, ColumnAccumulator] = {}
     for blob in blobs:
@@ -127,21 +140,8 @@ def _merge_states(blobs: list[bytes]) -> tuple[int, dict[str, ColumnAccumulator]
     return total_rows, merged
 
 
-@ray.remote(num_cpus=1)
-def _merge_part_state(blobs: list[bytes]) -> tuple[int, bytes]:
-    """One partition's partial-state merge as a Ray task (fan-out across
-    parts — removes the serial driver merge, see profile_partials_by_part)."""
-    rows, accs = _merge_states(blobs)
-    return rows, dumps_state((rows, accs))
-
-
-def _merge_group(batch: pa.Table) -> pa.Table:
-    rows, merged = _merge_states(batch.column("state").to_pylist())
-    payload = dumps_state((rows, merged))
-    return pa.table({
-        "rows": pa.array([rows], type=pa.int64()),
-        "state": pa.array([payload], type=pa.large_binary()),
-    })
+# the name perfbench/layers.py calls
+merge_state_blobs_distributed = merge_states
 
 
 def profile_partials_by_part(ds: "ray.data.Dataset", config: ProfileConfig,
@@ -152,13 +152,15 @@ def profile_partials_by_part(ds: "ray.data.Dataset", config: ProfileConfig,
     Used by the checkpointable validation pipeline — each partition's merged
     accumulator bundle (~1 MB of sketch state) is persisted as that
     partition's resumable checkpoint; the global profile is the driver-side
-    merge of all per-partition states (the associative algebra of §2.5).
+    fold of all per-partition states (the associative algebra of §2.5).
 
-    The per-part merge happens ON THE DRIVER, streaming over the partial
-    rows: a ``groupby(part)`` here would push the MB-sized state rows
-    through a full Ray sort exchange (measured 19.5 s for 132 MB of states
-    vs ~2 s streaming) — and the driver must hold one state per part anyway
-    to write the checkpoints, so the memory envelope is unchanged.
+    The partials stream to the driver: a ``groupby(part)`` here would push
+    the MB-sized state rows through a full Ray sort exchange (measured
+    19.5 s for 132 MB of states vs ~2 s streaming) — and the driver must
+    hold one state per part anyway to write the checkpoints. With
+    shard-aligned blocks every part has exactly one partial, whose blob
+    passes through byte-identical; a part split over several blocks is
+    folded with ``merge_states`` and dumped again.
 
     ``schema``: ``ds``'s schema when the caller knows it (e.g. from the
     Parquet footers); the default ``ds.schema()`` executes a mapped
@@ -166,45 +168,19 @@ def profile_partials_by_part(ds: "ray.data.Dataset", config: ProfileConfig,
     if schema is None:
         s = ds.schema()
         schema = pa.schema([pa.field(n, t) for n, t in zip(s.names, s.types)])
-    partials = ds.map_batches(
-        _PartialProfiler(schema, config, part_column=part_column),
-        batch_format="pyarrow", batch_size=config.batch_size)
-    # collect raw blobs per part first: with shard-aligned blocks (one read
-    # task per file) every part has exactly ONE partial, and its pickled
-    # state passes through untouched — the unpickle+merge+repickle path
-    # (measured ~2.4 s driver-serial at 64 parts × 0.5 MB) runs only for
-    # parts that were split across blocks
-    blobs_by_part: dict[str, list[tuple[int, bytes]]] = {}
-    for b in partials.iter_batches(batch_format="pyarrow"):
-        for part, nrows, blob in zip(b.column("part").to_pylist(),
-                                     b.column("rows").to_pylist(),
-                                     b.column("state").to_pylist()):
-            blobs_by_part.setdefault(part, []).append((nrows, blob))
-    parts = sorted(blobs_by_part)
-    # Ray's read-stage block splitting (e.g. ReadParquet->SplitBlocks(4))
-    # gives each part SEVERAL partials; the unpickle+merge+repickle of
-    # every part on the driver is serial time that taxes high-CPU runs
-    # hardest (measured ~11 s of the 28 s profile stage at 4M turns /
-    # 8 cpus — a direct scaling-efficiency loss). Multi-partial parts are
-    # merged in PARALLEL Ray tasks instead; 1-partial parts pass through
-    # untouched as before.
-    import ray as _ray
-    futures: dict[str, "_ray.ObjectRef"] = {}
-    for p in parts:
-        entries = blobs_by_part[p]
-        if len(entries) > 1:
-            futures[p] = _merge_part_state.remote([e[1] for e in entries])
-    merged = dict(zip(futures, _ray.get(list(futures.values()))))
+    by_part: dict[str, list[tuple[int, bytes]]] = {}
+    for part, rows, blob in _partials(ds, schema, config, part_column):
+        by_part.setdefault(part, []).append((rows, blob))
+    parts = sorted(by_part)
     rows_out, state_out = [], []
     for p in parts:
-        entries = blobs_by_part[p]
-        if len(entries) == 1:
-            rows_out.append(entries[0][0])
-            state_out.append(entries[0][1])
+        if len(by_part[p]) == 1:
+            rows, blob = by_part[p][0]
         else:
-            rows, blob = merged[p]
-            rows_out.append(rows)
-            state_out.append(blob)
+            rows, accs = merge_states(b for _, b in by_part[p])
+            blob = dumps_state((rows, accs))
+        rows_out.append(rows)
+        state_out.append(blob)
     return pa.table({
         "part": pa.array(parts, pa.string()),
         "rows": pa.array(rows_out, pa.int64()),
@@ -212,42 +188,10 @@ def profile_partials_by_part(ds: "ray.data.Dataset", config: ProfileConfig,
     })
 
 
-# Blobs up to this many bytes in total are merged on the driver. The driver
-# merged 16 checkpoint blobs (3 MB) in 0.22 s on one pinned CPU, while the
-# fan-in tree, a Ray Data job, took 0.5-0.8 s for the same blobs; 8 MB is
-# about where the driver merge costs what the tree's job overhead does.
-_DRIVER_MERGE_MAX_BYTES = 8 << 20
-
-
-def merge_state_blobs_distributed(blobs: list[bytes], fan_in: int = 8
-                                  ) -> tuple[int, dict]:
-    """Merge many per-part state blobs; tree-merge large ones via parallel
-    Ray tasks.
-
-    Small totals (≤ ``_DRIVER_MERGE_MAX_BYTES``) merge on the driver. Above
-    that, the driver-serial merge costs O(N × counter size) Python time
-    (measured ~6.8 s at 64 parts / 4M rows) that does not shrink with more
-    CPUs, so one parallel level of ``fan_in``-way merge tasks runs first,
-    repeated until the rest fits the driver."""
-    if (len(blobs) <= max(fan_in, 2)
-            or sum(map(len, blobs)) <= _DRIVER_MERGE_MAX_BYTES):
-        return _merge_states(blobs)
-    tables = []
-    for i in range(0, len(blobs), fan_in):
-        chunk = blobs[i:i + fan_in]
-        tables.append(pa.table({
-            "rows": pa.array([0] * len(chunk), pa.int64()),
-            "state": pa.array(chunk, pa.large_binary())}))
-    # one table per block → one merge TASK per fan_in-sized chunk
-    reduced = ray.data.from_arrow(tables).map_batches(
-        _merge_group, batch_format="pyarrow", batch_size=None).materialize()
-    final = [r["state"] for r in reduced.take_all()]
-    return merge_state_blobs_distributed(final, fan_in)
-
-
 def profile_dataset(ds: "ray.data.Dataset", config: ProfileConfig | None = None,
                     filenames: list[str] | None = None) -> dict:
-    """Profile a Dataset into the reference-shaped dict."""
+    """Profile a Dataset into the reference-shaped dict: the block partials
+    fold on the driver as they stream in."""
     config = config or ProfileConfig()
     t0 = datetime.datetime.now()
     schema = ds.schema()
@@ -255,26 +199,8 @@ def profile_dataset(ds: "ray.data.Dataset", config: ProfileConfig | None = None,
                               zip(schema.names, schema.types)])
     if config.columns:
         ds = ds.select_columns([c for c in config.columns])
-
-    partials = ds.map_batches(
-        _PartialProfiler(arrow_schema, config),
-        batch_format="pyarrow",
-        batch_size=config.batch_size,
-    )
-    # tree reduction: map_batches levels coalesce up to merge_shards
-    # partial-state rows per task (batch_size spans block boundaries, no
-    # shuffle/sort op needed), REPEATED until at most merge_shards states
-    # remain for the driver — logarithmic depth, so 10^6 input blocks give
-    # the driver ~32 states, not 31k. Shuffle volume is o(input): each
-    # partial row is sketch state of bounded size regardless of block size.
-    fan_in = max(config.merge_shards, 2)
-    reduced = partials.map_batches(_merge_group, batch_format="pyarrow",
-                                   batch_size=fan_in).materialize()
-    while reduced.count() > fan_in:
-        reduced = reduced.map_batches(_merge_group, batch_format="pyarrow",
-                                      batch_size=fan_in).materialize()
-    final_blobs = [r["state"] for r in reduced.take_all()]
-    total_rows, merged = _merge_states(final_blobs)
+    total_rows, merged = merge_states(
+        blob for _, _, blob in _partials(ds, arrow_schema, config))
     if not merged:  # empty input: still emit one typed variable per column
         cols = config.columns or arrow_schema.names
         merged = {n: make_accumulator(arrow_schema.field(n),
@@ -291,7 +217,7 @@ def finalize_profile(total_rows: int, merged: dict[str, ColumnAccumulator],
     (profiler.py:343-367) + table stats A3 (variables/utils.py:434-478)."""
     variables = []
     for name, acc in merged.items():
-        var = acc.result()
+        var = acc.result(config.max_freq_distr, config.num_cat_perc_threshold)
         if config.types_dict and name in config.types_dict:
             var["type"] = config.types_dict[name]  # user override (profiler.py:338-339)
         variables.append(var)

@@ -1,8 +1,9 @@
 """Per-column mergeable profile accumulators.
 
 One accumulator instance per column per Ray Data block; instances merge
-associatively in a tree reduction. Together they reproduce the reference
-profiler's per-variable stat families (SURVEY.md §2.5):
+associatively, so the per-block partials fold in any grouping. Together
+they reproduce the reference profiler's per-variable stat families
+(SURVEY.md §2.5):
 
 - generic stats A1/A2 (``variables/utils.py:115-191``): counts, missing,
   distinct, unique, value frequencies;
@@ -53,7 +54,8 @@ _WKT_RE = re.compile(
     r"GEOMETRYCOLLECTION)\s*\(", re.IGNORECASE)
 
 NUM_CAT_MAX_UNIQUE = 5        # numeric -> categorical rule, utils.py:332-341
-NUM_CAT_PERC_THRESHOLD = 0.5
+NUM_CAT_PERC_THRESHOLD = 0.5  # ProfileConfig.num_cat_perc_threshold default
+MAX_FREQ_DISTR = 10           # ProfileConfig.max_freq_distr default
 
 
 def _combine_chunks(arr) -> pa.Array:
@@ -110,7 +112,9 @@ class ColumnAccumulator:
     def merge(self, other: "ColumnAccumulator") -> None:
         self._merge_base(other)
 
-    def result(self) -> dict:
+    def result(self, max_freq_distr: int = MAX_FREQ_DISTR,
+               num_cat_perc_threshold: float = NUM_CAT_PERC_THRESHOLD
+               ) -> dict:
         out = self._base_result()
         out["type"] = UNSUPPORTED
         return out
@@ -286,7 +290,8 @@ class NumericAccumulator(ColumnAccumulator, _DistinctMixin):
         self.moments.merge(other.moments)
         self.kll.merge(other.kll)
 
-    def logical_type(self) -> str:
+    def logical_type(self, num_cat_perc_threshold: float =
+                     NUM_CAT_PERC_THRESHOLD) -> str:
         # numeric -> categorical rule (utils.py:332-341,372-387)
         d = self._distinct_result()
         count = self.n - self.n_missing
@@ -294,7 +299,7 @@ class NumericAccumulator(ColumnAccumulator, _DistinctMixin):
             return UNSUPPORTED
         if (not self.counter.overflowed
                 and 1 <= d["n_distinct"] <= NUM_CAT_MAX_UNIQUE
-                and d["p_unique"] < NUM_CAT_PERC_THRESHOLD):
+                and d["p_unique"] < num_cat_perc_threshold):
             return CATEGORICAL
         return NUMERIC
 
@@ -331,7 +336,9 @@ class NumericAccumulator(ColumnAccumulator, _DistinctMixin):
             return None
         return float(weighted_quantile(np.abs(v - med), w, 0.5)[0])
 
-    def result(self) -> dict:
+    def result(self, max_freq_distr: int = MAX_FREQ_DISTR,
+               num_cat_perc_threshold: float = NUM_CAT_PERC_THRESHOLD
+               ) -> dict:
         out = self._base_result()
         out.update(self._distinct_result())
         out.update(self.moments.result())
@@ -348,8 +355,8 @@ class NumericAccumulator(ColumnAccumulator, _DistinctMixin):
             first, last = self.counter.extremes(5)
             out["5_min_values"] = [{"value": v, "count": c} for v, c in first]
             out["5_max_values"] = [{"value": v, "count": c} for v, c in reversed(last)]
-            out["freq_value_counts"] = self.counter.freq_distribution(10)
-        out["type"] = self.logical_type()
+            out["freq_value_counts"] = self.counter.freq_distribution(max_freq_distr)
+        out["type"] = self.logical_type(num_cat_perc_threshold)
         return out
 
 
@@ -376,7 +383,9 @@ class BooleanAccumulator(ColumnAccumulator):
         self.n_true += other.n_true
         self.n_false += other.n_false
 
-    def result(self) -> dict:
+    def result(self, max_freq_distr: int = MAX_FREQ_DISTR,
+               num_cat_perc_threshold: float = NUM_CAT_PERC_THRESHOLD
+               ) -> dict:
         out = self._base_result()
         out["type"] = BOOLEAN
         out["counts"] = [
@@ -434,7 +443,9 @@ class DatetimeAccumulator(ColumnAccumulator, _DistinctMixin):
             c.counts[float(k) / 1e6] += v
         return c
 
-    def result(self) -> dict:
+    def result(self, max_freq_distr: int = MAX_FREQ_DISTR,
+               num_cat_perc_threshold: float = NUM_CAT_PERC_THRESHOLD
+               ) -> dict:
         import datetime as _dt
         out = self._base_result()
         out.update(self._distinct_result())
@@ -673,7 +684,8 @@ class StringAccumulator(ColumnAccumulator, _DistinctMixin):
         self.word_len_kll.merge(other.word_len_kll)
         self.words_per_value.merge(other.words_per_value)
 
-    def logical_type(self) -> str:
+    def logical_type(self, num_cat_perc_threshold: float =
+                     NUM_CAT_PERC_THRESHOLD) -> str:
         """Detection order per find_types object branch (utils.py:394-428)."""
         count = self.n - self.n_missing
         if count == 0 or not self.probe_checked:
@@ -688,12 +700,12 @@ class StringAccumulator(ColumnAccumulator, _DistinctMixin):
             d = self._distinct_result()
             if (not self.counter.overflowed
                     and 1 <= d["n_distinct"] <= NUM_CAT_MAX_UNIQUE
-                    and d["p_unique"] < NUM_CAT_PERC_THRESHOLD):
+                    and d["p_unique"] < num_cat_perc_threshold):
                 return CATEGORICAL
             return NUMERIC
         # string split: low uniqueness -> Categorical else Textual (utils.py:420-425)
         d = self._distinct_result()
-        if d["p_distinct"] < NUM_CAT_PERC_THRESHOLD:
+        if d["p_distinct"] < num_cat_perc_threshold:
             return CATEGORICAL
         return TEXTUAL
 
@@ -711,12 +723,14 @@ class StringAccumulator(ColumnAccumulator, _DistinctMixin):
             })
         return out
 
-    def result(self) -> dict:
+    def result(self, max_freq_distr: int = MAX_FREQ_DISTR,
+               num_cat_perc_threshold: float = NUM_CAT_PERC_THRESHOLD
+               ) -> dict:
         out = self._base_result()
         out.update(self._distinct_result())
-        ltype = self.logical_type()
+        ltype = self.logical_type(num_cat_perc_threshold)
         out["type"] = ltype
-        out["freq_value_counts"] = self.counter.freq_distribution(10)
+        out["freq_value_counts"] = self.counter.freq_distribution(max_freq_distr)
         if ltype == NUMERIC and self.num_sub.n:
             out.update(self.num_sub.result())
             out.update(self.num_kll.result())
@@ -849,17 +863,20 @@ class GeometryAccumulator(StringAccumulator):
         self.hull_pts = np.vstack([self.hull_pts, other.hull_pts])
         self._shrink_hull()
 
-    def logical_type(self) -> str:
+    def logical_type(self, num_cat_perc_threshold: float =
+                     NUM_CAT_PERC_THRESHOLD) -> str:
         return GEOMETRY  # declared geometry column: type is asserted
 
-    def result(self) -> dict:
+    def result(self, max_freq_distr: int = MAX_FREQ_DISTR,
+               num_cat_perc_threshold: float = NUM_CAT_PERC_THRESHOLD
+               ) -> dict:
         from ..functions.geometry import hull_wkt
         out = self._base_result()
         out.update(self._distinct_result())
         out["type"] = GEOMETRY
         out["crs"] = self.crs
         out["n_invalid_wkt"] = self.n_invalid
-        out["freq_value_counts"] = self.counter.freq_distribution(10)
+        out["freq_value_counts"] = self.counter.freq_distribution(max_freq_distr)
         out["geom_type_distribution"] = [
             {"name": self.name, "type": g, "count": c}
             for g, c in sorted(self.geom_counts.items(),

@@ -4,6 +4,7 @@ oracle computed on the same data (SURVEY.md §5.2 item 2)."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 import ray.data
 
@@ -14,7 +15,7 @@ from data_profiler_ray.stages.profile import profile_dataset
 @pytest.fixture(scope="module")
 def lineitem_profile(sf_dir):
     ds = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet")
-    prof = profile_dataset(ds, ProfileConfig(title="lineitem", merge_shards=4))
+    prof = profile_dataset(ds, ProfileConfig(title="lineitem"))
     pdf = pd.read_parquet(f"{sf_dir}/lineitem.parquet")
     return prof, pdf
 
@@ -95,23 +96,50 @@ def test_transcripts_profile(transcripts_dir):
 def test_types_dict_override(sf_dir):
     ds = ray.data.read_parquet(f"{sf_dir}/region.parquet")
     prof = profile_dataset(
-        ds, ProfileConfig(types_dict={"r_name": "Textual"}, merge_shards=2))
+        ds, ProfileConfig(types_dict={"r_name": "Textual"}))
     v = next(v for v in prof["variables"] if v["name"] == "r_name")
     assert v["type"] == "Textual"
 
 
-def test_tree_reduction_multiple_levels(sf_dir):
-    """merge_shards=2 on a many-block dataset forces several reduction
-    levels; the result must equal the single-level path."""
+def test_many_block_fold(sf_dir):
+    """A many-block dataset folds its partials one at a time; the result
+    must equal the pandas oracle on the whole column."""
     ds = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet").repartition(16)
-    prof = profile_dataset(ds, ProfileConfig(columns=["l_quantity"],
-                                             merge_shards=2))
+    prof = profile_dataset(ds, ProfileConfig(columns=["l_quantity"]))
     pdf = pd.read_parquet(f"{sf_dir}/lineitem.parquet")
     v = prof["variables"][0]
     assert v["count"] == len(pdf)
     assert v["mean"] == pytest.approx(pdf["l_quantity"].mean())
     assert v["n_distinct"] == pdf["l_quantity"].nunique()
     assert v["median"] == pytest.approx(pdf["l_quantity"].median())
+
+
+def test_profile_dataset_never_materializes(sf_dir, monkeypatch):
+    """The partials stream into the driver fold: no stage is materialized."""
+    def no_materialize(*a, **k):
+        raise AssertionError("profile_dataset materialized a Dataset")
+
+    monkeypatch.setattr(ray.data.Dataset, "materialize", no_materialize)
+    ds = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet").repartition(4)
+    prof = profile_dataset(ds, ProfileConfig(columns=["l_quantity"]))
+    assert prof["table"]["num_rows"] == pq.read_metadata(
+        f"{sf_dir}/lineitem.parquet").num_rows
+
+
+def test_profile_knobs_reach_finalize():
+    """``max_freq_distr`` caps the frequency table (top-k plus one
+    ``Other Values (n)`` bucket) and ``num_cat_perc_threshold`` moves the
+    Categorical/Textual split."""
+    vals = [f"v{i}" for i in range(8) for _ in range(15 - i)]  # 15..8
+    ds = ray.data.from_arrow(pa.table({"s": vals}))
+    v = profile_dataset(ds, ProfileConfig(max_freq_distr=3))["variables"][0]
+    assert v["freq_value_counts"] == {"v0": 15, "v1": 14, "v2": 13,
+                                      "Other Values (5)": 50}
+    assert v["type"] == "Categorical"      # p_distinct 8/92 < 0.5
+    v = profile_dataset(ds, ProfileConfig(num_cat_perc_threshold=0.05)
+                        )["variables"][0]
+    assert len(v["freq_value_counts"]) == 8
+    assert v["type"] == "Textual"
 
 
 def _state_blobs(n_blobs: int, rows: int) -> tuple[list[bytes], dict]:
@@ -136,51 +164,92 @@ def _state_blobs(n_blobs: int, rows: int) -> tuple[list[bytes], dict]:
     return blobs, {k: np.concatenate(v) for k, v in raw.items()}
 
 
-def test_merge_driver_and_tree_agree(monkeypatch):
-    """merge_state_blobs_distributed's driver path (total bytes under the
-    limit) and its fan-in tree path give the same profile: exact rows,
-    counts, extrema, distinct counts and value counts; moments up to float
+def test_merge_states_fold_matches_raw_columns(monkeypatch):
+    """merge_states folds per-part blobs from an iterator on the driver and
+    starts no Ray Data job. Against the raw columns: exact rows, counts,
+    extrema, distinct counts and value counts; moments up to float
     reassociation; sketch quantiles within the KLL rank error."""
     import ray.data as rd
 
-    from data_profiler_ray.stages import profile as prof_mod
+    from data_profiler_ray.stages.profile import merge_states
     blobs, raw = _state_blobs(8, 5000)
     n = 8 * 5000
 
     def no_job(*a, **k):
-        raise AssertionError("driver path started a Ray Data job")
+        raise AssertionError("the fold started a Ray Data job")
 
     monkeypatch.setattr(rd, "from_arrow", no_job)
-    rows_d, merged_d = prof_mod.merge_state_blobs_distributed(blobs, fan_in=2)
-    monkeypatch.undo()
+    monkeypatch.setattr(rd.Dataset, "materialize", no_job)
+    rows, merged = merge_states(iter(blobs))
 
-    jobs = []
-    real_from_arrow = rd.from_arrow
-
-    def counting(*a, **k):
-        jobs.append(1)
-        return real_from_arrow(*a, **k)
-
-    monkeypatch.setattr(rd, "from_arrow", counting)
-    monkeypatch.setattr(prof_mod, "_DRIVER_MERGE_MAX_BYTES", 0)
-    rows_t, merged_t = prof_mod.merge_state_blobs_distributed(blobs, fan_in=2)
-    assert jobs  # the tree ran as Ray Data jobs
-
-    assert rows_d == rows_t == n
+    assert rows == n
     for name in ("i", "f", "s"):
-        d, t = merged_d[name].result(), merged_t[name].result()
-        for key in ("count", "num_missing", "n_distinct", "min", "max",
-                    "freq_value_counts", "n_zeros", "n_negative"):
-            assert d.get(key) == t.get(key), (name, key)
-        for key in ("mean", "std", "variance", "skewness", "kurtosis",
-                    "sum"):
-            if key in d:
-                assert t[key] == pytest.approx(d[key], rel=1e-12), (name, key)
-    assert merged_d["i"].result()["median"] == merged_t["i"].result()["median"]
+        r, x = merged[name].result(), raw[name]
+        vals, cnts = np.unique(x, return_counts=True)
+        assert (r["count"], r["num_missing"]) == (n, 0), name
+        assert r["n_distinct"] == len(vals), name
+        fd = r["freq_value_counts"]
+        top = {k: c for k, c in fd.items()
+               if not k.startswith("Other Values")}
+        assert sum(fd.values()) == n, name
+        assert {k: dict(zip(map(str, vals), cnts))[k] for k in top} == top
+        assert sorted(top.values(), reverse=True) == sorted(
+            cnts.tolist(), reverse=True)[:len(top)], name
+        if name == "s":
+            continue
+        assert (r["min"], r["max"]) == (x.min(), x.max()), name
+        assert r["n_zeros"] == int((x == 0).sum()), name
+        assert r["n_negative"] == int((x < 0).sum()), name
+        assert r["mean"] == pytest.approx(x.mean(), rel=1e-12), name
+        assert r["sum"] == pytest.approx(x.sum(), rel=1e-12), name
+        assert r["std"] == pytest.approx(x.std(ddof=1), rel=1e-12), name
+        assert r["skewness"] == pytest.approx(
+            pd.Series(x).skew(), rel=1e-9), name
+        assert r["kurtosis"] == pytest.approx(
+            pd.Series(x).kurt(), rel=1e-9), name
+    assert merged["i"].result()["median"] == np.median(raw["i"])
     qs = [0.05, 0.25, 0.5, 0.75, 0.95]
     x = np.sort(raw["f"])
-    for merged in (merged_d, merged_t):
-        kll = merged["f"].kll
-        assert kll.n == n
-        ranks = np.searchsorted(x, kll.quantile(qs)) / n
-        assert np.max(np.abs(ranks - qs)) < 0.01
+    kll = merged["f"].kll
+    assert kll.n == n
+    ranks = np.searchsorted(x, kll.quantile(qs)) / n
+    assert np.max(np.abs(ranks - qs)) < 0.01
+
+
+def test_partials_by_part_folds_split_parts(sf_dir):
+    """A part split over several blocks folds to the same state as its rows
+    profiled as one block; a part with one partial passes its blob through
+    byte-identical."""
+    from data_profiler_ray.stages.profile import (_PartialProfiler,
+                                                  loads_state,
+                                                  profile_partials_by_part)
+    tbl = pq.read_table(f"{sf_dir}/lineitem.parquet",
+                        columns=["l_quantity", "l_returnflag", "l_shipdate"])
+    a, b = tbl.slice(0, 3000), tbl.slice(3000, 1000)
+
+    def tag(t, part):
+        return t.append_column("part", pa.array([part] * len(t)))
+
+    # part "a" spans three blocks, part "b" is one block
+    blocks = [tag(a.slice(0, 1000), "a"), tag(a.slice(1000, 1200), "a"),
+              tag(a.slice(2200), "a"), tag(b, "b")]
+    schema = blocks[0].schema
+    cfg = ProfileConfig()
+    out = profile_partials_by_part(ray.data.from_arrow(blocks), cfg)
+    assert out.column("part").to_pylist() == ["a", "b"]
+    assert out.column("rows").to_pylist() == [len(a), len(b)]
+
+    def one_block(t):
+        row = _PartialProfiler(schema, cfg, part_column="part")(t)
+        return row.column("state")[0].as_py()
+
+    assert out.column("state")[1].as_py() == one_block(blocks[3])
+    rows, split = loads_state(out.column("state")[0].as_py())
+    _, whole = loads_state(one_block(tag(a, "a")))
+    assert rows == len(a)
+    assert split.keys() == whole.keys()
+    for name in split:
+        s, w = split[name].result(), whole[name].result()
+        for key in ("count", "num_missing", "n_distinct", "min", "max",
+                    "start", "end", "freq_value_counts"):
+            assert s.get(key) == w.get(key), (name, key)

@@ -14,10 +14,11 @@ Run EXCLUSIVELY (no concurrent pytest/bench): this box is virtualized with
 ±50% noise; repeat and take medians.
 """
 
+import os
 import sys
 import time
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import numpy as np
 import pandas as pd
@@ -88,7 +89,6 @@ def collect(ds) -> pd.DataFrame:
 
 
 def main():
-    import os
     cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
     ray.init(address="local", num_cpus=cpus, include_dashboard=False,
              logging_level="ERROR")

@@ -3,10 +3,11 @@ compare against oracle_sql() via DuckDB (row count + schema-name set +
 order-insensitive value hash). Standalone script — owns its Ray session."""
 
 import hashlib
+import os
 import sys
 import time
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import duckdb
 import pandas as pd
