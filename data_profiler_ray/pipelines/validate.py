@@ -3,23 +3,39 @@
 The north-rule lifecycle (SURVEY.md §3.4). One call over the pending
 partitions runs, one after the other:
 
-1. the profile stream: ``read_parquet(pending shards)`` → part column →
-   per-block profile partials (``map_batches``, Arrow zero-copy), pulled to
-   the driver and merged per partition (``profile_partials_by_part``);
-2. the constraint stream: a narrow ``read_parquet`` of the key columns →
-   part column → range-partition sort on (conv_id, turn_idx) → one task per
-   sorted block that checks it (row-local and conversation checks) and
-   writes its verdict and violation rows to per-partition parquet
-   (``_PartOutputWriter``). The driver reads only the per-part tally rows
-   and the o(#blocks) cut pieces, merges the pieces and writes their rows
-   (``stages.constraints.check_and_write``);
-3. per-partition checkpoints: state.pkl, lineage.json, _DONE marker;
+1. one stream, one Ray Data execution: ``read_parquet(pending shards)``,
+   each shard read in the same blocks in every run (``_split_factor``) →
+   one ``map_batches`` callable per block (``_FoldAndProject``) that adds
+   the part column, folds each part's rows into a profile partial, writes
+   it from the worker to ``parts/<part>/partials/`` and returns only the
+   narrow key columns → range-partition sort on (conv_id, turn_idx) → one
+   task per sorted block that checks it (row-local and conversation
+   checks) and writes its verdict and violation rows to per-partition
+   parquet (``_PartOutputWriter``). The driver reads only the per-part
+   tally rows and the o(#blocks) cut pieces, merges the pieces and writes
+   their rows (``stages.constraints.check_and_write``). ``text`` is read
+   once and never enters the sort;
+2. per part, the driver folds the partial files in sorted-name order
+   (``fold_partials``: a part with one partial passes through
+   byte-identical), writes ``state.pkl`` and deletes ``partials/``. The
+   fixed blocks and order make a part's state independent of task
+   completion order and of which other parts are pending.
+   A part whose partials do not cover its shard's footer row count (two
+   blocks with one key sequence shared a file name) is refolded from the
+   shard on the driver instead;
+3. per-partition checkpoints: lineage.json, _DONE marker;
 4. the final merge of every partition's state (done + fresh): one fold
    on the driver (``merge_states``), then profile.json, the verdict rollup
    and drift.
 
-Schemas and the sort width come from the Parquet footers, so no Ray Data
-execution runs only to learn a schema or a size.
+Schemas, the read split and the sort width come from the Parquet footers,
+so no Ray Data execution runs only to learn a schema or a size.
+
+``summary["timings"]``: ``constraints`` is the one stream of step 1,
+``profile`` the per-part fold of step 2, ``checkpoint_write`` step 3,
+``final_merge`` and ``rollup`` step 4. ``summary["counters"]`` holds the
+call's sort width, sorted block count, cut-piece carry, the number of
+profile partials folded and the number of parts refolded from their shard.
 
 Resume semantics: a partition with a ``_DONE`` marker is SKIPPED entirely —
 its saved profile state, verdicts and lineage are reloaded and merged with
@@ -48,6 +64,7 @@ import os
 import pathlib
 import shutil
 import time
+import uuid
 
 import numpy as np
 import pyarrow as pa
@@ -59,12 +76,20 @@ import ray.data
 from ..config import ValidationConfig
 from ..stages.constraints import VIOLATION_SCHEMA, check_and_write
 from ..stages.drift import bin_accumulators, drift_from_counts, spec_from_profile
-from ..stages.profile import (dumps_state, finalize_profile, merge_states,
-                              profile_partials_by_part)
+from ..stages.profile import (_PartialProfiler, finalize_profile,
+                              fold_partials, merge_states)
 
 # stage timings in summary["timings"]; a stage that did not run reports 0
 _TIMING_KEYS = ("profile", "constraints", "checkpoint_write", "final_merge",
                 "rollup")
+# summary["counters"]: the constraint sort's ``stats``, the number of
+# profile partial files folded and of parts refolded from their shard
+# (``_refold_shard``); 0 when nothing was recomputed
+_COUNTER_KEYS = ("sort_width", "n_sort_blocks", "carry_rows", "carry_bytes",
+                 "partials_folded", "parts_refolded")
+_PARTIALS = "partials"
+_FOLD_BLOCK_ROWS = 16_384  # most rows per read block (``_split_factor``)
+_TMP_MARK = ".tmp-"  # in the name of a partial file not yet complete
 
 
 def _part_of(path: str) -> str:
@@ -79,6 +104,15 @@ def _add_part_column(batch: pa.Table) -> pa.Table:
     return batch.append_column("part", parts)
 
 
+def _split_factor(shards: list[str]) -> int:
+    """Read blocks per shard: as many as the largest of all the input's
+    shards (pending or not) needs for blocks of at most
+    ``_FOLD_BLOCK_ROWS`` rows. It depends on the input alone, not on the
+    pending set or the cluster's CPU count."""
+    most = max(pq.read_metadata(p).num_rows for p in shards)
+    return max(1, -(-most // _FOLD_BLOCK_ROWS))
+
+
 def _column_bytes(paths: list[str], columns: list[str]) -> int:
     """Uncompressed bytes of ``columns`` over ``paths``, from the footers."""
     total = 0
@@ -90,6 +124,88 @@ def _column_bytes(paths: list[str], columns: list[str]) -> int:
                          for i in range(group.num_columns)
                          if group.column(i).path_in_schema in columns)
     return total
+
+
+def _write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to a temporary name, then rename it to ``path``: a
+    reader sees the whole file or none of it."""
+    tmp = f"{path}{_TMP_MARK}{uuid.uuid4().hex}"
+    with open(tmp, "wb") as f:
+        f.write(data)
+    os.replace(tmp, path)
+
+
+class _FoldAndProject:
+    """The stream's ``map_batches`` callable, one call per read block: add
+    the ``part`` column, fold each part's rows into a profile partial
+    (``_PartialProfiler``), write it from the worker to
+    ``<parts_root>/<part>/partials/<digest>-<rows>``, and return only the
+    ``narrow_columns`` the constraint sort needs.
+
+    The digest covers the part and the block's ``key_columns`` (conv_id,
+    turn_idx) as Arrow IPC bytes, not the state bytes. So a retried task
+    writes the same name and replaces its own file, even where the
+    profiler's probe memory (``_dead_probes``) made the bytes differ. Two
+    blocks of one part with the same key sequence (e.g. a shard holding
+    one table twice, read in an even number of equal blocks) share a name
+    and one partial replaces the other; the driver sees the part's rows
+    fall short of the shard footer and refolds that shard
+    (``_refold_shard``)."""
+
+    def __init__(self, schema: pa.Schema, profile_cfg, parts_root: str,
+                 key_columns: list[str], narrow_columns: list[str]):
+        self.profiler = _PartialProfiler(schema, profile_cfg,
+                                         part_column="part")
+        self.parts_root = parts_root
+        self.key_columns = key_columns
+        self.narrow_columns = narrow_columns
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        batch = _add_part_column(batch)
+        col = batch.column("part")
+        for part in pc.unique(col).to_pylist():
+            sub = batch.filter(pc.equal(col, part))
+            digest = _key_digest(part, sub.select(self.key_columns))
+            pdir = os.path.join(self.parts_root, part, _PARTIALS)
+            os.makedirs(pdir, exist_ok=True)
+            _write_atomic(os.path.join(pdir, f"{digest}-{len(sub)}"),
+                          self.profiler.fold(sub, part=part))
+        return batch.select(self.narrow_columns)
+
+
+def _key_digest(part: str, keys: pa.Table) -> str:
+    """md5 over the part name and the key columns' Arrow IPC bytes."""
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, keys.schema) as w:
+        w.write_table(keys)
+    digest = hashlib.md5(part.encode())
+    digest.update(sink.getvalue())
+    return digest.hexdigest()[:16]
+
+
+def _fold_part(pdir: str) -> tuple[int, bytes, int]:
+    """Fold the partial files under ``pdir/partials`` in sorted-name order,
+    then delete them. Returns (rows, state blob, partials folded)."""
+    ppath = os.path.join(pdir, _PARTIALS)
+    names = (sorted(n for n in os.listdir(ppath) if _TMP_MARK not in n)
+             if os.path.isdir(ppath) else [])
+    rows, blob = fold_partials(
+        [(int(n.rsplit("-", 1)[1]), pathlib.Path(ppath, n).read_bytes())
+         for n in names])
+    shutil.rmtree(ppath, ignore_errors=True)
+    return rows, blob, len(names)
+
+
+def _refold_shard(path: str, schema: pa.Schema,
+                  profile_cfg) -> tuple[int, bytes]:
+    """The shard's (rows, state blob), folded on the driver one Parquet
+    batch at a time in file order: the fallback for a part whose partial
+    files do not cover the shard's rows."""
+    profiler = _PartialProfiler(schema, profile_cfg, part_column="part")
+    part = _part_of(path)
+    return fold_partials(
+        [(b.num_rows, profiler.fold(pa.Table.from_batches([b]), part=part))
+         for b in pq.ParquetFile(path).iter_batches()])
 
 
 def run_validation(input_dir: str, cfg: ValidationConfig,
@@ -117,15 +233,21 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
         shutil.rmtree(os.path.join(out, "parts", _part_of(p)),
                       ignore_errors=True)
 
+    counters = dict.fromkeys(_COUNTER_KEYS, 0)
     if pending:
-        # NOTE: no override_num_blocks here — forcing one block per shard
-        # (tried: override_num_blocks=len(pending)) made whole 60k-row
-        # shards single fold batches, whose distinct-value count overruns
-        # the capped TopK counters and triggers per-batch shrink churn
-        # (measured profile stage 110 s vs 24 s at 4M turns / 8 CPUs).
-        # Ray's default block sizing keeps fold batches near the counter
-        # caps; the per-part state merge handles multi-block parts.
-        ds = ray.data.read_parquet(pending, include_paths=True)
+        # One read task per shard, its output split into ``_split_factor``
+        # equal row ranges, a number taken from the whole input: a shard
+        # then folds from the same partials whether it is pending alone or
+        # with all the others (Ray's own split factor grows as fewer shards
+        # are pending). This holds while a shard's in-memory size stays
+        # under Ray's ``target_max_block_size`` (128 MB); larger read
+        # outputs are cut by size first. The factor keeps fold batches near
+        # ``_FOLD_BLOCK_ROWS``: whole 60k-row shards as single fold batches
+        # overran the capped TopK counters and churned (measured profile
+        # stage 110 s vs 24 s at 4M turns / 8 CPUs).
+        ds = ray.data.read_parquet(
+            pending, include_paths=True,
+            override_num_blocks=len(pending) * _split_factor(shards))
         # the unmapped read's schema comes from the Parquet footers; the
         # mapped dataset's schema() would execute the read
         read_schema = ds.schema()
@@ -133,23 +255,12 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
             [pa.field(n, t) for n, t in zip(read_schema.names,
                                             read_schema.types)]
             + [pa.field("part", pa.string())])
-        ds = ds.map_batches(_add_part_column, batch_format="pyarrow")
         ccfg = cfg.constraints
         narrow_cols = [c for c in (ccfg.group_column, ccfg.order_column,
                                    ccfg.ts_column, ccfg.role_column,
                                    ccfg.tool_column)
                        if c in schema.names]
-        # projection-pruned narrow read for constraints: text never leaves
-        # storage on this path
-        ds_narrow = ray.data.read_parquet(
-            pending, include_paths=True, columns=narrow_cols).map_batches(
-            _add_part_column, batch_format="pyarrow")
-
-        # the two streams run one after the other: overlapping them on one
-        # pinned CPU was no faster and raised driver peak RSS
-        t = time.time()
-        states = profile_partials_by_part(ds, cfg.profile, schema=schema)
-        timings["profile"] = time.time() - t
+        parts_root = os.path.join(out, "parts")
 
         # verdict and violation rows are written to per-partition parquet
         # by the sort tasks (idempotent content-hashed filenames, so task
@@ -157,14 +268,25 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
         # shared/object storage). Violation rows are capped per kind per
         # task (``max_violations_per_kind``); only per-part TALLY rows — a
         # few ints each — and the cut pieces come back to the driver, so
-        # driver memory is independent of violation count.
+        # driver memory is independent of violation count. The profile
+        # partials stay on the workers' side too (``_FoldAndProject``).
         t = time.time()
-        writer = _PartOutputWriter(os.path.join(out, "parts"),
-                                   ccfg.max_violations_per_kind)
+        stats: dict = {}
+        projected = ds.map_batches(
+            _FoldAndProject(schema, cfg.profile, parts_root,
+                            [ccfg.group_column, ccfg.order_column],
+                            narrow_cols + ["part"]),
+            batch_format="pyarrow", batch_size=None)
         tally_tbl = check_and_write(
-            ds_narrow, ccfg, writer, columns=schema.names,
-            nbytes=_column_bytes(pending, narrow_cols))
+            projected, ccfg,
+            _PartOutputWriter(parts_root, ccfg.max_violations_per_kind),
+            columns=narrow_cols + ["part"],
+            nbytes=_column_bytes(pending, narrow_cols), stats=stats)
         timings["constraints"] = time.time() - t
+        counters.update(sort_width=stats["width"],
+                        n_sort_blocks=stats["n_blocks"],
+                        carry_rows=stats["carry_rows"],
+                        carry_bytes=stats["carry_bytes"])
         tallies_by_part: dict[str, dict] = {}
         for r in tally_tbl.to_pylist():
             agg = tallies_by_part.setdefault(
@@ -172,22 +294,30 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
             for k in _TALLY_COUNT_COLS:
                 agg[k] += r[k]
 
-        tck = time.time()
-        # --- per-partition checkpoint outputs (driver work: O(#parts) tiny
-        # JSON/pickle writes; violation + verdict parquet already written
-        # by the workers) ---
-        state_by_part: dict[str, tuple[int, bytes]] = {}
-        for part, rows, blob in zip(states.column("part").to_pylist(),
-                                    states.column("rows").to_pylist(),
-                                    states.column("state").to_pylist()):
-            state_by_part[part] = (rows, blob)
+        t = time.time()
+        folded: dict[str, tuple[int, str]] = {}
         for path in pending:
             part = _part_of(path)
-            pdir = os.path.join(out, "parts", part)
+            pdir = os.path.join(parts_root, part)
+            rows, blob, n_partials = _fold_part(pdir)
+            counters["partials_folded"] += n_partials
+            if rows != pq.read_metadata(path).num_rows:
+                # two blocks with one key sequence shared a partial name
+                rows, blob = _refold_shard(path, schema, cfg.profile)
+                counters["parts_refolded"] += 1
             os.makedirs(pdir, exist_ok=True)
-            rows, blob = state_by_part.get(part, (0, dumps_state((0, {}))))
             with open(os.path.join(pdir, "state.pkl"), "wb") as f:
                 f.write(blob)
+            folded[part] = (rows, hashlib.sha256(blob).hexdigest()[:16])
+        timings["profile"] = time.time() - t
+
+        tck = time.time()
+        # --- per-partition checkpoint outputs (driver work: O(#parts) tiny
+        # JSON writes; state, violation and verdict files already written)
+        for path in pending:
+            part = _part_of(path)
+            pdir = os.path.join(parts_root, part)
+            rows, digest = folded[part]
             tal = tallies_by_part.get(
                 part, dict.fromkeys(_TALLY_COUNT_COLS, 0))
             by_kind = {k[4:]: tal[k] for k in _TALLY_COUNT_COLS
@@ -203,7 +333,7 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
                 "violations_by_kind": by_kind,
                 "n_failed_conversations": tal["n_failed"],
                 "passed": n_viol == 0,
-                "state_digest": hashlib.sha256(blob).hexdigest()[:16],
+                "state_digest": digest,
                 "completed_at": time.time(),
             }
             with open(os.path.join(pdir, "lineage.json"), "w") as f:
@@ -264,6 +394,7 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
         "passed": all(l["passed"] for l in lineages),
         "output_dir": out,
         "timings": {k: round(v, 3) for k, v in timings.items()},
+        "counters": counters,
     }
     with open(os.path.join(out, "summary.json"), "w") as f:
         json.dump({k: v for k, v in summary.items() if k != "profile"},

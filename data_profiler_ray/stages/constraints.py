@@ -425,7 +425,8 @@ def _merge_pieces(cfg: ConstraintConfig, pieces: pa.Table
 
 def _sorted_checks(ds: "ray.data.Dataset", cfg: ConstraintConfig, fn,
                    columns: list[str] | None = None,
-                   nbytes: int | None = None) -> "ray.data.Dataset":
+                   nbytes: int | None = None,
+                   stats: dict | None = None) -> "ray.data.Dataset":
     """Narrow projection → range-partition sort on (conv_id, turn_idx) →
     ``fn`` over each sorted block (one task per block).
 
@@ -433,7 +434,7 @@ def _sorted_checks(ds: "ray.data.Dataset", cfg: ConstraintConfig, fn,
     executes a mapped dataset). ``nbytes``: the narrow columns' size, e.g.
     from the Parquet footers; without it the projection is materialized so
     that ``shuffle_width`` can take ``size_bytes()`` without a second
-    execution."""
+    execution. ``stats`` (optional) receives the sort ``width``."""
     names = ds.schema().names if columns is None else columns
     cols = [cfg.group_column, cfg.order_column] + [
         c for c in (cfg.ts_column, cfg.role_column, cfg.tool_column, "part")
@@ -441,11 +442,11 @@ def _sorted_checks(ds: "ray.data.Dataset", cfg: ConstraintConfig, fn,
     narrow = ds.select_columns(cols)
     if nbytes is None:
         narrow = narrow.materialize()
-    # width: Ray's sort splits each of B blocks ~4-way, so B beyond ~24 on a
-    # small input recreates the tiny-partition exchange (measured 8.6 s →
-    # 1.25 s at 1M rows by coalescing 64 → 16 blocks first); large inputs
-    # derive B from bytes/128MB (stages/segments.shuffle_width)
+    # one sort partition per CPU up to 24, more only past ~128 MB each
+    # (stages/segments.shuffle_width)
     width = shuffle_width(narrow, nbytes=nbytes)
+    if stats is not None:
+        stats["width"] = width
     return narrow.repartition(width).sort(
         [cfg.group_column, cfg.order_column]).map_batches(
         fn, batch_format="pyarrow", batch_size=None)
@@ -464,6 +465,13 @@ def _drain(stream: "ray.data.Dataset", schemas
     return [pa.concat_tables(t) for t in tables], n_blocks
 
 
+def _carry_stats(stats: dict | None, pieces: pa.Table, n_blocks: int) -> None:
+    if stats is not None:
+        stats["carry_rows"] = pieces.num_rows
+        stats["carry_bytes"] = pieces.nbytes
+        stats["n_blocks"] = n_blocks
+
+
 def conversation_checks(ds: "ray.data.Dataset", cfg: ConstraintConfig,
                         emit_row_violations: bool = False,
                         stats: dict | None = None
@@ -474,17 +482,15 @@ def conversation_checks(ds: "ray.data.Dataset", cfg: ConstraintConfig,
     Returns (violations, verdicts): VIOLATION_SCHEMA rows and one
     VERDICT_SCHEMA row per conversation. Only the narrow key columns enter
     the shuffle — ``text`` never moves. ``stats`` (optional) receives
-    ``carry_rows`` / ``carry_bytes`` (the cut pieces the driver reads) and
-    ``n_blocks``.
+    ``carry_rows`` / ``carry_bytes`` (the cut pieces the driver reads),
+    ``n_blocks`` and the sort ``width``.
 
     ``check_and_write`` is the form that writes the outputs inside the sort
     tasks instead of returning them."""
-    stream = _sorted_checks(ds, cfg, _BlockChecker(cfg, emit_row_violations))
+    stream = _sorted_checks(ds, cfg, _BlockChecker(cfg, emit_row_violations),
+                            stats=stats)
     (violations, verdicts, pieces), n_blocks = _drain(stream, _CHECK_SCHEMAS)
-    if stats is not None:
-        stats["carry_rows"] = pieces.num_rows
-        stats["carry_bytes"] = pieces.nbytes
-        stats["n_blocks"] = n_blocks
+    _carry_stats(stats, pieces, n_blocks)
     merged_v, merged_d = _merge_pieces(cfg, pieces)
     return (pa.concat_tables([violations, merged_v]),
             pa.concat_tables([verdicts, merged_d]))
@@ -512,7 +518,8 @@ class _CheckAndWrite:
 
 def check_and_write(ds: "ray.data.Dataset", cfg: ConstraintConfig, writer,
                     columns: list[str] | None = None,
-                    nbytes: int | None = None) -> pa.Table:
+                    nbytes: int | None = None,
+                    stats: dict | None = None) -> pa.Table:
     """Conversation + row-local checks whose outputs never reach the
     driver: each sort task hands its block's violations and verdicts to
     ``writer`` (a callable (VIOLATION_SCHEMA, VERDICT_SCHEMA) tables →
@@ -522,8 +529,10 @@ def check_and_write(ds: "ray.data.Dataset", cfg: ConstraintConfig, writer,
     ``writer`` itself.
 
     Returns every writer row (``writer.schema``). ``columns`` and
-    ``nbytes`` are as in ``_sorted_checks``."""
+    ``nbytes`` are as in ``_sorted_checks``; ``stats`` as in
+    ``conversation_checks``."""
     stream = _sorted_checks(ds, cfg, _CheckAndWrite(cfg, writer), columns,
-                            nbytes)
-    (rows, pieces), _ = _drain(stream, (writer.schema, PIECE_SCHEMA))
+                            nbytes, stats)
+    (rows, pieces), n_blocks = _drain(stream, (writer.schema, PIECE_SCHEMA))
+    _carry_stats(stats, pieces, n_blocks)
     return pa.concat_tables([rows, writer(*_merge_pieces(cfg, pieces))])

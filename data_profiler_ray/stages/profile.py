@@ -71,7 +71,8 @@ class _PartialProfiler:
         # checkpointed state.
         self._dead_probes: dict[tuple[str | None, str], tuple[str, ...]] = {}
 
-    def _fold(self, batch: pa.Table, part: str | None = None) -> bytes:
+    def fold(self, batch: pa.Table, part: str | None = None) -> bytes:
+        """One batch of one part as a state blob (``dumps_state``)."""
         accs: dict[str, ColumnAccumulator] = {}
         cols = self.config.columns or self.schema.names
         for name in cols:
@@ -105,7 +106,7 @@ class _PartialProfiler:
         return pa.table({
             "part": pa.array([p for p, _ in subs], type=pa.string()),
             "rows": pa.array([len(sub) for _, sub in subs], type=pa.int64()),
-            "state": pa.array([self._fold(sub, part=p) for p, sub in subs],
+            "state": pa.array([self.fold(sub, part=p) for p, sub in subs],
                               type=pa.large_binary()),
         })
 
@@ -144,23 +145,26 @@ def merge_states(blobs) -> tuple[int, dict[str, ColumnAccumulator]]:
 merge_state_blobs_distributed = merge_states
 
 
+def fold_partials(partials: list[tuple[int, bytes]]) -> tuple[int, bytes]:
+    """One partition's ``(rows, blob)`` from its block partials ``(rows,
+    blob)``, folded in the given order: a single partial passes through
+    byte-identical; several fold with ``merge_states`` and dump again."""
+    if len(partials) == 1:
+        return partials[0]
+    rows, accs = merge_states(b for _, b in partials)
+    return rows, dumps_state((rows, accs))
+
+
 def profile_partials_by_part(ds: "ray.data.Dataset", config: ProfileConfig,
                              part_column: str = "part",
                              schema: pa.Schema | None = None) -> pa.Table:
     """Per-partition merged profile states as a (part, rows, state) table.
 
-    Used by the checkpointable validation pipeline — each partition's merged
-    accumulator bundle (~1 MB of sketch state) is persisted as that
-    partition's resumable checkpoint; the global profile is the driver-side
-    fold of all per-partition states (the associative algebra of §2.5).
-
-    The partials stream to the driver: a ``groupby(part)`` here would push
-    the MB-sized state rows through a full Ray sort exchange (measured
-    19.5 s for 132 MB of states vs ~2 s streaming) — and the driver must
-    hold one state per part anyway to write the checkpoints. With
-    shard-aligned blocks every part has exactly one partial, whose blob
-    passes through byte-identical; a part split over several blocks is
-    folded with ``merge_states`` and dumped again.
+    The partials stream to the driver and each part's are folded by
+    ``fold_partials`` in stream order. ``run_validation`` does not use
+    this: its workers write the partials to files, and the driver folds
+    them in sorted-name order. This table form serves the per-layer
+    probes that time the partial fold on its own.
 
     ``schema``: ``ds``'s schema when the caller knows it (e.g. from the
     Parquet footers); the default ``ds.schema()`` executes a mapped
@@ -172,19 +176,11 @@ def profile_partials_by_part(ds: "ray.data.Dataset", config: ProfileConfig,
     for part, rows, blob in _partials(ds, schema, config, part_column):
         by_part.setdefault(part, []).append((rows, blob))
     parts = sorted(by_part)
-    rows_out, state_out = [], []
-    for p in parts:
-        if len(by_part[p]) == 1:
-            rows, blob = by_part[p][0]
-        else:
-            rows, accs = merge_states(b for _, b in by_part[p])
-            blob = dumps_state((rows, accs))
-        rows_out.append(rows)
-        state_out.append(blob)
+    folded = [fold_partials(by_part[p]) for p in parts]
     return pa.table({
         "part": pa.array(parts, pa.string()),
-        "rows": pa.array(rows_out, pa.int64()),
-        "state": pa.array(state_out, pa.large_binary()),
+        "rows": pa.array([rows for rows, _ in folded], pa.int64()),
+        "state": pa.array([blob for _, blob in folded], pa.large_binary()),
     })
 
 

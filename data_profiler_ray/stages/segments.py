@@ -44,20 +44,26 @@ import ray.data
 CARRY_COL = "__carry_ipc"
 
 _TARGET_SORT_BLOCK = 128 << 20  # one ~128 MB block per sort partition
+# most partitions a small input gets: Ray's sort splits each block ~4-way,
+# and 64 tiny partitions of a 1M-row sort took 8.6 s against 1.25 s for 16
+_MAX_CPU_WIDTH = 24
 
 
 def shuffle_width(ds: "ray.data.Dataset" | None, cpus: int | None = None,
                   target_block_bytes: int = _TARGET_SORT_BLOCK,
                   nbytes: int | None = None) -> int:
-    """Partition count for a sort/shuffle exchange, derived from input size.
+    """Partition count for a sort/shuffle exchange: one per CPU up to 24,
+    or one per ~128 MB of input when that is more, ``max(min(cpus, 24),
+    ceil(nbytes / 128 MB))``. An unknown or zero size gives ``min(cpus,
+    24)``.
 
-    Small inputs keep the locally measured sweet spot (≤24 partitions —
-    Ray's sort splits each block ~4-way, so more partitions only add
-    tiny-object exchange overhead; measured 8.6 s → 1.25 s at 1M rows in
-    round 1). Large inputs derive the count from bytes / 128 MB so a
-    cluster-scale input gets one ~128 MB block per sort partition instead
-    of a fixed 24-way fan (VERDICT r2 item 3 — the fixed cap would throttle
-    shuffle parallelism on a multi-node cluster).
+    No small-input floor: every extra partition adds exchange tasks and
+    objects, and partitioning pays only once the input is large (SIGMOD'21,
+    "To Partition, or Not to Partition"). On one pinned vCPU, the
+    conversation checks of the 50k-turn dirty benchmark (0.7 MB of narrow
+    columns) took 1.4-1.8 s sorted in 8 partitions and 0.7-0.8 s in one.
+    The cap of 24 on the CPU term is the measured one (``_MAX_CPU_WIDTH``);
+    whether a host with more CPUs gains from going past it is unmeasured.
 
     CALLER CONTRACT: pass the input size as ``nbytes`` when it is known
     without executing anything (e.g. the uncompressed column bytes in the
@@ -68,15 +74,13 @@ def shuffle_width(ds: "ray.data.Dataset" | None, cpus: int | None = None,
     """
     if cpus is None:
         cpus = int(ray.cluster_resources().get("CPU", 8))
-    small = min(max(2 * cpus, 8), 24)
     if nbytes is None:
         try:
             nbytes = ds.size_bytes()
         except Exception:
             nbytes = None
-    if not nbytes:
-        return small
-    return max(small, int(-(-nbytes // target_block_bytes)))
+    return max(min(cpus, _MAX_CPU_WIDTH),
+               -(-(nbytes or 0) // target_block_bytes))
 
 
 def segment_reduce(x: np.ndarray, starts: np.ndarray, end_last: int,

@@ -31,13 +31,13 @@ def test_segment_reduce_matches_loop():
     assert got_max.tolist() == exp_max
 
 
-def test_shuffle_width_small_input_keeps_sweet_spot():
-    class Stub:
-        def size_bytes(self):
-            return 50 << 20  # 50 MB
-
-    assert shuffle_width(Stub(), cpus=4) == 8
-    assert shuffle_width(Stub(), cpus=32) == 24
+def test_shuffle_width_is_cpus_or_bytes():
+    """One partition per CPU for small inputs, with no floor above it and
+    the CPU term capped at 24."""
+    assert shuffle_width(None, cpus=1, nbytes=50 << 20) == 1
+    assert shuffle_width(None, cpus=4, nbytes=50 << 20) == 4
+    assert shuffle_width(None, cpus=32, nbytes=50 << 20) == 24
+    assert shuffle_width(None, cpus=32, nbytes=10 << 30) == 80
 
 
 def test_shuffle_width_scales_with_bytes():
@@ -50,8 +50,9 @@ def test_shuffle_width_scales_with_bytes():
 
     # 10 GB → 80 partitions of ~128 MB, not the 24 cap
     assert shuffle_width(Stub(10 << 30), cpus=32) == 80
-    # unknown size → fall back to the small sweet spot
+    # unknown size → one partition per CPU, at most 24
     assert shuffle_width(Stub(0), cpus=32) == 24
+    assert shuffle_width(Stub(0), cpus=4) == 4
 
 
 @pytest.mark.parametrize("width", [2, 5, 11])

@@ -205,3 +205,167 @@ def test_timings_and_lineage(transcripts_dir, tmp_path):
     assert s2["parts_recomputed"] == 0
     assert keys <= set(s2["timings"])
     assert s2["timings"]["constraints"] == 0
+
+
+def _partial_block(conv: str, turns: list[int], code: list[str]):
+    import pyarrow as pa
+    n = len(turns)
+    return pa.table({"conv_id": [conv] * n,
+                     "turn_idx": pa.array(turns, pa.int32()),
+                     "code": code,
+                     "path": ["/in/p0.parquet"] * n})
+
+
+def test_fold_and_project_retry_overwrites_its_partial(tmp_path):
+    """A retried fold of a block replaces its own partial file, also on a
+    worker whose probe memory from another block of the part made the
+    state bytes differ; the driver then folds exactly the blocks' rows."""
+    import glob
+
+    import pyarrow as pa
+
+    from data_profiler_ray.pipelines.validate import (_FoldAndProject,
+                                                      _fold_part)
+    schema = pa.schema([("conv_id", pa.string()), ("turn_idx", pa.int32()),
+                        ("code", pa.string()), ("part", pa.string())])
+    root = str(tmp_path / "parts")
+
+    def fold_and_project():
+        return _FoldAndProject(schema, ProfileConfig(), root,
+                               ["conv_id", "turn_idx"],
+                               ["conv_id", "turn_idx", "part"])
+
+    block = _partial_block("c1", [0, 1, 2], ["1", "2", "3"])
+    other = _partial_block("c2", [0, 1], ["x", "y"])  # kills all_numeric
+    out = fold_and_project()(block)
+    assert out.column_names == ["conv_id", "turn_idx", "part"]
+    assert out.column("part").to_pylist() == ["p0"] * 3
+    [first] = glob.glob(f"{root}/p0/partials/*")
+    first_bytes = open(first, "rb").read()
+
+    used = fold_and_project()
+    used(other)
+    used(block)  # the retry, on a worker that folded another block first
+    files = sorted(glob.glob(f"{root}/p0/partials/*"))
+    assert len(files) == 2 and first in files  # one file per block
+    assert open(first, "rb").read() != first_bytes  # probe memory differs
+
+    rows, _, n_partials = _fold_part(f"{root}/p0")
+    assert (rows, n_partials) == (5, 2)
+    assert not os.path.exists(f"{root}/p0/partials")
+
+
+def test_shard_of_one_table_twice_is_profiled_whole(tmp_path, monkeypatch):
+    """A shard holding one table twice, read as 8 equal blocks: blocks i
+    and i + 4 share a key sequence and a partial name, and the part is
+    refolded from the shard instead of losing rows."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from data_profiler_ray.pipelines import validate
+    from data_profiler_ray.synthetic import generate_transcripts
+    monkeypatch.setattr(validate, "_FOLD_BLOCK_ROWS", 500)
+    tbl = generate_transcripts(2000, seed=3)
+    src = tmp_path / "in"
+    src.mkdir()
+    pq.write_table(pa.concat_tables([tbl, tbl]), str(src / "s0.parquet"))
+    s = run_validation(str(src), _cfg(str(tmp_path / "out")))
+    assert s["counters"]["parts_refolded"] == 1
+    assert s["total_rows"] == 2 * tbl.num_rows
+    assert s["profile"]["table"]["num_rows"] == 2 * tbl.num_rows
+    assert {v["n"] for v in s["profile"]["variables"]} == {2 * tbl.num_rows}
+    assert s["lineage"][0]["violations_by_kind"]["duplicate_key"] > 0
+    assert not (tmp_path / "out" / "parts" / "s0" / "partials").exists()
+
+
+def test_stale_partials_are_ignored(transcripts_dir, tmp_path):
+    """A partial left in a pending part before the run (a crashed earlier
+    attempt) changes nothing, and no partials/ directory survives."""
+    import glob
+
+    fresh = run_validation(transcripts_dir, _cfg(str(tmp_path / "fresh")))
+    out = str(tmp_path / "out")
+    part = os.path.splitext(os.path.basename(
+        sorted(glob.glob(f"{transcripts_dir}/*.parquet"))[0]))[0]
+    stale = os.path.join(out, "parts", part, "partials")
+    os.makedirs(stale)
+    with open(os.path.join(fresh["output_dir"], "parts", part,
+                           "state.pkl"), "rb") as f:
+        blob = f.read()
+    with open(os.path.join(stale, "0000000000000000-999"), "wb") as f:
+        f.write(blob)
+    s = run_validation(transcripts_dir, _cfg(out))
+    assert s["total_rows"] == fresh["total_rows"]
+    assert s["counters"]["partials_folded"] == \
+        fresh["counters"]["partials_folded"]
+    assert json.dumps(s["profile"]["variables"], sort_keys=True,
+                      default=str) == json.dumps(
+        fresh["profile"]["variables"], sort_keys=True, default=str)
+    assert not glob.glob(os.path.join(out, "parts", "*", "partials"))
+
+
+def test_one_read_and_one_execution_per_call(transcripts_dir, tmp_path,
+                                             monkeypatch):
+    """A call reads the shards once and drains one Ray Data stream; its
+    counters land in summary.json."""
+    calls = {"read_parquet": 0, "iter_batches": 0}
+    read, iter_batches = ray.data.read_parquet, ray.data.Dataset.iter_batches
+
+    def counted_read(*args, **kwargs):
+        calls["read_parquet"] += 1
+        return read(*args, **kwargs)
+
+    def counted_iter(self, *args, **kwargs):
+        calls["iter_batches"] += 1
+        return iter_batches(self, *args, **kwargs)
+
+    def no_materialize(self):
+        raise AssertionError("run_validation materialized a dataset")
+
+    monkeypatch.setattr(ray.data, "read_parquet", counted_read)
+    monkeypatch.setattr(ray.data.Dataset, "iter_batches", counted_iter)
+    monkeypatch.setattr(ray.data.Dataset, "materialize", no_materialize)
+    cfg = _cfg(str(tmp_path / "out"))
+    s = run_validation(transcripts_dir, cfg)
+    assert calls == {"read_parquet": 1, "iter_batches": 1}
+    with open(os.path.join(cfg.output_dir, "summary.json")) as f:
+        counters = json.load(f)["counters"]
+    assert counters == s["counters"]
+    assert counters["sort_width"] >= 1
+    assert counters["n_sort_blocks"] >= 1
+    assert counters["partials_folded"] >= s["parts_total"]
+    assert counters["carry_rows"] >= 1 and counters["carry_bytes"] > 0
+
+
+@pytest.mark.parametrize("fold_rows", [None, 300])
+def test_profile_is_exact_across_fresh_and_resumed_runs(
+        tmp_path, monkeypatch, fold_rows):
+    """Two fresh runs give the same profile table and variables, and so
+    does a run that redid 2 of 16 shards: it reads each of them in the
+    same blocks as the fresh run, at Ray's default read block sizes (Ray
+    alone would split 2 pending shards further, to 2 blocks per CPU).
+    With ``fold_rows`` 300 every shard of 1000 rows is read as 4 blocks,
+    so each part folds from several partials."""
+    from data_profiler_ray.pipelines import validate
+    from data_profiler_ray.synthetic import write_transcripts
+    if fold_rows:
+        monkeypatch.setattr(validate, "_FOLD_BLOCK_ROWS", fold_rows)
+    per_shard = 4 if fold_rows else 1
+    src = str(tmp_path / "in")
+    write_transcripts(src, 16_000, seed=7, num_shards=16, dup_frac=0.01,
+                      gap_frac=0.005, bad_role_frac=0.01,
+                      ts_regression_frac=0.005, dangling_tool_frac=0.2)
+    out = str(tmp_path / "out")
+    fresh = run_validation(src, _cfg(out))
+    assert fresh["counters"]["partials_folded"] == 16 * per_shard
+    again = run_validation(src, _cfg(str(tmp_path / "again")))
+    for part in ("part-00003", "part-00011"):
+        os.remove(os.path.join(out, "parts", part, "_DONE"))
+    resumed = run_validation(src, _cfg(out))
+    assert resumed["parts_recomputed"] == 2
+    assert resumed["counters"]["partials_folded"] == 2 * per_shard
+    for key in ("table", "variables"):
+        want = json.dumps(fresh["profile"][key], sort_keys=True, default=str)
+        for other in (again, resumed):
+            assert json.dumps(other["profile"][key], sort_keys=True,
+                              default=str) == want
