@@ -120,11 +120,11 @@ class _CorpusPartial:
             flat = toks.flatten()
             offsets = toks.offsets.to_numpy(zero_copy_only=False)
             vc = flat.value_counts()
-            vals = vc.field("values").to_pylist()
+            vals = vc.field("values")
             counts = vc.field("counts").to_numpy(zero_copy_only=False)
             st.n_words = int(counts.sum())
             st.terms.update_counts(vals, counts)
-            st.words_hll.update(np.asarray(vals, dtype=object))
+            st.words_hll.update(vals.to_numpy(zero_copy_only=False))
 
             if self.trigram is not None:
                 # language per text: per-sentence trigram score sums
@@ -173,7 +173,7 @@ class _CorpusPartial:
                         st.entity_labels[e["label"]] += 1
                         ent_counts[f'{e["label"]}:{e["text"]}'] += 1
                 st.entity_terms.update_counts(
-                    list(ent_counts.keys()),
+                    pa.array(list(ent_counts), pa.string()),
                     np.fromiter(ent_counts.values(), dtype=np.int64,
                                 count=len(ent_counts)))
         payload = pickle.dumps(st, protocol=pickle.HIGHEST_PROTOCOL)

@@ -27,6 +27,7 @@ import pickle
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
@@ -160,13 +161,15 @@ def bin_accumulators(spec: dict, accs: dict) -> dict[str, np.ndarray]:
         if acc is None:
             continue
         if s["kind"] == "numeric":
-            counter = getattr(acc, "counter", None)
-            if getattr(acc, "kind", "") == "datetime" and counter is not None:
-                counter = acc.seconds_counter()  # epoch-seconds unit
+            if getattr(acc, "kind", "") == "datetime":
+                items = acc.seconds_items()  # epoch-seconds unit
+            elif hasattr(acc, "counter"):
+                items = acc._exact_items()
+            else:
+                items = None
             edges = s["edges"]
-            if counter is not None and not counter.overflowed and counter.counts:
-                v = np.array([float(k) for k in counter.counts.keys()])
-                w = np.array([float(c) for c in counter.counts.values()])
+            if items is not None:
+                v, w = items
             else:
                 kll = getattr(acc, "kll", None)
                 if kll is None:
@@ -183,12 +186,27 @@ def bin_accumulators(spec: dict, accs: dict) -> dict[str, np.ndarray]:
             counter = getattr(acc, "counter", None)
             if counter is None:
                 continue
-            lookup = {c: i for i, c in enumerate(s["categories"])}
-            counts = np.zeros(len(lookup) + 1, dtype=np.float64)
-            for v, c in counter.counts.items():
-                counts[lookup.get(str(v), len(lookup))] += c
-            out[name] = counts
+            out[name] = _bin_categories(counter, s["categories"])
     return out
+
+
+def _bin_categories(counter, categories: list[str]) -> np.ndarray:
+    """Counter weight per baseline category, plus an "other" bucket. The
+    categories are profile keys (``str`` of the value); they are matched
+    in the counter's key type (``pc.index_in``), or as strings when they do
+    not parse as that type."""
+    n = len(categories)
+    if counter.keys is None or not n:
+        return np.concatenate([np.zeros(n), [float(counter.cnt.sum())]])
+    keys = counter.keys
+    cats = pa.array(categories, pa.string())
+    try:
+        cats = cats.cast(keys.type)
+    except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
+        keys = keys.cast(pa.string())
+    idx = pc.index_in(keys, value_set=cats).fill_null(n)
+    return np.bincount(idx.to_numpy(zero_copy_only=False),
+                       weights=counter.cnt, minlength=n + 1).astype(np.float64)
 
 
 def drift_from_counts(spec: dict, merged: dict[str, np.ndarray],

@@ -7,9 +7,10 @@ with the Ray-Data-native shape from SURVEY.md §3.4:
     read_parquet → map_batches(partial accumulators, batch_format="pyarrow")
         → iter_batches to the driver → merge_states fold → profile dict
 
-Each block contributes ONE small row holding the pickled accumulator bundle
-(a few KB per column: moments + KLL + HLL + capped counter), so what the
-driver pulls is o(input) regardless of data size. The accumulators are
+Each block contributes ONE small row holding the serialized accumulator
+bundle (``dumps_state``: per column moments + KLL + a capped value counter
+of typed key/count arrays, + HLL registers once that counter overflowed),
+so what the driver pulls is o(input) regardless of data size. The accumulators are
 mergeable summaries, so folding the partials one at a time in stream order
 gives the same profile as any merge tree. The final profile dict has the
 reference's three-part shape (``analysis`` / ``table`` / ``variables``,
@@ -31,20 +32,38 @@ from ..config import ProfileConfig
 from ..state.column import ColumnAccumulator, make_accumulator
 
 
+# State blobs start with this magic and a format version. The version
+# changes whenever the pickled accumulator layout or the hashes it holds
+# change. Format 1 (no header) held ``Counter``-backed value counters and
+# set-backed HLLs; format 2 holds typed key/count arrays.
+_STATE_MAGIC = b"DPRS"
+STATE_FORMAT = 2
+
+
 def dumps_state(obj) -> bytes:
-    """pickle + zlib-1: per-part accumulator bundles are string-heavy
-    (capped value counters) and compress ~4x — shrinking both the partial
-    exchange through the object store and the per-part checkpoint write
-    (the latter measured 17.6 s at 146 MB on this box's ~8 MB/s disk)."""
-    return zlib.compress(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL),
-                         1)
+    """``_STATE_MAGIC`` + a 2-byte ``STATE_FORMAT`` + pickle compressed with
+    zlib level 1. Typed key, count and register arrays pickle as raw
+    buffers; zlib mostly shrinks the string keys."""
+    return (_STATE_MAGIC + STATE_FORMAT.to_bytes(2, "little")
+            + zlib.compress(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL),
+                            1))
 
 
 def loads_state(blob: bytes):
-    """Inverse of ``dumps_state`` (accepts raw pickle for robustness)."""
-    if blob[:2] == b"\x78\x01":
-        return pickle.loads(zlib.decompress(blob))
-    return pickle.loads(blob)
+    """Inverse of ``dumps_state``. A blob written in another state format
+    (e.g. a checkpoint from an older engine met on resume) raises
+    ``ValueError`` naming both formats, instead of failing partway through
+    a merge."""
+    n = len(_STATE_MAGIC)
+    found = (int.from_bytes(blob[n:n + 2], "little")
+             if blob[:n] == _STATE_MAGIC else 1)
+    if found != STATE_FORMAT:
+        raise ValueError(
+            f"profile state blob is in state format {found}; this engine "
+            f"reads state format {STATE_FORMAT}. Recompute the partition "
+            "(delete its checkpoint directory) or resume with the engine "
+            "that wrote it.")
+    return pickle.loads(zlib.decompress(blob[n + 2:]))
 
 
 class _PartialProfiler:

@@ -120,51 +120,86 @@ class ColumnAccumulator:
         return out
 
 
+def _string_type(t: pa.DataType) -> bool:
+    return pa.types.is_string(t) or pa.types.is_large_string(t)
+
+
+def _long_keys(vals: pa.Array, key_cap: int) -> pa.Array:
+    """String values longer than ``key_cap`` chars keyed as their first
+    ``key_cap - 16`` chars + the 16 hex digits of their 64-bit word hash:
+    bounded state bytes, collision odds ~n²/2⁶⁵ per prefix bucket. Byte
+    lengths (≥ char lengths) pre-filter, so short-value columns skip the
+    key build; the build itself is all-Arrow (utf8_slice + hex +
+    binary_join)."""
+    blens = pc.binary_length(vals).to_numpy(zero_copy_only=False)
+    if not blens.size or int(blens.max()) <= key_cap:
+        return vals
+    long_mask = pc.greater(pc.utf8_length(vals), key_cap)
+    long_vals = vals.filter(long_mask)
+    if not len(long_vals):
+        return vals
+    import binascii
+    from ..functions.text import hash_string_array_words
+    h = hash_string_array_words(long_vals)
+    hexs = np.frombuffer(binascii.hexlify(h.astype(">u8").tobytes()),
+                         dtype="S16").astype("U16")
+    keyed = pc.binary_join_element_wise(
+        pc.utf8_slice_codeunits(long_vals, 0, key_cap - 16),
+        pa.array(hexs, pa.string()), "")
+    return pc.replace_with_mask(vals, long_mask, keyed.cast(vals.type))
+
+
+def _key_hashes(keys: pa.Array) -> np.ndarray:
+    """64-bit hashes of counter keys for the HLL. Strings hash straight off
+    the UTF-8 byte buffer (word-level variant: this hash only keys the HLL
+    and the long-key compression); other types through their numpy dtype,
+    with an object array as the last resort (decimals)."""
+    if _string_type(keys.type):
+        from ..functions.text import hash_string_array_words
+        return hash_string_array_words(keys)
+    try:
+        return hash64(keys.to_numpy(zero_copy_only=False))
+    except (TypeError, ValueError, pa.ArrowInvalid):
+        return hash64(np.asarray(keys.to_pylist(), dtype=object))
+
+
 class _DistinctMixin:
-    """Exact-while-small counter + HLL, giving A2's distinct/unique fields."""
+    """Exact-while-small counter + HLL, giving A2's distinct/unique fields.
+
+    Only one exact structure is kept at a time: while the counter is exact
+    its keys are the distinct set and the HLL stays empty. At the counter's
+    first overflow (in an update or a merge) the HLL is seeded from the
+    counter's keys before the shrink drops any, and from then on every
+    block's distinct keys are fed to it. Numeric and datetime counters
+    (caps 262,144 / 65,536) overflow past the HLL's exact threshold, so
+    their HLL goes straight to registers; a string counter (cap 16,384)
+    hands over to the HLL's exact hash set up to 65,536 distinct values.
+    Long strings are counted and hashed in their prefix+hash key form
+    (``_long_keys``)."""
 
     def _init_distinct(self, topk_cap: int = 262_144):
         self.counter = TopKCounter(cap=topk_cap)
         self.hll = HLLSketch()
 
+    def _seed_hll(self, keys: pa.Array) -> None:
+        self.hll.update_hashes(_key_hashes(keys))
+
     def _update_distinct(self, valid: pa.Array) -> None:
         if len(valid) == 0:
             return
         vc = valid.value_counts()
-        vals_arr = vc.field("values")
+        keys = vc.field("values")
         counts = vc.field("counts").to_numpy(zero_copy_only=False)
-        # hash the distinct values ONCE (vectorized) — feeds both the HLL
-        # and the long-string key compression below. Strings hash straight
-        # off the UTF-8 byte buffer; other types through their numpy dtype
-        # — the object-array path is a last resort (decimals etc.)
-        t = vals_arr.type
-        if pa.types.is_string(t) or pa.types.is_large_string(t):
-            # word-level variant: ~8× fewer polynomial elements; this hash
-            # only keys the HLL and the long-key compression, so it does
-            # not need the byte-level value the fingerprint/shingle paths
-            # share.
-            # VERSIONING ASSUMPTION (ADVICE r3): pickled accumulator state
-            # (checkpoints, cached partials) never outlives one engine
-            # version — a run resumes with the SAME code that wrote its
-            # checkpoints. Merging state written under a different string
-            # hash (pre-r3 byte-level) with current partials would
-            # double-count long keys in the HLL; if cross-version resume
-            # is ever needed, stamp a hash-version into dumps_state and
-            # reject mixed-version merges.
-            from ..functions.text import hash_string_array_words
-            h = hash_string_array_words(vals_arr)
-        else:
-            try:
-                h = hash64(vals_arr.to_numpy(zero_copy_only=False))
-            except (TypeError, ValueError, pa.ArrowInvalid):
-                h = hash64(np.asarray(vals_arr.to_pylist(), dtype=object))
-        self.hll.update_hashes(h)
+        key_cap = getattr(self, "_LONG_KEY", 0)
+        if key_cap and _string_type(keys.type):
+            keys = _long_keys(keys, key_cap)
         if self.counter.overflowed:
+            self._seed_hll(keys)
             # Post-overflow fast path: batch singletons are guaranteed
             # casualties of the next Misra-Gries shrink (see
-            # TopKCounter.add_skipped) — account their weight and skip the
-            # to_pylist/dict build entirely. On a mostly-distinct text
-            # column this removes ~220 ms of the ~2.6 s per 24 MB block.
+            # TopKCounter.add_skipped) — account their weight and skip
+            # their group-sum. On a mostly-distinct text column this
+            # removes most of the counter work per block.
             heavy = counts >= 2
             n_heavy = int(np.count_nonzero(heavy))
             if n_heavy < len(counts):
@@ -172,44 +207,26 @@ class _DistinctMixin:
                 if n_heavy == 0:
                     return
                 idx = np.flatnonzero(heavy)
-                vals_arr = vals_arr.take(pa.array(idx))
+                keys = keys.take(pa.array(idx))
                 counts = counts[idx]
-                h = h[idx]
-        key_cap = getattr(self, "_LONG_KEY", 0)
-        vals = None
-        if key_cap and (pa.types.is_string(t) or pa.types.is_large_string(t)):
-            # long values keyed as prefix + 64-bit hash hex: bounded state
-            # bytes, collision odds ~n²/2⁶⁵ per prefix bucket. Byte lengths
-            # (vectorized, ≥ char length) pre-filter the candidates so
-            # short-value columns skip the key-building work entirely
-            # (VERDICT r4 item 7). The key build itself is all-Arrow (r5):
-            # utf8_slice + sprintf-vectorized hex + if_else, so to_pylist
-            # materializes 64-char keys instead of full long strings and
-            # the per-value Python loop is gone — keys are byte-identical
-            # to the old f"{v[:48]}{h:016x}" path.
-            blens = pc.binary_length(vals_arr).to_numpy(zero_copy_only=False)
-            if blens.size and int(blens.max()) > key_cap:
-                long_mask = pc.greater(pc.utf8_length(vals_arr), key_cap)
-                if bool(pc.any(long_mask).as_py()):
-                    import binascii
-                    prefix = pc.utf8_slice_codeunits(vals_arr, 0,
-                                                     key_cap - 16)
-                    hexs = np.frombuffer(
-                        binascii.hexlify(h.astype(">u8").tobytes()),
-                        dtype="S16").astype("U16")
-                    keyed = pc.if_else(
-                        long_mask,
-                        pc.binary_join_element_wise(
-                            prefix, pa.array(hexs, pa.string()), ""),
-                        vals_arr)
-                    vals = keyed.to_pylist()
-        if vals is None:
-            vals = vals_arr.to_pylist()
-        self.counter.update_counts(vals, counts)
+        self.counter.update_counts(keys, counts, on_overflow=self._seed_hll)
 
     def _merge_distinct(self, other) -> None:
-        self.counter.merge(other.counter)
-        self.hll.merge(other.hll)
+        mine, theirs = self.counter, other.counter
+        if theirs.overflowed:
+            if not mine.overflowed and mine.keys is not None:
+                self._seed_hll(mine.keys)
+            self.hll.merge(other.hll)
+        elif mine.overflowed and theirs.keys is not None:
+            self._seed_hll(theirs.keys)
+        # seeds the HLL itself if neither side had overflowed yet
+        mine.merge(theirs, on_overflow=self._seed_hll)
+
+    def _exact_items(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The counter's (keys, counts) as floats while it is exact."""
+        if self.counter.overflowed or not self.counter.n_distinct():
+            return None
+        return self.counter.float_items()
 
     def _distinct_result(self) -> dict:
         count = self.n - self.n_missing
@@ -228,17 +245,18 @@ class _DistinctMixin:
         }
 
 
-def _reference_histogram(counter: TopKCounter, moments: MomentsState,
-                         kll: KLLSketch, bins_cap: int = 250) -> dict | None:
+def _reference_histogram(items: tuple[np.ndarray, np.ndarray] | None,
+                         moments: MomentsState, kll: KLLSketch,
+                         bins_cap: int = 250) -> dict | None:
     """Histogram per utils.py:507-529: edges from np.histogram_bin_edges over
-    the distinct values, counts weighted by frequency. Exact when the counter
-    is exact; otherwise equal-width bins from merged min/max with counts
-    estimated from the KLL CDF."""
+    the distinct values, counts weighted by frequency. Exact from the
+    counter's ``items`` (keys, counts) while it is exact; otherwise
+    equal-width bins from merged min/max with counts estimated from the
+    KLL CDF."""
     if moments.n == 0:
         return None
-    if not counter.overflowed and counter.n_distinct() > 0:
-        keys = np.array([float(k) for k in counter.counts.keys()], dtype=np.float64)
-        wts = np.array([counter.counts[k] for k in counter.counts.keys()], dtype=np.float64)
+    if items is not None:
+        keys, wts = items
         n_bins = min(50, len(keys)) if len(keys) < 250 else bins_cap
         edges = np.histogram_bin_edges(keys, bins=n_bins)
         hist, _ = np.histogram(keys, bins=edges, weights=wts)
@@ -303,33 +321,24 @@ class NumericAccumulator(ColumnAccumulator, _DistinctMixin):
             return CATEGORICAL
         return NUMERIC
 
-    def _quantile_bundle(self) -> dict:
+    def _quantile_bundle(self, items) -> dict:
         """Percentile bundle A5: exact weighted quantiles from the value
-        counter while cardinality is exact (parity with the reference's
-        ``series.quantile``, numeric.py:46-51), KLL sketch beyond."""
-        if not self.counter.overflowed and self.counter.n_distinct():
-            keys = np.array([float(k) for k in self.counter.counts.keys()])
-            wts = np.array([float(c) for c in self.counter.counts.values()])
-            p = weighted_quantile(keys, wts, [0.05, 0.10, 0.25, 0.5, 0.75, 0.90, 0.95])
+        counter's ``items`` while cardinality is exact (parity with the
+        reference's ``series.quantile``, numeric.py:46-51), KLL sketch
+        beyond."""
+        if items is not None:
+            p = weighted_quantile(*items, [0.05, 0.10, 0.25, 0.5, 0.75, 0.90, 0.95])
             return {"5%": p[0], "10%": p[1], "25%": p[2], "50%": p[3],
                     "75%": p[4], "90%": p[5], "95%": p[6],
                     "median": p[3], "iqr": p[4] - p[2]}
         return self.kll.result()
 
-    def _median(self) -> float:
-        if not self.counter.overflowed and self.counter.n_distinct():
-            keys = np.array([float(k) for k in self.counter.counts.keys()])
-            wts = np.array([float(c) for c in self.counter.counts.values()])
-            return float(weighted_quantile(keys, wts, 0.5)[0])
-        return self.kll.median()
-
-    def _mad(self) -> float | None:
-        """Median absolute deviation (utils.py:532-537): exact from the value
-        counter when possible, else estimated from KLL sketch contents."""
-        med = self._median()
-        if not self.counter.overflowed and self.counter.n_distinct():
-            keys = np.array([float(k) for k in self.counter.counts.keys()])
-            wts = np.array([float(c) for c in self.counter.counts.values()])
+    def _mad(self, items, med: float) -> float | None:
+        """Median absolute deviation (utils.py:532-537) around ``med``:
+        exact from the counter's ``items`` when possible, else estimated
+        from KLL sketch contents."""
+        if items is not None:
+            keys, wts = items
             return float(weighted_quantile(np.abs(keys - med), wts, 0.5)[0])
         v, w = self.kll._weighted_items()
         if v.size == 0:
@@ -344,14 +353,17 @@ class NumericAccumulator(ColumnAccumulator, _DistinctMixin):
         out.update(self.moments.result())
         count = self.n - self.n_missing
         if count:
-            out.update(self._quantile_bundle())
-            out["mad"] = self._mad()
+            items = self._exact_items()
+            out.update(self._quantile_bundle(items))
+            med = (float(out["median"]) if items is not None
+                   else self.kll.median())
+            out["mad"] = self._mad(items, med)
             out["cv"] = (self.moments.std / self.moments.mean
                          if self.moments.n >= 2 and self.moments.mean else None)
             out["p_zeros"] = self.moments.n_zeros / count
             out["p_negative"] = self.moments.n_negative / count
             out["p_infinite"] = self.moments.n_infinite / count
-            out["histogram"] = _reference_histogram(self.counter, self.moments, self.kll)
+            out["histogram"] = _reference_histogram(items, self.moments, self.kll)
             first, last = self.counter.extremes(5)
             out["5_min_values"] = [{"value": v, "count": c} for v, c in first]
             out["5_max_values"] = [{"value": v, "count": c} for v, c in reversed(last)]
@@ -431,17 +443,15 @@ class DatetimeAccumulator(ColumnAccumulator, _DistinctMixin):
         self.moments.merge(other.moments)
         self.kll.merge(other.kll)
 
-    def seconds_counter(self) -> TopKCounter:
-        """Distinct counter rescaled from epoch-µs keys to epoch seconds, the
-        unit of moments/KLL (reference epoch conversion, datetime.py:32) —
-        keeps histogram edges and drift binning in one consistent unit."""
-        c = TopKCounter(cap=self.counter.cap)
-        c.overflowed = self.counter.overflowed
-        c.total = self.counter.total
-        c.decremented = self.counter.decremented
-        for k, v in self.counter.counts.items():
-            c.counts[float(k) / 1e6] += v
-        return c
+    def seconds_items(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The exact counter's (keys, counts) with keys rescaled from
+        epoch-µs to epoch seconds, the unit of moments/KLL (reference epoch
+        conversion, datetime.py:32) — keeps histogram edges and drift
+        binning in one consistent unit. None once the counter overflowed."""
+        items = self._exact_items()
+        if items is None:
+            return None
+        return items[0] / 1e6, items[1]
 
     def result(self, max_freq_distr: int = MAX_FREQ_DISTR,
                num_cat_perc_threshold: float = NUM_CAT_PERC_THRESHOLD
@@ -457,7 +467,7 @@ class DatetimeAccumulator(ColumnAccumulator, _DistinctMixin):
             out["end"] = end.isoformat()
             out["date_range"] = str(end - start)
             out["histogram"] = _reference_histogram(
-                self.seconds_counter(), self.moments, self.kll)
+                self.seconds_items(), self.moments, self.kll)
         return out
 
 

@@ -3,9 +3,15 @@
 The reference counts distinct values exactly via ``series.value_counts``
 (``/root/reference/stelardataprofiler/tabular_timeseries/variables/utils.py:157-191``,
 fields n_distinct/p_distinct). At 10^12 rows the exact dict is impossible, so
-this sketch keeps an **exact hash set while cardinality is small** (parity with
-the reference on test data) and degrades to classic HLL registers beyond a
-threshold (bounded ~1.04/sqrt(2^p) relative error at scale).
+this sketch keeps an **exact set of hashes while cardinality is small**
+(parity with the reference on test data) and degrades to classic HLL
+registers beyond a threshold (bounded ~1.04/sqrt(2^p) relative error at
+scale). The exact set is a sorted ``uint64`` array grown by ``np.union1d``,
+so it pickles as one raw buffer.
+
+Column accumulators feed this sketch only once their value counter has
+overflowed (``state/column.py:_DistinctMixin``); until then the counter's
+keys are the exact distinct set.
 
 Hashing is ``pandas.util.hash_array`` — vectorized, deterministic across
 processes (fixed internal key), works for numeric and object dtypes alike.
@@ -35,17 +41,18 @@ class HLLSketch:
         self.p = p
         self.m = 1 << p
         self.registers: np.ndarray | None = None  # lazily allocated uint8[m]
-        self.exact: set | None = set()            # None once degraded to HLL
+        # sorted unique hashes; None once degraded to HLL
+        self.exact: np.ndarray | None = np.zeros(0, dtype=np.uint64)
         self.exact_threshold = exact_threshold
 
     def update_hashes(self, h: np.ndarray) -> None:
         if h.size == 0:
             return
         if self.exact is not None:
-            self.exact.update(h.tolist())
-            if len(self.exact) <= self.exact_threshold:
-                return
-            self._degrade()
+            self.exact = np.union1d(self.exact, h.astype(np.uint64, copy=False))
+            if self.exact.size > self.exact_threshold:
+                self._degrade()
+            return
         self._update_registers(h)
 
     def update(self, values: np.ndarray) -> None:
@@ -53,7 +60,7 @@ class HLLSketch:
             self.update_hashes(hash64(values))
 
     def _degrade(self) -> None:
-        pending = np.fromiter(self.exact, dtype=np.uint64, count=len(self.exact))
+        pending = self.exact
         self.exact = None
         self.registers = np.zeros(self.m, dtype=np.uint8)
         self._update_registers(pending)
@@ -78,13 +85,7 @@ class HLLSketch:
 
     def merge(self, other: "HLLSketch") -> None:
         if other.exact is not None:
-            if self.exact is not None:
-                self.exact.update(other.exact)
-                if len(self.exact) > self.exact_threshold:
-                    self._degrade()
-            else:
-                pending = np.fromiter(other.exact, dtype=np.uint64, count=len(other.exact))
-                self._update_registers(pending)
+            self.update_hashes(other.exact)
         else:
             if self.exact is not None:
                 self._degrade()
@@ -92,7 +93,7 @@ class HLLSketch:
 
     def estimate(self) -> int:
         if self.exact is not None:
-            return len(self.exact)
+            return int(self.exact.size)
         m = float(self.m)
         alpha = 0.7213 / (1.0 + 1.079 / m)
         regs = self.registers.astype(np.float64)

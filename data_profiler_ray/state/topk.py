@@ -12,54 +12,76 @@ state; states merge associatively. While total cardinality stays under
 ``cap`` the counter is exact (test-data parity, exact n_unique). Past the
 cap it decays to Misra-Gries heavy-hitters (top-K still correct for any
 value with frequency > n/cap; n_unique flagged approximate).
+
+The state is two typed arrays: ``keys``, an Arrow array of unique values
+in the column's own type (int64, float64, decimal128, epoch-µs int64 for
+datetimes, string), and ``cnt``, their ``int64`` counts. A merge
+concatenates both and group-sums (``np.unique`` + ``bincount`` for numeric
+keys, Arrow ``group_by`` for the rest), and the Misra-Gries shrink finds
+its decrement with ``np.partition``; no per-key Python object is built.
+Pickled, the state is two raw buffers. Ties in ``top_k`` are broken by
+key, so the top-k list does not depend on how the rows were split into
+blocks or in which order the partials merged.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
+
+def _numeric(t: pa.DataType) -> bool:
+    return pa.types.is_integer(t) or pa.types.is_floating(t)
+
+
+def _group_sum(keys: pa.Array, cnt: np.ndarray) -> tuple[pa.Array, np.ndarray]:
+    """Unique keys and the summed count of each (unordered)."""
+    if _numeric(keys.type):
+        k = keys.to_numpy(zero_copy_only=False)
+        if pa.types.is_floating(keys.type):
+            k = k + 0.0  # one key for -0.0 and 0.0, as a dict would have
+        uk, inv = np.unique(k, return_inverse=True)
+        return (pa.array(uk, keys.type),
+                np.bincount(inv, weights=cnt, minlength=uk.size)
+                .astype(np.int64))
+    g = pa.table({"k": keys, "c": cnt}).group_by("k", use_threads=False) \
+        .aggregate([("c", "sum")])
+    return (g.column("k").combine_chunks(),
+            g.column("c_sum").to_numpy().astype(np.int64))
 
 
 class TopKCounter:
-    __slots__ = ("cap", "counts", "overflowed", "total", "decremented")
+    __slots__ = ("cap", "keys", "cnt", "overflowed", "total", "decremented")
 
     def __init__(self, cap: int = 262_144):
         self.cap = cap
-        self.counts: Counter = Counter()
+        self.keys: pa.Array | None = None   # None until the first fold
+        self.cnt = np.zeros(0, dtype=np.int64)
         self.overflowed = False
         self.total = 0          # total observations folded in (non-null)
         self.decremented = 0    # total weight removed by MG decrements
 
-    def update_counts(self, values, counts) -> None:
-        """Fold a (unique values, counts) pair-list in.
+    def update_counts(self, values, counts, on_overflow=None) -> None:
+        """Fold (values, counts) pairs in. ``values`` is an Arrow array
+        (e.g. ``value_counts`` output) or anything ``pa.array`` takes;
+        repeated values within one call are summed.
 
-        Callers pass ``value_counts`` output, so keys are unique within a
-        call — the fold is a C-level ``dict(zip(...))`` build (empty
-        counter, the common one-fold-per-block case) or a ``Counter.update``
-        mapping merge, not a per-item Python loop.
-        """
-        import numpy as _np
-        cl = (counts.tolist() if isinstance(counts, _np.ndarray)
-              else [int(c) for c in counts])
-        d = dict(zip(values, cl))
-        if len(d) != len(cl):
-            # duplicate keys within one call (contract says unique, but a
-            # silent last-wins would desync total from the counts sum —
-            # ADVICE r3): accumulate exactly instead
-            d = {}
-            for v, c in zip(values, cl):
-                d[v] = d.get(v, 0) + c
-        self.total += sum(cl)
-        if self.counts:
-            self.counts.update(d)
-        else:
-            self.counts = Counter(d)
-        self._shrink()
+        ``on_overflow(keys)`` is called once, with every key held, just
+        before the first Misra-Gries shrink drops any of them."""
+        if isinstance(values, pa.ChunkedArray):
+            values = values.combine_chunks()
+        elif not isinstance(values, pa.Array):
+            values = pa.array(values)
+        cnt = np.asarray(counts, dtype=np.int64)
+        self.total += int(cnt.sum())
+        self._add(values, cnt, on_overflow)
 
     def add_skipped(self, weight: int) -> None:
         """Account weight folded PAST the counter (post-overflow batch
         singletons): they join ``total`` and ``decremented`` so the
         ``freq_distribution`` Other bucket stays exact, without ever
-        building their Python keys.
+        building their keys.
 
         Sound because a batch singleton cannot survive the post-overflow
         regime anyway: each wide batch brings >> cap-slack new keys, so the
@@ -74,61 +96,90 @@ class TopKCounter:
         self.total += int(weight)
         self.decremented += int(weight)
 
-    def merge(self, other: "TopKCounter") -> None:
-        self.counts.update(other.counts)
+    def merge(self, other: "TopKCounter", on_overflow=None) -> None:
         self.total += other.total
         self.decremented += other.decremented
         self.overflowed |= other.overflowed
-        self._shrink()
+        if other.keys is not None:
+            self._add(other.keys, other.cnt, on_overflow)
 
-    def _shrink(self) -> None:
-        if len(self.counts) <= self.cap:
+    def _add(self, keys: pa.Array, cnt: np.ndarray, on_overflow) -> None:
+        if self.keys is not None and len(self.keys):
+            if keys.type != self.keys.type:
+                keys = keys.cast(self.keys.type)
+            keys = pa.concat_arrays([self.keys, keys])
+            cnt = np.concatenate([self.cnt, cnt])
+        self.keys, self.cnt = _group_sum(keys, cnt)
+        self._shrink(on_overflow)
+
+    def _shrink(self, on_overflow=None) -> None:
+        excess = self.cnt.size - self.cap
+        if excess <= 0:
             return
+        if not self.overflowed and on_overflow is not None:
+            on_overflow(self.keys)
         self.overflowed = True
-        # Misra-Gries: subtract the (len-cap)-th largest count from everyone,
+        # Misra-Gries: subtract the excess-th smallest count from everyone,
         # drop non-positive — keeps any value with true freq > decrement bound.
-        excess = len(self.counts) - self.cap
-        vals = sorted(self.counts.values())
-        dec = vals[excess - 1] if excess <= len(vals) else vals[-1]
-        new = Counter()
-        removed = 0
-        for k, c in self.counts.items():
-            if c > dec:
-                new[k] = c - dec
-                removed += dec
-            else:
-                removed += c
-        self.decremented += removed
-        self.counts = new
+        dec = np.partition(self.cnt, excess - 1)[excess - 1]
+        keep = self.cnt > dec
+        n_keep = int(np.count_nonzero(keep))
+        self.decremented += int(self.cnt[~keep].sum()) + int(dec) * n_keep
+        self.keys = self.keys.filter(pa.array(keep))
+        self.cnt = self.cnt[keep] - dec
 
     # ---- queries ----
 
     def n_distinct(self) -> int:
-        return len(self.counts)
+        return int(self.cnt.size)
 
     def n_unique(self) -> int:
         """Count of values appearing exactly once (exact only if not overflowed)."""
-        return sum(1 for c in self.counts.values() if c == 1)
+        return int(np.count_nonzero(self.cnt == 1))
 
     def top_k(self, k: int) -> list[tuple[object, int]]:
-        return self.counts.most_common(k)
+        """The ``k`` most frequent values, by count descending, then key
+        ascending."""
+        if self.keys is None or k <= 0 or not self.cnt.size:
+            return []
+        cand = np.arange(self.cnt.size)
+        if self.cnt.size > k:
+            # every value tied with the k-th count is a candidate
+            kth = np.partition(self.cnt, self.cnt.size - k)[self.cnt.size - k]
+            cand = np.flatnonzero(self.cnt >= kth)
+        t = pa.table({"c": self.cnt[cand], "k": self.keys.take(pa.array(cand))})
+        order = pc.sort_indices(t, sort_keys=[("c", "descending"),
+                                              ("k", "ascending")])[:k]
+        top = t.take(order)
+        return list(zip(top.column("k").to_pylist(),
+                        top.column("c").to_pylist()))
 
     def freq_distribution(self, k: int) -> dict:
         """Reference ``reduceCategoricalDict`` (utils.py:497-504): top-k plus
         an ``Other Values (n)`` bucket holding the remainder."""
         top = self.top_k(k)
         out = {str(v): int(c) for v, c in top}
-        rest = len(self.counts) - len(top)
+        rest = self.n_distinct() - len(top)
         if rest > 0:
             out[f"Other Values ({rest})"] = self.total - self.decremented - sum(c for _, c in top)
         return out
 
     def extremes(self, n: int = 5) -> tuple[list, list]:
         """First/last n values by natural order (numeric.py:96-103)."""
-        try:
-            keys = sorted(self.counts.keys())
-        except TypeError:
-            keys = sorted(self.counts.keys(), key=str)
-        first = [(v, self.counts[v]) for v in keys[:n]]
-        last = [(v, self.counts[v]) for v in keys[-n:]]
-        return first, last
+        if self.keys is None or not self.cnt.size:
+            return [], []
+        order = pc.sort_indices(self.keys).to_numpy()
+        pick = np.concatenate([order[:n], order[-n:]])
+        vals = self.keys.take(pa.array(pick)).to_pylist()
+        cnts = self.cnt[pick].tolist()
+        m = min(n, order.size)
+        pairs = list(zip(vals, cnts))
+        return pairs[:m], pairs[-m:]
+
+    def float_items(self) -> tuple[np.ndarray, np.ndarray]:
+        """Keys and counts as float64 arrays (decimals and epoch-µs ints
+        cast by Arrow), for histograms and weighted quantiles."""
+        if self.keys is None:
+            return np.zeros(0), np.zeros(0)
+        return (self.keys.cast(pa.float64()).to_numpy(zero_copy_only=False),
+                self.cnt.astype(np.float64))

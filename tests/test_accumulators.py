@@ -2,6 +2,8 @@
 oracles, using the reference's formula conventions (ddof=1 std, pandas
 bias-corrected skew/kurtosis — see SURVEY.md §5.2)."""
 
+from collections import Counter
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -93,10 +95,136 @@ def test_topk_exact_and_other_bucket():
     c2 = TopKCounter(cap=1000)
     c2.update_counts(["a", "d"], [10, 1])
     c.merge(c2)
-    assert c.counts["a"] == 110
+    assert dict(c.top_k(4))["a"] == 110
     assert c.n_unique() == 2  # c and d
     fd = c.freq_distribution(2)
     assert fd == {"a": 110, "b": 50, "Other Values (2)": 2}
+
+
+class _RefCounter:
+    """Reference value counter: a ``Counter`` with the Misra-Gries shrink
+    (subtract the excess-th smallest count, drop what falls to zero)."""
+
+    def __init__(self, cap):
+        self.cap, self.counts = cap, Counter()
+        self.total = self.decremented = 0
+
+    def update(self, keys, counts):
+        self.counts.update(dict(zip(keys, counts)))
+        self.total += sum(counts)
+        self._shrink()
+
+    def merge(self, other):
+        self.counts.update(other.counts)
+        self.total += other.total
+        self.decremented += other.decremented
+        self._shrink()
+
+    def _shrink(self):
+        excess = len(self.counts) - self.cap
+        if excess <= 0:
+            return
+        dec = sorted(self.counts.values())[excess - 1]
+        self.decremented += sum(min(c, dec) for c in self.counts.values())
+        self.counts = Counter({k: c - dec for k, c in self.counts.items()
+                               if c > dec})
+
+    def other_bucket(self, k):
+        top = sorted(self.counts.values(), reverse=True)[:k]
+        return self.total - self.decremented - sum(top)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("cap", [40, 5000])
+@pytest.mark.parametrize("kind", ["int", "str"])
+def test_topk_matches_counter_reference(seed, cap, kind):
+    """The typed counter equals a Counter + Misra-Gries reference over
+    random block splits and merge orders, below (cap 5000) and above
+    (cap 40) the cap: counts, total, decremented, n_unique, the top-k
+    (count descending, then key ascending) and the Other Values bucket."""
+    rng = np.random.default_rng(seed)
+    vals = rng.zipf(1.6, 3000) % 400
+    if kind == "str":
+        vals = np.array([f"v{v:03d}" for v in vals], dtype=object)
+    cuts = np.sort(rng.choice(np.arange(1, vals.size), rng.integers(1, 9),
+                              replace=False))
+    typed, ref = [], []
+    for block in np.split(vals, cuts):
+        keys, counts = np.unique(block, return_counts=True)
+        t, r = TopKCounter(cap=cap), _RefCounter(cap)
+        t.update_counts(pa.array(keys.tolist()), counts)
+        r.update(keys.tolist(), counts.tolist())
+        typed.append(t)
+        ref.append(r)
+    order = rng.permutation(len(typed))
+    t, r = typed[order[0]], ref[order[0]]
+    for i in order[1:]:
+        t.merge(typed[i])
+        r.merge(ref[i])
+    got = dict(zip(t.keys.to_pylist(), t.cnt.tolist()))
+    assert got == dict(r.counts)
+    assert (t.total, t.decremented) == (r.total, r.decremented)
+    assert t.total == vals.size
+    assert t.overflowed == (cap < 400 and len(set(vals.tolist())) > cap)
+    assert t.n_unique() == sum(1 for c in r.counts.values() if c == 1)
+    k = 10
+    assert t.top_k(k) == sorted(r.counts.items(),
+                                key=lambda kv: (-kv[1], kv[0]))[:k]
+    fd = t.freq_distribution(k)
+    rest = len(r.counts) - min(k, len(r.counts))
+    if rest:
+        assert fd[f"Other Values ({rest})"] == r.other_bucket(k)
+
+
+def test_freq_value_counts_ties_do_not_depend_on_blocks():
+    """Tied counts are ordered by key, so two block splits of one table,
+    folded in different orders, give identical freq_value_counts."""
+    rng = np.random.default_rng(5)
+    ints = np.repeat(np.arange(40), 3)   # every value 3 times: all tied
+    rng.shuffle(ints)
+    strs = pa.array([f"s{v:02d}" for v in ints])
+
+    def fold(make, arr, cuts, reverse):
+        accs = []
+        for lo, hi in zip([0] + cuts, cuts + [len(arr)]):
+            a = make()
+            a.update(arr.slice(lo, hi - lo))
+            accs.append(a)
+        if reverse:
+            accs.reverse()
+        for o in accs[1:]:
+            accs[0].merge(o)
+        return list(accs[0].result()["freq_value_counts"].items())
+
+    for make, arr in ((lambda: NumericAccumulator("x"), pa.array(ints)),
+                      (lambda: StringAccumulator("s"), strs)):
+        a = fold(make, arr, [7, 50, 90], reverse=False)
+        b = fold(make, arr, [33, 61], reverse=True)
+        assert a == b
+        assert [v for _, v in a[:10]] == [3] * 10
+        assert [k for k, _ in a[:10]] == sorted(k for k, _ in a[:10])
+
+
+@pytest.mark.parametrize("merge", [False, True])
+def test_long_string_distinct_stays_exact_past_counter_cap(merge):
+    """30k distinct values over 64 chars in 4 blocks: the counter (cap
+    16,384) overflows and seeds the HLL's exact set from its prefix+hash
+    keys, so n_distinct is still exactly 30,000 — folded into one
+    accumulator (seeded in an update) or merged from four (seeded in a
+    merge)."""
+    head = "x" * 60
+    vals = pa.array([f"{head}{i:07d}" for i in range(30_000)])
+    accs = [StringAccumulator("c", text_stats=False)]
+    for lo in range(0, 30_000, 7_500):
+        if merge and lo:
+            accs.append(StringAccumulator("c", text_stats=False))
+        accs[-1].update(vals.slice(lo, 7_500))
+    for o in accs[1:]:
+        accs[0].merge(o)
+    r = accs[0].result()
+    assert accs[0].counter.overflowed
+    assert r["n_distinct"] == 30_000
+    assert r["distinct_is_exact"]
 
 
 def test_topk_overflow_keeps_heavy_hitters():

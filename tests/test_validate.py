@@ -88,6 +88,28 @@ def test_resume_skips_done_partitions(transcripts_dir, tmp_path):
     assert s3["total_rows"] == s1["total_rows"]
 
 
+def test_resume_rejects_state_of_another_format(transcripts_dir, tmp_path):
+    """A checkpoint whose state.pkl was written in another state format
+    (here format 1: zlib'd pickle with no header) stops a resumed run with
+    a ValueError that names both formats, before any merge."""
+    import pickle
+    import zlib
+
+    from data_profiler_ray.stages.profile import STATE_FORMAT, loads_state
+
+    out = str(tmp_path / "out")
+    run_validation(transcripts_dir, _cfg(out))
+    part = sorted(os.listdir(os.path.join(out, "parts")))[0]
+    path = os.path.join(out, "parts", part, "state.pkl")
+    with open(path, "rb") as f:
+        rows, _ = loads_state(f.read())
+    with open(path, "wb") as f:
+        f.write(zlib.compress(pickle.dumps((rows, {})), 1))
+    with pytest.raises(ValueError, match=f"state format 1; this engine "
+                                         f"reads state format {STATE_FORMAT}"):
+        run_validation(transcripts_dir, _cfg(out))
+
+
 def test_drift_detects_shift(transcripts_dir, tmp_path):
     base_ds = ray.data.read_parquet(transcripts_dir)
     baseline = profile_dataset(base_ds, ProfileConfig())
