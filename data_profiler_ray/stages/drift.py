@@ -164,7 +164,7 @@ def bin_accumulators(spec: dict, accs: dict) -> dict[str, np.ndarray]:
             if getattr(acc, "kind", "") == "datetime":
                 items = acc.seconds_items()  # epoch-seconds unit
             elif hasattr(acc, "counter"):
-                items = acc._exact_items()
+                items = acc.exact_items()
             else:
                 items = None
             edges = s["edges"]

@@ -10,11 +10,11 @@ with the Ray-Data-native shape from SURVEY.md §3.4:
 Each block contributes ONE small row holding the serialized accumulator
 bundle (``dumps_state``: per column moments + KLL + a capped value counter
 of typed key/count arrays, + HLL registers once that counter overflowed),
-so what the driver pulls is o(input) regardless of data size. The accumulators are
-mergeable summaries, so folding the partials one at a time in stream order
-gives the same profile as any merge tree. The final profile dict has the
-reference's three-part shape (``analysis`` / ``table`` / ``variables``,
-profiler.py:343-362).
+so what the driver pulls is o(input) regardless of data size. The
+accumulators are mergeable summaries, so folding the partials one at a
+time in stream order gives the same profile as any merge tree. The final
+profile dict has the reference's three-part shape (``analysis`` /
+``table`` / ``variables``, profiler.py:343-362).
 """
 
 from __future__ import annotations

@@ -198,8 +198,7 @@ class _DistinctMixin:
             # Post-overflow fast path: batch singletons are guaranteed
             # casualties of the next Misra-Gries shrink (see
             # TopKCounter.add_skipped) — account their weight and skip
-            # their group-sum. On a mostly-distinct text column this
-            # removes most of the counter work per block.
+            # their group-sum.
             heavy = counts >= 2
             n_heavy = int(np.count_nonzero(heavy))
             if n_heavy < len(counts):
@@ -222,7 +221,7 @@ class _DistinctMixin:
         # seeds the HLL itself if neither side had overflowed yet
         mine.merge(theirs, on_overflow=self._seed_hll)
 
-    def _exact_items(self) -> tuple[np.ndarray, np.ndarray] | None:
+    def exact_items(self) -> tuple[np.ndarray, np.ndarray] | None:
         """The counter's (keys, counts) as floats while it is exact."""
         if self.counter.overflowed or not self.counter.n_distinct():
             return None
@@ -353,11 +352,9 @@ class NumericAccumulator(ColumnAccumulator, _DistinctMixin):
         out.update(self.moments.result())
         count = self.n - self.n_missing
         if count:
-            items = self._exact_items()
+            items = self.exact_items()
             out.update(self._quantile_bundle(items))
-            med = (float(out["median"]) if items is not None
-                   else self.kll.median())
-            out["mad"] = self._mad(items, med)
+            out["mad"] = self._mad(items, float(out["median"]))
             out["cv"] = (self.moments.std / self.moments.mean
                          if self.moments.n >= 2 and self.moments.mean else None)
             out["p_zeros"] = self.moments.n_zeros / count
@@ -448,7 +445,7 @@ class DatetimeAccumulator(ColumnAccumulator, _DistinctMixin):
         epoch-µs to epoch seconds, the unit of moments/KLL (reference epoch
         conversion, datetime.py:32) — keeps histogram edges and drift
         binning in one consistent unit. None once the counter overflowed."""
-        items = self._exact_items()
+        items = self.exact_items()
         if items is None:
             return None
         return items[0] / 1e6, items[1]
