@@ -73,9 +73,6 @@ class DriftBinner:
 
     def __init__(self, spec: dict):
         self.spec = spec
-        self._cat_lookup = {
-            name: {c: i for i, c in enumerate(s["categories"])}
-            for name, s in spec.items() if s["kind"] == "categorical"}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         out: dict[str, np.ndarray] = {}
@@ -87,7 +84,9 @@ class DriftBinner:
                 arr = col
                 if pa.types.is_timestamp(arr.type) or pa.types.is_date(arr.type):
                     arr = arr.cast(pa.timestamp("us")).cast(pa.int64())
-                x = arr.cast(pa.float64()).drop_null().to_numpy(
+                # unchecked: epoch-µs ints past 2^53 (dates before 1685
+                # or after 2255) round instead of raising
+                x = arr.cast(pa.float64(), safe=False).drop_null().to_numpy(
                     zero_copy_only=False)
                 if s.get("is_datetime"):
                     x = x / 1e6  # epoch seconds, matching DatetimeAccumulator
@@ -120,13 +119,11 @@ class DriftBinner:
                 out[name] = np.concatenate([[under], hist, [over]]).astype(
                     np.float64)
             else:
-                lookup = self._cat_lookup[name]
-                counts = np.zeros(len(lookup) + 1, dtype=np.float64)
                 vc = col.drop_null().value_counts()
-                for v, c in zip(vc.field("values").to_pylist(),
-                                vc.field("counts").to_pylist()):
-                    counts[lookup.get(str(v), len(lookup))] += c
-                out[name] = counts
+                out[name] = _bin_categories(
+                    vc.field("values"),
+                    vc.field("counts").to_numpy(zero_copy_only=False),
+                    s["categories"])
         payload = pickle.dumps(out, protocol=pickle.HIGHEST_PROTOCOL)
         return pa.table({"state": pa.array([payload], pa.large_binary())})
 
@@ -186,27 +183,29 @@ def bin_accumulators(spec: dict, accs: dict) -> dict[str, np.ndarray]:
             counter = getattr(acc, "counter", None)
             if counter is None:
                 continue
-            out[name] = _bin_categories(counter, s["categories"])
+            out[name] = _bin_categories(counter.keys, counter.cnt,
+                                        s["categories"])
     return out
 
 
-def _bin_categories(counter, categories: list[str]) -> np.ndarray:
-    """Counter weight per baseline category, plus an "other" bucket. The
-    categories are profile keys (``str`` of the value); they are matched
-    in the counter's key type (``pc.index_in``), or as strings when they do
-    not parse as that type."""
+def _bin_categories(keys: pa.Array | None, cnt: np.ndarray,
+                    categories: list[str]) -> np.ndarray:
+    """Weight per baseline category, plus an "other" bucket, for distinct
+    ``keys`` with weights ``cnt``. The categories are profile keys, the
+    Python ``str`` of each value: string keys match them as they are
+    (``pc.index_in``), other keys through their ``str`` form, so a float
+    1.0 ("1.0") does not match an int baseline's "1". ``DriftBinner`` and
+    ``bin_accumulators`` both bin through here, so the streaming and the
+    checkpoint drift paths put every value in the same bin."""
     n = len(categories)
-    if counter.keys is None or not n:
-        return np.concatenate([np.zeros(n), [float(counter.cnt.sum())]])
-    keys = counter.keys
-    cats = pa.array(categories, pa.string())
-    try:
-        cats = cats.cast(keys.type)
-    except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
-        keys = keys.cast(pa.string())
-    idx = pc.index_in(keys, value_set=cats).fill_null(n)
-    return np.bincount(idx.to_numpy(zero_copy_only=False),
-                       weights=counter.cnt, minlength=n + 1).astype(np.float64)
+    if keys is None or not n:
+        return np.concatenate([np.zeros(n), [float(np.sum(cnt))]])
+    if not (pa.types.is_string(keys.type)
+            or pa.types.is_large_string(keys.type)):
+        keys = pa.array([str(v) for v in keys.to_pylist()], pa.string())
+    idx = pc.index_in(keys, value_set=pa.array(categories, keys.type))
+    return np.bincount(idx.fill_null(n).to_numpy(zero_copy_only=False),
+                       weights=cnt, minlength=n + 1).astype(np.float64)
 
 
 def drift_from_counts(spec: dict, merged: dict[str, np.ndarray],

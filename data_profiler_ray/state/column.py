@@ -296,7 +296,9 @@ class NumericAccumulator(ColumnAccumulator, _DistinctMixin):
         valid = self._pre(arr)
         if len(valid) == 0:
             return
-        x = valid.cast(pa.float64()).to_numpy(zero_copy_only=False)
+        # unchecked: int64 values past 2^53 round instead of raising
+        x = valid.cast(pa.float64(), safe=False).to_numpy(
+            zero_copy_only=False)
         self.moments.update(x)
         self.kll.update(x)
         self._update_distinct(valid)

@@ -177,9 +177,14 @@ class TopKCounter:
         return pairs[:m], pairs[-m:]
 
     def float_items(self) -> tuple[np.ndarray, np.ndarray]:
-        """Keys and counts as float64 arrays (decimals and epoch-µs ints
-        cast by Arrow), for histograms and weighted quantiles."""
+        """Keys and counts as float64 arrays, for histograms and weighted
+        quantiles. Integer keys convert through numpy, which rounds past
+        2^53 where Arrow's checked cast raises (epoch-µs keys of dates
+        before 1685 or after 2255); decimals are cast by Arrow."""
         if self.keys is None:
             return np.zeros(0), np.zeros(0)
-        return (self.keys.cast(pa.float64()).to_numpy(zero_copy_only=False),
-                self.cnt.astype(np.float64))
+        if _numeric(self.keys.type):
+            k = self.keys.to_numpy(zero_copy_only=False).astype(np.float64)
+        else:
+            k = self.keys.cast(pa.float64()).to_numpy(zero_copy_only=False)
+        return k, self.cnt.astype(np.float64)

@@ -227,6 +227,75 @@ def test_long_string_distinct_stays_exact_past_counter_cap(merge):
     assert r["distinct_is_exact"]
 
 
+def test_extreme_dates_profile_and_bin():
+    """Sentinel dates 0001-01-01 and 9999-12-31 sit past 2^53 epoch-µs,
+    as do int64 values past 2^53: a profile folded from two blocks and
+    both drift paths (the streaming DriftBinner and bin_accumulators over
+    the merged state) take them and bin every row alike."""
+    import datetime as dt
+    import pickle
+
+    from data_profiler_ray.config import ProfileConfig
+    from data_profiler_ray.stages.drift import (DriftBinner,
+                                                bin_accumulators,
+                                                spec_from_profile)
+    from data_profiler_ray.stages.profile import (_PartialProfiler,
+                                                  finalize_profile,
+                                                  merge_states)
+    days = [dt.date(1, 1, 1), dt.date(2024, 5, 1), dt.date(2024, 5, 1),
+            dt.date(2024, 5, 2), dt.date(9999, 12, 31)]
+    tbl = pa.table({
+        "d": pa.array(days, pa.date32()),
+        "ts": pa.array([dt.datetime(x.year, x.month, x.day) for x in days],
+                       pa.timestamp("us")),
+        "big": pa.array([-2**60, 1, 1, 7, 2**60], pa.int64()),
+    })
+    cfg = ProfileConfig()
+    prof = _PartialProfiler(tbl.schema, cfg)
+    rows, merged = merge_states(
+        [prof.fold(tbl.slice(0, 2)), prof.fold(tbl.slice(2))])
+    out = finalize_profile(rows, merged, cfg, dt.datetime.now(), [])
+    var = {v["name"]: v for v in out["variables"]}
+    for name in ("d", "ts"):
+        assert var[name]["start"] == "0001-01-01T00:00:00"
+        assert var[name]["end"] == "9999-12-31T00:00:00"
+        assert sum(var[name]["histogram"]["counts"]) == 5
+        assert var[name]["n_distinct"] == 4
+    assert var["big"]["n_distinct"] == 4
+    spec = spec_from_profile(out)
+    assert {"d", "ts"} <= spec.keys()
+    binned = bin_accumulators(spec, merged)
+    streamed = pickle.loads(DriftBinner(spec)(tbl).column("state")[0].as_py())
+    for name in spec:
+        assert binned[name].sum() == 5
+        assert binned[name].tolist() == streamed[name].tolist(), name
+
+
+def test_drift_categories_bin_alike_in_both_paths():
+    """Categories are the ``str`` of the baseline's values: an int
+    baseline's "1" matches an int 1 but not a float 1.0 ("1.0"), in the
+    streaming DriftBinner and in bin_accumulators alike."""
+    import pickle
+
+    from data_profiler_ray.stages.drift import DriftBinner, bin_accumulators
+    cats = ["1", "2", "a"]
+    spec = {c: {"kind": "categorical", "categories": cats,
+                "base_counts": np.ones(4)} for c in ("i", "f", "s")}
+    tbl = pa.table({"i": pa.array([1, 1, 2, 3]),
+                    "f": pa.array([1.0, 1.0, 2.0, 3.5]),
+                    "s": pa.array(["1", "a", "a", "b"])})
+    accs = {"i": NumericAccumulator("i"), "f": NumericAccumulator("f"),
+            "s": StringAccumulator("s", text_stats=False)}
+    for name, acc in accs.items():
+        acc.update(tbl.column(name))
+    binned = bin_accumulators(spec, accs)
+    streamed = pickle.loads(DriftBinner(spec)(tbl).column("state")[0].as_py())
+    want = {"i": [2, 1, 0, 1], "f": [0, 0, 0, 4], "s": [1, 0, 2, 1]}
+    for name, counts in want.items():
+        assert binned[name].tolist() == counts, name
+        assert streamed[name].tolist() == counts, name
+
+
 def test_topk_overflow_keeps_heavy_hitters():
     c = TopKCounter(cap=100)
     c.update_counts([f"v{i}" for i in range(500)], [1] * 500)
