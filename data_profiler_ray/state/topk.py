@@ -178,13 +178,9 @@ class TopKCounter:
 
     def float_items(self) -> tuple[np.ndarray, np.ndarray]:
         """Keys and counts as float64 arrays, for histograms and weighted
-        quantiles. Integer keys convert through numpy, which rounds past
-        2^53 where Arrow's checked cast raises (epoch-µs keys of dates
-        before 1685 or after 2255); decimals are cast by Arrow."""
+        quantiles. The cast is unchecked: int64 keys past 2^53 (epoch-µs
+        keys of dates before 1685 or after 2255) round instead of raising."""
         if self.keys is None:
             return np.zeros(0), np.zeros(0)
-        if _numeric(self.keys.type):
-            k = self.keys.to_numpy(zero_copy_only=False).astype(np.float64)
-        else:
-            k = self.keys.cast(pa.float64()).to_numpy(zero_copy_only=False)
-        return k, self.cnt.astype(np.float64)
+        return (self.keys.cast(pa.float64(), safe=False)
+                .to_numpy(zero_copy_only=False), self.cnt.astype(np.float64))
