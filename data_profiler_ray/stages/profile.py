@@ -7,26 +7,32 @@ with the Ray-Data-native shape from SURVEY.md §3.4:
     read_parquet → map_batches(partial accumulators, batch_format="pyarrow")
         → iter_batches to the driver → merge_states fold → profile dict
 
-Each block contributes ONE small row holding the serialized accumulator
-bundle (``dumps_state``: per column moments + KLL + a capped value counter
-of typed key/count arrays, + HLL registers once that counter overflowed),
-so what the driver pulls is o(input) regardless of data size. The
-accumulators are mergeable summaries, so folding the partials one at a
-time in stream order gives the same profile as any merge tree. The final
-profile dict has the reference's three-part shape (``analysis`` /
-``table`` / ``variables``, profiler.py:343-362).
+Each fold batch contributes ONE small row holding the serialized
+accumulator bundle (``dumps_state``: per column moments + KLL + a capped
+value counter of typed key/count arrays, + HLL registers once that counter
+overflowed), so what the driver pulls is o(input) regardless of data size.
+A fold batch is one Ray block, or, where the source's blocks are small
+(``_fold_batch_rows``), several blocks packed into a batch of up to
+``FOLD_ROWS`` rows. The accumulators are mergeable summaries, so folding
+the partials one at a time in stream order gives the same profile as any
+merge tree. The final profile dict has the reference's three-part shape
+(``analysis`` / ``table`` / ``variables``, profiler.py:343-362).
 """
 
 from __future__ import annotations
 
 import datetime
 import pickle
-import zlib
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
+from ray.data import DataContext
+from ray.data._internal.logical.interfaces import SourceOperator
+from ray.data._internal.logical.operators.read_operator import Read
+from ray.data._internal.logical.rules.set_read_parallelism import \
+    compute_additional_split_factor
 
 from ..config import ProfileConfig
 from ..state.column import ColumnAccumulator, make_accumulator
@@ -35,18 +41,31 @@ from ..state.column import ColumnAccumulator, make_accumulator
 # State blobs start with this magic and a format version. The version
 # changes whenever the pickled accumulator layout or the hashes it holds
 # change. Format 1 (no header) held ``Counter``-backed value counters and
-# set-backed HLLs; format 2 holds typed key/count arrays.
+# set-backed HLLs; format 2 holds typed key/count arrays compressed with
+# zlib; format 3 holds the same pickle compressed with zstd.
 _STATE_MAGIC = b"DPRS"
-STATE_FORMAT = 2
+STATE_FORMAT = 3
+_CODEC = pa.Codec("zstd", 3)
+# zstd's largest ratio: an RLE block spends 4 bytes on at most 128 KiB
+_ZSTD_MAX_RATIO = 1 << 15
+
+# Most rows one partial folds when ``profile_dataset`` regroups blocks
+# (``_fold_batch_rows``). At 16,384 a high-cardinality string column's
+# partial sits just under its counter cap (16,384 keys), so every driver
+# merge overflows and re-hashes it; at 32,768 the counter overflows in the
+# worker and the driver merges only HLL registers.
+FOLD_ROWS = 32_768
 
 
 def dumps_state(obj) -> bytes:
-    """``_STATE_MAGIC`` + a 2-byte ``STATE_FORMAT`` + pickle compressed with
-    zlib level 1. Typed key, count and register arrays pickle as raw
-    buffers; zlib mostly shrinks the string keys."""
+    """``_STATE_MAGIC`` + a 2-byte ``STATE_FORMAT`` + the 8-byte length of
+    the raw pickle (zstd's decompressor needs it) + the pickle compressed
+    with zstd level 3. Typed key, count and register arrays pickle as raw
+    buffers; zstd mostly shrinks the string keys."""
+    raw = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     return (_STATE_MAGIC + STATE_FORMAT.to_bytes(2, "little")
-            + zlib.compress(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL),
-                            1))
+            + len(raw).to_bytes(8, "little")
+            + _CODEC.compress(raw, asbytes=True))
 
 
 def loads_state(blob: bytes):
@@ -63,14 +82,29 @@ def loads_state(blob: bytes):
             f"reads state format {STATE_FORMAT}. Recompute the partition "
             "(delete its checkpoint directory) or resume with the engine "
             "that wrote it.")
-    return pickle.loads(zlib.decompress(blob[n + 2:]))
+    size = int.from_bytes(blob[n + 2:n + 10], "little")
+    body = memoryview(blob)[n + 10:]
+    # a raw length no zstd frame of this size can hold would have the
+    # decompressor allocate it before failing
+    if len(blob) < n + 10 or size > len(body) * _ZSTD_MAX_RATIO:
+        raise ValueError(
+            f"profile state blob is truncated or corrupt: {len(blob)} bytes "
+            f"claiming a {size}-byte state. Recompute the partition "
+            "(delete its checkpoint directory).")
+    try:
+        raw = _CODEC.decompress(body, decompressed_size=size, asbytes=True)
+    except OSError as e:
+        raise ValueError(f"profile state blob is corrupt: {e}. Recompute "
+                         "the partition (delete its checkpoint "
+                         "directory).") from e
+    return pickle.loads(raw)
 
 
 class _PartialProfiler:
     """map_batches callable: fold one Arrow batch into fresh accumulators and
     emit a single serialized-state row (one row per partition value when a
-    ``part_column`` is set — blocks come from single files, so a batch almost
-    always holds exactly one partition)."""
+    ``part_column`` is set — ``run_validation`` folds one block of one file
+    per batch, so its batches almost always hold exactly one partition)."""
 
     _PROBE_FLAGS = ("all_datetime", "all_boolean", "all_numeric",
                     "all_geometry")
@@ -81,9 +115,12 @@ class _PartialProfiler:
         self.config = config
         self.part_column = part_column
         # per-(part, column) probe verdicts already known False in THIS
-        # worker: a later batch pre-sets them so the head-sample parses
-        # (dateutil/to_numeric — measured ~10% of the fold) run only until
-        # the first failing value. Sound because the flags are AND-merged:
+        # instance: a later batch pre-sets them so the head-sample parses
+        # (dateutil/to_numeric) run only until the first failing value.
+        # Ray deserializes the callable afresh for every task, so this
+        # carries only across the batches of one task: the fold batches of
+        # one bundle in ``profile_dataset``, and ``_refold_shard``'s
+        # batches. Sound because the flags are AND-merged:
         # forcing False on a batch whose own values would have passed gives
         # the same merged result the failing batch already forces. Keyed by
         # part so one partition's verdict never leaks into another's
@@ -130,12 +167,52 @@ class _PartialProfiler:
         })
 
 
+def _fold_batch_rows(ds: "ray.data.Dataset") -> int | None:
+    """The partial stage's ``batch_size`` for ``ds``: the rows one partial
+    folds, or None for one partial per Ray block.
+
+    A batch holds at most ``FOLD_ROWS`` rows, at most
+    ``target_max_block_size`` bytes at the source's mean row width, and at
+    most its share of the rows spread over the cluster's CPUs. Ray packs
+    blocks into one task until it holds a batch, then cuts that into a
+    batch and the rest: at most two partials per task, each paying its
+    fixed cost once. That folds fewer partials than blocks only when three
+    or more blocks fit in a batch, so larger blocks (and a ``ds`` that is
+    not a read or blocks already made, whose blocks are unknown) keep one
+    partial per block. An unsplit read then keeps folding each block in
+    its read task: Ray fuses no map that sets a ``batch_size`` with a
+    read."""
+    op = ds._logical_plan.dag
+    target = DataContext.get_current().target_max_block_size
+    if isinstance(op, Read):
+        # the blocks the read's planning will make (Ray's own rule)
+        blocks = compute_additional_split_factor(
+            op._datasource_or_legacy_reader, op._parallelism, op._mem_size,
+            target)[2]
+    elif isinstance(op, SourceOperator) and op.output_data() is not None:
+        blocks = sum(len(b.block_refs) for b in op.output_data())
+    else:
+        return None
+    meta = op.infer_metadata()
+    if not blocks or not meta.num_rows or not meta.size_bytes:
+        return None
+    cpus = max(1, int(ray.cluster_resources().get("CPU", 1)))
+    rows = min(FOLD_ROWS, -(-meta.num_rows // cpus))
+    if target:
+        rows = max(1, min(rows, target * meta.num_rows // meta.size_bytes))
+    return rows if 2 * meta.num_rows < blocks * rows else None
+
+
 def _partials(ds: "ray.data.Dataset", schema: pa.Schema,
-              config: ProfileConfig, part_column: str | None = None):
+              config: ProfileConfig, part_column: str | None = None,
+              batch_rows: int | None = None):
     """Yield ``(part, rows, blob)`` for every partial-state row of ``ds``,
-    one block at a time (``part`` is None without a ``part_column``)."""
+    one partial per batch of ``batch_rows`` rows, or per Ray block when
+    None (``part`` is None without a ``part_column``). The states merge
+    under any grouping of the rows, so regrouping blocks into batches
+    changes no guarantee."""
     stream = ds.map_batches(_PartialProfiler(schema, config, part_column),
-                            batch_format="pyarrow", batch_size=None)
+                            batch_format="pyarrow", batch_size=batch_rows)
     for b in stream.iter_batches(batch_format="pyarrow", batch_size=None):
         yield from zip(b.column("part").to_pylist(),
                        b.column("rows").to_pylist(),
@@ -192,7 +269,8 @@ def profile_partials_by_part(ds: "ray.data.Dataset", config: ProfileConfig,
         s = ds.schema()
         schema = pa.schema([pa.field(n, t) for n, t in zip(s.names, s.types)])
     by_part: dict[str, list[tuple[int, bytes]]] = {}
-    for part, rows, blob in _partials(ds, schema, config, part_column):
+    for part, rows, blob in _partials(ds, schema, config, part_column,
+                                      _fold_batch_rows(ds)):
         by_part.setdefault(part, []).append((rows, blob))
     parts = sorted(by_part)
     folded = [fold_partials(by_part[p]) for p in parts]
@@ -205,17 +283,21 @@ def profile_partials_by_part(ds: "ray.data.Dataset", config: ProfileConfig,
 
 def profile_dataset(ds: "ray.data.Dataset", config: ProfileConfig | None = None,
                     filenames: list[str] | None = None) -> dict:
-    """Profile a Dataset into the reference-shaped dict: the block partials
-    fold on the driver as they stream in."""
+    """Profile a Dataset into the reference-shaped dict: the partials of
+    its fold batches (``_fold_batch_rows``) fold on the driver as they
+    stream in."""
     config = config or ProfileConfig()
     t0 = datetime.datetime.now()
     schema = ds.schema()
     arrow_schema = pa.schema([pa.field(n, t) for n, t in
                               zip(schema.names, schema.types)])
+    # read off the source, before a column selection hides it
+    batch_rows = _fold_batch_rows(ds)
     if config.columns:
         ds = ds.select_columns([c for c in config.columns])
     total_rows, merged = merge_states(
-        blob for _, _, blob in _partials(ds, arrow_schema, config))
+        blob for _, _, blob in _partials(ds, arrow_schema, config,
+                                         batch_rows=batch_rows))
     if not merged:  # empty input: still emit one typed variable per column
         cols = config.columns or arrow_schema.names
         merged = {n: make_accumulator(arrow_schema.field(n),

@@ -562,8 +562,15 @@ class StringAccumulator(ColumnAccumulator, _DistinctMixin):
             if self.all_numeric:
                 self.all_datetime = False
             else:
+                # format="mixed" parses each value on its own, so a text
+                # column is rejected on its first value without parsing
+                # the other fifteen
                 with np.errstate(all="ignore"):
-                    head_parsed = pd.to_datetime(head, errors="coerce", format="mixed")
+                    head_parsed = pd.to_datetime(head[:1], errors="coerce",
+                                                 format="mixed")
+                    if not head_parsed.isna().any():
+                        head_parsed = pd.to_datetime(head, errors="coerce",
+                                                     format="mixed")
                 if head_parsed.isna().any():
                     self.all_datetime = False
                 else:

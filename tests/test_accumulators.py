@@ -354,6 +354,31 @@ def test_string_accumulator_type_probes():
     assert a.result()["type"] == "Textual"
 
 
+@pytest.mark.parametrize("vals, parses", [
+    (["2024-01-01", "2024-05-06 10:00:00", "03/07/2021"] * 6, [1, 16, 18]),
+    (["2024-01-01"] + ["plain words"] * 17, [1, 16]),
+    (["plain words"] + ["2024-01-01"] * 17, [1]),
+])
+def test_datetime_probe_checks_first_value_first(monkeypatch, vals, parses):
+    """The datetime probe parses the first value alone, then the 16-value
+    head, then the batch, stopping at the first stage with an unparsable
+    value; its flag equals pandas' verdict over the whole batch."""
+    import pandas as pd
+    sizes, to_datetime = [], pd.to_datetime
+
+    def counted(s, *a, **k):
+        sizes.append(len(s))
+        return to_datetime(s, *a, **k)
+
+    monkeypatch.setattr(pd, "to_datetime", counted)
+    a = StringAccumulator("c")
+    a.update(pa.array(vals))
+    assert sizes == parses
+    want = not to_datetime(pd.Series(vals), errors="coerce",
+                           format="mixed").isna().any()
+    assert a.all_datetime is want
+
+
 def test_string_text_stats_ratios():
     a = StringAccumulator("t")
     a.update(pa.array(["AB 12!", "cd"]))

@@ -1,6 +1,8 @@
 """Golden-profile e2e: distributed profile of parquet tables vs a pandas
 oracle computed on the same data (SURVEY.md §5.2 item 2)."""
 
+import os
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -164,6 +166,163 @@ def _state_blobs(n_blobs: int, rows: int) -> tuple[list[bytes], dict]:
     return blobs, {k: np.concatenate(v) for k, v in raw.items()}
 
 
+def test_state_blob_header_and_round_trip():
+    """A state blob is the magic, the 2-byte state format, the 8-byte length
+    of the raw pickle, then that pickle compressed with zstd; it loads back
+    to the same state."""
+    import pickle
+
+    from data_profiler_ray.stages.profile import (STATE_FORMAT, dumps_state,
+                                                  loads_state)
+    blob = _state_blobs(1, 2000)[0][0]
+    assert blob[:4] == b"DPRS"
+    assert int.from_bytes(blob[4:6], "little") == STATE_FORMAT == 3
+    size = int.from_bytes(blob[6:14], "little")
+    raw = pa.Codec("zstd").decompress(blob[14:], decompressed_size=size,
+                                      asbytes=True)
+    assert len(raw) == size
+    rows, accs = loads_state(blob)
+    assert rows == pickle.loads(raw)[0] == 2000
+    assert dumps_state((rows, accs)) == blob
+
+
+def test_loads_state_rejects_truncated_or_corrupt_blob():
+    """A cut or damaged state blob raises ValueError before any merge; a raw
+    length no zstd frame of the blob's size can hold is rejected before the
+    decompressor allocates it."""
+    from data_profiler_ray.stages.profile import loads_state
+    blob = _state_blobs(1, 2000)[0][0]
+    flipped = blob[:20] + bytes(b ^ 0xFF for b in blob[20:40]) + blob[40:]
+    for bad in (blob[:10], blob[:14], blob[:len(blob) // 2], flipped):
+        with pytest.raises(ValueError, match="corrupt"):
+            loads_state(bad)
+    huge = blob[:6] + (1 << 40).to_bytes(8, "little") + blob[14:]
+    with pytest.raises(ValueError, match=f"claiming a {1 << 40}-byte state"):
+        loads_state(huge)
+
+
+def _counting_merges(monkeypatch):
+    """Wrap ``stages.profile.merge_states``; returns the list that gets the
+    row count of every blob the driver folds."""
+    from data_profiler_ray.stages import profile as prof_mod
+    folded, merge_states = [], prof_mod.merge_states
+
+    def counting(stream):
+        def each():
+            for blob in stream:
+                folded.append(prof_mod.loads_state(blob)[0])
+                yield blob
+        return merge_states(each())
+
+    monkeypatch.setattr(prof_mod, "merge_states", counting)
+    return folded
+
+
+def _assert_profile_of(prof, whole):
+    """``prof`` agrees with ``whole`` folded as a single partial."""
+    from data_profiler_ray.stages.profile import _PartialProfiler, loads_state
+    _, accs = loads_state(
+        _PartialProfiler(whole.schema, ProfileConfig()).fold(whole))
+    assert prof["table"]["num_rows"] == len(whole)
+    for v in prof["variables"]:
+        w = accs[v["name"]].result()
+        for key in ("count", "n_distinct", "min", "max", "median"):
+            assert v.get(key) == w.get(key), (v["name"], key)
+        assert v.get("mean") == pytest.approx(w.get("mean"), rel=1e-12)
+
+
+@pytest.mark.parametrize("tables", [
+    [1_000] * 16,    # 16 small blocks packed into fewer batches
+    [70_000],        # a block larger than a batch is folded whole
+])
+def test_profile_dataset_folds_one_blob_per_fold_batch(monkeypatch, tables):
+    """Over blocks already made, ``profile_dataset`` packs blocks that are
+    small against a batch of ``min(FOLD_ROWS, rows / CPUs)`` rows into one
+    partial per batch, and folds a larger block whole. Either way the
+    profile equals the one folded from all rows as a single partial."""
+    from data_profiler_ray.stages import profile as prof_mod
+    assert prof_mod.FOLD_ROWS == 32_768
+    rng = np.random.default_rng(5)
+    n = sum(tables)
+    whole = pa.table({
+        "i": pa.array(rng.integers(0, 5_000, n)),
+        "f": pa.array(rng.normal(0, 1, n)),
+        "s": pa.array([f"s{v}" for v in rng.integers(0, 20_000, n)]),
+    })
+    starts = np.cumsum([0] + tables[:-1])
+    ds = ray.data.from_arrow([whole.slice(int(o), k)
+                              for o, k in zip(starts, tables)])
+    batch = prof_mod._fold_batch_rows(ds)
+    cpus = int(ray.cluster_resources()["CPU"])
+    folded = _counting_merges(monkeypatch)
+    prof = profile_dataset(ds, ProfileConfig())
+    if len(tables) > 1:
+        assert batch == min(prof_mod.FOLD_ROWS, -(-n // cpus))
+        # the blocks fill the batches exactly
+        assert len(folded) == -(-n // batch) < len(tables)
+    else:
+        assert batch is None
+        assert folded == tables
+    _assert_profile_of(prof, whole)
+
+
+def test_fold_batches_bounded_by_block_bytes(monkeypatch):
+    """Wide rows make fewer rows per fold batch: no batch holds more bytes
+    than ``DataContext.target_max_block_size``."""
+    from ray.data import DataContext
+
+    from data_profiler_ray.stages import profile as prof_mod
+    target = 256 * 1024
+    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size",
+                        target)
+    rng = np.random.default_rng(9)
+    n = 2_000
+    whole = pa.table({
+        "i": pa.array(rng.integers(0, 50, n)),
+        "doc": pa.array([f"{v:06d}" * 300 for v in rng.integers(0, 999, n)]),
+    })
+    row_bytes = whole.nbytes / n
+    ds = ray.data.from_arrow([whole.slice(o, 50) for o in range(0, n, 50)])
+    batch = prof_mod._fold_batch_rows(ds)
+    assert batch * row_bytes <= target < (batch + 1) * row_bytes
+    folded = _counting_merges(monkeypatch)
+    prof = profile_dataset(ds, ProfileConfig())
+    assert sum(folded) == n
+    assert len(folded) < n // 50
+    assert max(folded) * row_bytes <= target
+    _assert_profile_of(prof, whole)
+
+
+def test_fold_batches_keep_read_fusion(tmp_path):
+    """A read whose blocks are small against a fold batch is regrouped (here
+    a read Ray splits into many blocks, which it never fuses with a map);
+    a read with larger blocks keeps one partial per block, so its partial
+    stage stays fused into the read tasks."""
+    from data_profiler_ray.stages import profile as prof_mod
+    rng = np.random.default_rng(3)
+    tbl = pa.table({"x": pa.array(rng.normal(0, 1, 16_000))})
+    cpus = int(ray.cluster_resources()["CPU"])
+    for d, shards in (("one", 1), ("per_cpu", 2 * cpus)):
+        os.makedirs(tmp_path / d)
+        k = -(-len(tbl) // shards)
+        for i in range(shards):
+            pq.write_table(tbl.slice(i * k, k), tmp_path / d / f"{i}.parquet")
+    split = ray.data.read_parquet(str(tmp_path / "one"),
+                                  override_num_blocks=8 * cpus)
+    unsplit = ray.data.read_parquet(str(tmp_path / "per_cpu"))
+    assert prof_mod._fold_batch_rows(split) == min(
+        prof_mod.FOLD_ROWS, -(-len(tbl) // cpus))
+    assert prof_mod._fold_batch_rows(unsplit) is None
+
+    def stats(ds):
+        return ds.map_batches(lambda b: b.slice(0, 1), batch_format="pyarrow",
+                              batch_size=prof_mod._fold_batch_rows(ds)
+                              ).materialize().stats()
+
+    assert "ReadParquet->SplitBlocks" in stats(split)
+    assert "ReadParquet->MapBatches" in stats(unsplit)
+
+
 def test_merge_states_fold_matches_raw_columns(monkeypatch):
     """merge_states folds per-part blobs from an iterator on the driver and
     starts no Ray Data job. Against the raw columns: exact rows, counts,
@@ -225,14 +384,16 @@ def test_partials_by_part_folds_split_parts(sf_dir):
                                                   profile_partials_by_part)
     tbl = pq.read_table(f"{sf_dir}/lineitem.parquet",
                         columns=["l_quantity", "l_returnflag", "l_shipdate"])
-    a, b = tbl.slice(0, 3000), tbl.slice(3000, 1000)
+    # part "a" has more rows than one fold batch (FOLD_ROWS), so it folds
+    # from several partials
+    a, b = pa.concat_tables([tbl] * 6), tbl.slice(3000, 1000)
 
     def tag(t, part):
         return t.append_column("part", pa.array([part] * len(t)))
 
     # part "a" spans three blocks, part "b" is one block
-    blocks = [tag(a.slice(0, 1000), "a"), tag(a.slice(1000, 1200), "a"),
-              tag(a.slice(2200), "a"), tag(b, "b")]
+    blocks = [tag(a.slice(0, 10_000), "a"), tag(a.slice(10_000, 12_000), "a"),
+              tag(a.slice(22_000), "a"), tag(b, "b")]
     schema = blocks[0].schema
     cfg = ProfileConfig()
     out = profile_partials_by_part(ray.data.from_arrow(blocks), cfg)
