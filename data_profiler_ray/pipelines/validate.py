@@ -4,8 +4,12 @@ The north-rule lifecycle (SURVEY.md §3.4). One call over the pending
 partitions runs, one after the other:
 
 1. one stream, one Ray Data execution: ``read_parquet(pending shards)``,
-   each shard read in the same blocks in every run (``_split_factor``) →
-   one ``map_batches`` callable per block (``_FoldAndProject``) that adds
+   each shard read in the same batches in every run: small shards whole
+   (``_read_batch_rows``), packed in contiguous runs into as many read
+   tasks as the cluster needs (``_read_tasks``), and shards of more than
+   ``FOLD_ROWS`` rows in one task each, cut into ``_split_factor`` blocks
+   → one ``map_batches`` callable per read batch or block
+   (``_FoldAndProject``) that adds
    the part column, folds each part's rows into a profile partial, writes
    it from the worker to ``parts/<part>/partials/`` and returns only the
    narrow key columns → range-partition sort on (conv_id, turn_idx) → one
@@ -34,8 +38,9 @@ so no Ray Data execution runs only to learn a schema or a size.
 ``summary["timings"]``: ``constraints`` is the one stream of step 1,
 ``profile`` the per-part fold of step 2, ``checkpoint_write`` step 3,
 ``final_merge`` and ``rollup`` step 4. ``summary["counters"]`` holds the
-call's sort width, sorted block count, cut-piece carry, the number of
-profile partials folded and the number of parts refolded from their shard.
+call's read tasks, sort width, sorted block count, cut-piece carry, the
+number of profile partials folded and the number of parts refolded from
+their shard.
 
 Resume semantics: a partition with a ``_DONE`` marker is SKIPPED entirely —
 its saved profile state, verdicts and lineage are reloaded and merged with
@@ -76,19 +81,19 @@ import ray.data
 from ..config import ValidationConfig
 from ..stages.constraints import VIOLATION_SCHEMA, check_and_write
 from ..stages.drift import bin_accumulators, drift_from_counts, spec_from_profile
-from ..stages.profile import (_PartialProfiler, finalize_profile,
+from ..stages.profile import (FOLD_ROWS, _PartialProfiler, finalize_profile,
                               fold_partials, merge_states)
 
 # stage timings in summary["timings"]; a stage that did not run reports 0
 _TIMING_KEYS = ("profile", "constraints", "checkpoint_write", "final_merge",
                 "rollup")
-# summary["counters"]: the constraint sort's ``stats``, the number of
+# summary["counters"]: the read tasks the stream asked for
+# (``_read_tasks``), the constraint sort's ``stats``, the number of
 # profile partial files folded and of parts refolded from their shard
 # (``_refold_shard``); 0 when nothing was recomputed
-_COUNTER_KEYS = ("sort_width", "n_sort_blocks", "carry_rows", "carry_bytes",
-                 "partials_folded", "parts_refolded")
+_COUNTER_KEYS = ("read_tasks", "sort_width", "n_sort_blocks", "carry_rows",
+                 "carry_bytes", "partials_folded", "parts_refolded")
 _PARTIALS = "partials"
-_FOLD_BLOCK_ROWS = 16_384  # most rows per read block (``_split_factor``)
 _TMP_MARK = ".tmp-"  # in the name of a partial file not yet complete
 
 
@@ -97,27 +102,90 @@ def _part_of(path: str) -> str:
 
 
 def _add_part_column(batch: pa.Table) -> pa.Table:
-    parts = pc.replace_substring_regex(
-        pc.replace_substring_regex(batch.column("path"), r"^.*/", ""),
-        r"\.parquet$", "")
-    batch = batch.drop_columns(["path"])
-    return batch.append_column("part", parts)
+    """Replace the ``path`` column with the shard's ``part`` name. The
+    regexes run once per distinct path of a chunk, not once per row."""
+    parts = []
+    for chunk in batch.column("path").chunks:
+        enc = chunk.dictionary_encode()
+        names = pc.replace_substring_regex(
+            pc.replace_substring_regex(enc.dictionary, r"^.*/", ""),
+            r"\.parquet$", "")
+        parts.append(names.take(enc.indices))
+    col = pa.chunked_array(parts, type=batch.schema.field("path").type)
+    return batch.drop_columns(["path"]).append_column("part", col)
 
 
-def _split_factor(shards: list[str]) -> int:
+def _part_slices(batch: pa.Table) -> dict[str, pa.Table]:
+    """Each ``part``'s rows of ``batch``, in order of first appearance:
+    zero-copy slices of the runs between the column's change points, a
+    part's runs concatenated if it has more than one."""
+    col = batch.column("part")
+    if not len(col):
+        return {}
+    change = pc.not_equal(col.slice(1), col.slice(0, len(col) - 1))
+    starts = np.flatnonzero(
+        np.r_[True, change.to_numpy(zero_copy_only=False)])
+    ends = np.r_[starts[1:], len(col)]
+    runs: dict[str, list[pa.Table]] = {}
+    for part, s, e in zip(col.take(pa.array(starts)).to_pylist(),
+                          starts, ends):
+        runs.setdefault(part, []).append(batch.slice(s, e - s))
+    return {p: r[0] if len(r) == 1 else pa.concat_tables(r)
+            for p, r in runs.items()}
+
+
+def _split_factor(metas: dict[str, pq.FileMetaData]) -> int:
     """Read blocks per shard: as many as the largest of all the input's
-    shards (pending or not) needs for blocks of at most
-    ``_FOLD_BLOCK_ROWS`` rows. It depends on the input alone, not on the
-    pending set or the cluster's CPU count."""
-    most = max(pq.read_metadata(p).num_rows for p in shards)
-    return max(1, -(-most // _FOLD_BLOCK_ROWS))
+    shards (pending or not) needs for blocks of at most ``FOLD_ROWS``
+    rows. It depends on the input alone, not on the pending set or the
+    cluster's CPU count."""
+    most = max(md.num_rows for md in metas.values())
+    return max(1, -(-most // FOLD_ROWS))
 
 
-def _column_bytes(paths: list[str], columns: list[str]) -> int:
-    """Uncompressed bytes of ``columns`` over ``paths``, from the footers."""
+def _footer_bytes(md: pq.FileMetaData) -> int:
+    """Uncompressed bytes of a shard, from its footer."""
+    return sum(md.row_group(rg).total_byte_size
+               for rg in range(md.num_row_groups))
+
+
+def _read_batch_rows(metas: dict[str, pq.FileMetaData]) -> int:
+    """Rows per Parquet read batch: ``FOLD_ROWS``, or fewer where a batch
+    of the input's widest rows would exceed one Ray block. Ray fuses
+    ``_FoldAndProject`` with an unsplit read and calls it once per read
+    batch, so a shard of at most ``FOLD_ROWS`` rows folds one partial per
+    row group. Like ``_split_factor`` this depends on the input alone:
+    Ray's own batch size comes from the row widths of the files it samples
+    among the pending ones, and from the block target."""
+    target = ray.data.DataContext.get_current().target_max_block_size
+    widest = max(-(-_footer_bytes(md) // max(1, md.num_rows))
+                 for md in metas.values())
+    return max(1, min(FOLD_ROWS, target // max(1, widest))) if target \
+        else FOLD_ROWS
+
+
+def _read_tasks(pending: list[str], metas: dict[str, pq.FileMetaData],
+                split: int) -> int:
+    """Read tasks for ``pending``. Shards split into several blocks
+    (``split`` > 1) keep one task each. Otherwise each task reads a
+    contiguous run of whole shards (Ray's Parquet datasource
+    ``array_split``s the files): as many tasks as CPUs, and more when
+    needed to keep each task's footer bytes under half a Ray block, so
+    Ray adds no split of its own, which would cut shards at any row."""
+    if split > 1:
+        return len(pending)
+    cpus = max(1, int(ray.cluster_resources().get("CPU", 1)))
+    target = ray.data.DataContext.get_current().target_max_block_size
+    footer = sum(_footer_bytes(metas[p]) for p in pending)
+    by_size = -(-2 * footer // target) if target else 0
+    return min(len(pending), max(cpus, by_size))
+
+
+def _column_bytes(metas: list[pq.FileMetaData], columns: list[str]) -> int:
+    """Uncompressed bytes of ``columns`` over the files of ``metas``, from
+    their footers."""
     total = 0
-    for path in paths:
-        md = pq.ParquetFile(path).metadata
+    for md in metas:
         for rg in range(md.num_row_groups):
             group = md.row_group(rg)
             total += sum(group.column(i).total_uncompressed_size
@@ -136,13 +204,14 @@ def _write_atomic(path: str, data: bytes) -> None:
 
 
 class _FoldAndProject:
-    """The stream's ``map_batches`` callable, one call per read block: add
-    the ``part`` column, fold each part's rows into a profile partial
-    (``_PartialProfiler``), write it from the worker to
+    """The stream's ``map_batches`` callable, one call per read batch (Ray
+    fuses it with an unsplit read) or per split read block: add
+    the ``part`` column, fold each part's rows (``_part_slices``) into a
+    profile partial (``_PartialProfiler``), write it from the worker to
     ``<parts_root>/<part>/partials/<digest>-<rows>``, and return only the
     ``narrow_columns`` the constraint sort needs.
 
-    The digest covers the part and the block's ``key_columns`` (conv_id,
+    The digest covers the part and its rows' ``key_columns`` (conv_id,
     turn_idx) as Arrow IPC bytes, not the state bytes. So a retried task
     writes the same name and replaces its own file, even where the
     profiler's probe memory (``_dead_probes``) made the bytes differ. Two
@@ -162,9 +231,7 @@ class _FoldAndProject:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         batch = _add_part_column(batch)
-        col = batch.column("part")
-        for part in pc.unique(col).to_pylist():
-            sub = batch.filter(pc.equal(col, part))
+        for part, sub in _part_slices(batch).items():
             digest = _key_digest(part, sub.select(self.key_columns))
             pdir = os.path.join(self.parts_root, part, _PARTIALS)
             os.makedirs(pdir, exist_ok=True)
@@ -235,19 +302,28 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
 
     counters = dict.fromkeys(_COUNTER_KEYS, 0)
     if pending:
-        # One read task per shard, its output split into ``_split_factor``
-        # equal row ranges, a number taken from the whole input: a shard
-        # then folds from the same partials whether it is pending alone or
-        # with all the others (Ray's own split factor grows as fewer shards
-        # are pending). This holds while a shard's in-memory size stays
-        # under Ray's ``target_max_block_size`` (128 MB); larger read
-        # outputs are cut by size first. The factor keeps fold batches near
-        # ``_FOLD_BLOCK_ROWS``: whole 60k-row shards as single fold batches
-        # overran the capped TopK counters and churned (measured profile
-        # stage 110 s vs 24 s at 4M turns / 8 CPUs).
+        # Each shard is read in the same batches in every run, so it folds
+        # from the same partials whether it is pending alone or with all
+        # the others. A shard of at most ``FOLD_ROWS`` rows is read in one
+        # batch per row group (``_read_batch_rows``), which the fused
+        # ``_FoldAndProject`` folds as one partial; the read packs
+        # contiguous runs of whole shards into as few tasks as the cluster
+        # needs (``_read_tasks``). Larger shards get one task each, its
+        # output split into ``_split_factor`` equal row ranges, a number
+        # taken from the whole input (Ray's own split factor grows as
+        # fewer shards are pending). Whole 60k-row shards
+        # as single fold batches overran the capped TopK counters and
+        # churned (measured profile stage 110 s vs 24 s at 4M turns / 8
+        # CPUs). On one vCPU a Ray Data task costs about 21 ms of wall
+        # time whatever it does, so one read task per small shard was
+        # mostly overhead.
+        metas = {p: pq.read_metadata(p) for p in shards}
+        split = _split_factor(metas)
+        counters["read_tasks"] = _read_tasks(pending, metas, split)
         ds = ray.data.read_parquet(
             pending, include_paths=True,
-            override_num_blocks=len(pending) * _split_factor(shards))
+            override_num_blocks=counters["read_tasks"] * split,
+            batch_size=_read_batch_rows(metas))
         # the unmapped read's schema comes from the Parquet footers; the
         # mapped dataset's schema() would execute the read
         read_schema = ds.schema()
@@ -281,7 +357,8 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
             projected, ccfg,
             _PartOutputWriter(parts_root, ccfg.max_violations_per_kind),
             columns=narrow_cols + ["part"],
-            nbytes=_column_bytes(pending, narrow_cols), stats=stats)
+            nbytes=_column_bytes([metas[p] for p in pending], narrow_cols),
+            stats=stats)
         timings["constraints"] = time.time() - t
         counters.update(sort_width=stats["width"],
                         n_sort_blocks=stats["n_blocks"],
@@ -301,7 +378,7 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
             pdir = os.path.join(parts_root, part)
             rows, blob, n_partials = _fold_part(pdir)
             counters["partials_folded"] += n_partials
-            if rows != pq.read_metadata(path).num_rows:
+            if rows != metas[path].num_rows:
                 # two blocks with one key sequence shared a partial name
                 rows, blob = _refold_shard(path, schema, cfg.profile)
                 counters["parts_refolded"] += 1

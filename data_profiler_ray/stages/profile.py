@@ -50,10 +50,12 @@ _CODEC = pa.Codec("zstd", 3)
 _ZSTD_MAX_RATIO = 1 << 15
 
 # Most rows one partial folds when ``profile_dataset`` regroups blocks
-# (``_fold_batch_rows``). At 16,384 a high-cardinality string column's
-# partial sits just under its counter cap (16,384 keys), so every driver
-# merge overflows and re-hashes it; at 32,768 the counter overflows in the
-# worker and the driver merges only HLL registers.
+# (``_fold_batch_rows``) and when ``run_validation`` reads a shard
+# (``validate._read_batch_rows``, ``_split_factor``). At 16,384 a
+# high-cardinality string column's partial sits just under its counter cap
+# (16,384 keys), so every driver merge overflows and re-hashes it; at
+# 32,768 the counter overflows in the worker and the driver merges only
+# HLL registers.
 FOLD_ROWS = 32_768
 
 
@@ -119,7 +121,8 @@ class _PartialProfiler:
         # (dateutil/to_numeric) run only until the first failing value.
         # Ray deserializes the callable afresh for every task, so this
         # carries only across the batches of one task: the fold batches of
-        # one bundle in ``profile_dataset``, and ``_refold_shard``'s
+        # one bundle in ``profile_dataset``, the read batches of one
+        # ``run_validation`` read task, and ``_refold_shard``'s
         # batches. Sound because the flags are AND-merged:
         # forcing False on a batch whose own values would have passed gives
         # the same merged result the failing batch already forces. Keyed by

@@ -277,6 +277,44 @@ def test_fold_and_project_retry_overwrites_its_partial(tmp_path):
     assert not os.path.exists(f"{root}/p0/partials")
 
 
+def test_fold_and_project_folds_interleaved_parts_once(tmp_path):
+    """A block whose parts are interleaved (a, b, a) folds each part's rows
+    exactly once: a's two runs make one partial, equal to a fold of all of
+    a's rows, and the returned rows keep the block's order."""
+    import glob
+
+    import pyarrow as pa
+
+    from data_profiler_ray.pipelines.validate import (_FoldAndProject,
+                                                      _key_digest)
+    from data_profiler_ray.stages.profile import _PartialProfiler
+    schema = pa.schema([("conv_id", pa.string()), ("turn_idx", pa.int32()),
+                        ("code", pa.string()), ("part", pa.string())])
+    root = str(tmp_path / "parts")
+    runs = [_partial_block("c1", [0, 1, 2], ["1", "2", "3"]),
+            _partial_block("c2", [0, 1], ["x", "y"]),
+            _partial_block("c3", [0, 1, 2, 3], ["4", "5", "6", "7"])]
+    runs[1] = runs[1].set_column(3, "path", pa.array(["/in/p1.parquet"] * 2))
+    out = _FoldAndProject(schema, ProfileConfig(), root,
+                          ["conv_id", "turn_idx"],
+                          ["conv_id", "part"])(pa.concat_tables(runs))
+    assert out.column("conv_id").to_pylist() == ["c1"] * 3 + ["c2"] * 2 \
+        + ["c3"] * 4
+    assert out.column("part").to_pylist() == ["p0"] * 3 + ["p1"] * 2 \
+        + ["p0"] * 4
+
+    rows_a = pa.concat_tables([runs[0], runs[2]]).drop_columns(["path"])
+    rows_a = rows_a.append_column("part", pa.array(["p0"] * 7))
+    [a] = glob.glob(f"{root}/p0/partials/*")
+    [b] = glob.glob(f"{root}/p1/partials/*")
+    digest = _key_digest("p0", rows_a.select(["conv_id", "turn_idx"]))
+    assert os.path.basename(a) == f"{digest}-7"
+    assert b.endswith("-2")
+    want = _PartialProfiler(schema, ProfileConfig(),
+                            part_column="part").fold(rows_a, part="p0")
+    assert open(a, "rb").read() == want
+
+
 def test_shard_of_one_table_twice_is_profiled_whole(tmp_path, monkeypatch):
     """A shard holding one table twice, read as 8 equal blocks: blocks i
     and i + 4 share a key sequence and a partial name, and the part is
@@ -286,7 +324,7 @@ def test_shard_of_one_table_twice_is_profiled_whole(tmp_path, monkeypatch):
 
     from data_profiler_ray.pipelines import validate
     from data_profiler_ray.synthetic import generate_transcripts
-    monkeypatch.setattr(validate, "_FOLD_BLOCK_ROWS", 500)
+    monkeypatch.setattr(validate, "FOLD_ROWS", 500)
     tbl = generate_transcripts(2000, seed=3)
     src = tmp_path / "in"
     src.mkdir()
@@ -357,6 +395,8 @@ def test_one_read_and_one_execution_per_call(transcripts_dir, tmp_path,
     assert counters["n_sort_blocks"] >= 1
     assert counters["partials_folded"] >= s["parts_total"]
     assert counters["carry_rows"] >= 1 and counters["carry_bytes"] > 0
+    cpus = int(ray.cluster_resources()["CPU"])
+    assert counters["read_tasks"] == min(s["parts_total"], cpus)
 
 
 @pytest.mark.parametrize("fold_rows", [None, 300])
@@ -371,7 +411,7 @@ def test_profile_is_exact_across_fresh_and_resumed_runs(
     from data_profiler_ray.pipelines import validate
     from data_profiler_ray.synthetic import write_transcripts
     if fold_rows:
-        monkeypatch.setattr(validate, "_FOLD_BLOCK_ROWS", fold_rows)
+        monkeypatch.setattr(validate, "FOLD_ROWS", fold_rows)
     per_shard = 4 if fold_rows else 1
     src = str(tmp_path / "in")
     write_transcripts(src, 16_000, seed=7, num_shards=16, dup_frac=0.01,
@@ -391,3 +431,46 @@ def test_profile_is_exact_across_fresh_and_resumed_runs(
         for other in (again, resumed):
             assert json.dumps(other["profile"][key], sort_keys=True,
                               default=str) == want
+
+
+@pytest.fixture(scope="module")
+def small_shards_dir(tmp_path_factory):
+    from data_profiler_ray.synthetic import write_transcripts
+    src = str(tmp_path_factory.mktemp("small") / "in")
+    write_transcripts(src, 16_000, seed=11, num_shards=16, dup_frac=0.01,
+                      gap_frac=0.005, dangling_tool_frac=0.2)
+    return src
+
+
+def test_small_shards_read_in_one_task_per_cpu(small_shards_dir, tmp_path):
+    """16 small shards are read in one task per CPU, not one per shard,
+    and each still folds exactly one partial."""
+    s = run_validation(small_shards_dir, _cfg(str(tmp_path / "out")))
+    cpus = int(ray.cluster_resources()["CPU"])
+    assert s["counters"]["read_tasks"] == min(16, cpus)
+    assert s["counters"]["partials_folded"] == 16
+    assert s["counters"]["parts_refolded"] == 0
+
+
+def test_read_tasks_keep_blocks_under_target_size(small_shards_dir, tmp_path,
+                                                  monkeypatch):
+    """With Ray's block target lowered to twice the largest shard's footer
+    bytes the read asks for more tasks, every part still folds exactly one
+    partial, and the profile equals the one read at the default target."""
+    import glob
+
+    import pyarrow.parquet as pq
+    from ray.data import DataContext
+    shard_bytes = max(pq.read_metadata(p).row_group(0).total_byte_size
+                      for p in glob.glob(f"{small_shards_dir}/*.parquet"))
+    default = run_validation(small_shards_dir, _cfg(str(tmp_path / "a")))
+    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size",
+                        2 * shard_bytes)
+    s = run_validation(small_shards_dir, _cfg(str(tmp_path / "b")))
+    assert s["counters"]["read_tasks"] > default["counters"]["read_tasks"]
+    assert s["counters"]["partials_folded"] == 16
+    assert s["counters"]["parts_refolded"] == 0
+    for key in ("table", "variables"):
+        assert json.dumps(s["profile"][key], sort_keys=True, default=str) \
+            == json.dumps(default["profile"][key], sort_keys=True,
+                          default=str)
