@@ -34,7 +34,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..stages.segments import sorted_segment_map
+from ..stages.segments import CutKernel, _pa_schema, sorted_segment_map
 
 
 class _AsOfLookup:
@@ -97,16 +97,6 @@ def asof_join(left: "ray.data.Dataset", right: pa.Table, by: str, on: str,
     return left.map_batches(
         _AsOfLookup, fn_constructor_args=(right_ref, by, on, value_cols),
         batch_format="pyarrow", concurrency=concurrency or (1, 4))
-
-
-def _pa_schema(ds: "ray.data.Dataset") -> pa.Schema:
-    s = ds.schema()
-    base = getattr(s, "base_schema", None)
-    if isinstance(base, pa.Schema):
-        return base
-    # pandas-block datasets report object-dtype columns as Python `object`
-    return pa.schema([(n, t if isinstance(t, pa.DataType) else pa.string())
-                      for n, t in zip(s.names, s.types)])
 
 
 class _SideTagger:
@@ -193,38 +183,37 @@ def asof_join_partitioned(left: "ray.data.Dataset", right: "ray.data.Dataset",
                               width=width)
 
 
-class _RollingCut:
+class _RollingCut(CutKernel):
     """Mergeable partials for trailing-window aggregates (lookback = w−1):
     a cut piece emits its rows at positions ≥ w−1 (window entirely inside
     the piece, count = w either way) and carries its first ≤ w−1 rows
-    (full payload, IPC cell) + last ≤ w−1 values + row count; the driver
-    walks each run keeping a ≤(w−1)-value tail and finalizes the withheld
-    head rows — o(#blocks · w) driver state for any key size."""
+    (full payload, a ``list<struct<input schema>>`` cell) + last ≤ w−1
+    values + row count; the driver walks each run keeping a ≤(w−1)-value
+    tail and finalizes the withheld head rows — o(#blocks · w) driver state
+    for any key size."""
 
     def __init__(self, by: str, order_cols: list[str], value_col: str,
                  window: int, agg: str, in_schema: pa.Schema,
                  out_schema: pa.Schema, out_col: str):
         self.by, self.order_cols, self.value_col = by, order_cols, value_col
         self.window, self.agg = window, agg
-        self.in_schema, self.out_schema, self.out_col = (in_schema,
-                                                         out_schema, out_col)
+        self.out_schema, self.out_col = out_schema, out_col
         self.partial_schema = pa.schema(
             [in_schema.field(by)]
             + [pa.field(f"__o_{c}", in_schema.field(c).type)
                for c in order_cols]
             + [pa.field("n_rows", pa.int64()),
-               pa.field("head_ipc", pa.large_binary()),
+               pa.field("head", pa.list_(pa.struct(list(in_schema)))),
                pa.field("tail_vals", pa.list_(pa.float64()))])
         self.sort_cols = [by] + [f"__o_{c}" for c in order_cols]
-        self.emit_schema = None
 
     def partials(self, batch: pa.Table, starts: np.ndarray,
                  ends: np.ndarray):
-        from ..stages.segments import _ipc_bytes
         w = self.window
         x = batch.column(self.value_col).to_numpy(
             zero_copy_only=False).astype(np.float64)
         prows = {f.name: [] for f in self.partial_schema}
+        heads: list[pa.Table] = []
         emits: list[pa.Table] = []
         for s, e in zip(starts, ends):
             n = int(e - s)
@@ -233,7 +222,7 @@ class _RollingCut:
             for c in self.order_cols:
                 prows[f"__o_{c}"].append(batch.column(c)[int(s)].as_py())
             prows["n_rows"].append(n)
-            prows["head_ipc"].append(_ipc_bytes(batch.slice(int(s), h)))
+            heads.append(batch.slice(int(s), h))
             prows["tail_vals"].append([float(v) for v in x[e - h:e]])
             if n > w - 1:
                 seg = x[s:e]
@@ -242,44 +231,48 @@ class _RollingCut:
                 emits.append(batch.slice(int(s) + w - 1, n - (w - 1))
                              .append_column(self.out_col,
                                             pa.array(val, pa.float64())))
+        head = pa.concat_tables(heads)
+        prows["head"] = pa.ListArray.from_arrays(
+            pa.array(np.cumsum([0] + [t.num_rows for t in heads]), pa.int32()),
+            pa.StructArray.from_arrays(
+                [c.combine_chunks() for c in head.columns],
+                fields=list(head.schema))
+        ).cast(self.partial_schema.field("head").type)
         emit = pa.concat_tables(emits) if emits else None
         return emit, pa.table(prows, schema=self.partial_schema)
 
     def merge(self, p: pa.Table) -> pa.Table:
-        from ..stages.segments import _ipc_table
         w = self.window
         keys = p.column(self.by).to_numpy(zero_copy_only=False)
         n_rows = p.column("n_rows").to_numpy(zero_copy_only=False)
-        heads = p.column("head_ipc").to_pylist()
+        heads = p.column("head").combine_chunks()
+        offsets = np.append(0, np.cumsum(
+            pc.list_value_length(heads).to_numpy(zero_copy_only=False)))
+        flat = heads.flatten()
+        head = pa.Table.from_arrays(flat.flatten(),
+                                    schema=pa.schema(list(flat.type)))
+        hvals = head.column(self.value_col).to_numpy(
+            zero_copy_only=False).astype(np.float64)
         tails = p.column("tail_vals").to_pylist()
-        out_tbls: list[pa.Table] = []
+        vals = np.empty(head.num_rows, np.float64)
         carry: list[float] = []
         rows_before = 0
         prev_key = object()
         for i in range(len(keys)):
             if keys[i] != prev_key:
                 carry, rows_before, prev_key = [], 0, keys[i]
-            head = _ipc_table(heads[i])
-            hvals = head.column(self.value_col).to_numpy(
-                zero_copy_only=False).astype(np.float64)
-            vals = np.empty(head.num_rows, np.float64)
-            for pidx in range(head.num_rows):
+            for pidx in range(offsets[i + 1] - offsets[i]):
                 gpos = rows_before + pidx
                 count = min(w, gpos + 1)
-                avail = carry + [float(v) for v in hvals[:pidx + 1]]
+                avail = carry + [float(v) for v in
+                                 hvals[offsets[i]:offsets[i] + pidx + 1]]
                 ssum = float(np.sum(np.asarray(avail[-count:])))
-                vals[pidx] = ssum / count if self.agg == "mean" else ssum
-            if head.num_rows:
-                out_tbls.append(head.append_column(
-                    self.out_col, pa.array(vals, pa.float64())))
+                vals[offsets[i] + pidx] = (ssum / count if self.agg == "mean"
+                                           else ssum)
             carry = (carry + [float(v) for v in tails[i]])[-(w - 1):]
             rows_before += int(n_rows[i])
-        if not out_tbls:
-            return self.out_schema.empty_table()
-        return pa.concat_tables(out_tbls).cast(self.out_schema)
-
-    def adjust(self, batch, adjust_map):
-        return batch
+        return head.append_column(
+            self.out_col, pa.array(vals, pa.float64())).cast(self.out_schema)
 
 
 def rolling_window(ds: "ray.data.Dataset", by: str, order_cols: list[str],
@@ -395,7 +388,7 @@ def range_join_partitioned(left: "ray.data.Dataset",
     Partitioning assumption: interval lengths are bounded relative to the
     domain — an interval spanning b buckets replicates b times (a
     whole-domain interval replicates into every bucket). Skewed-hot
-    buckets degrade to the segment carry stitch, they don't break.
+    buckets degrade to the raw-piece stitch, they don't break.
     """
     from ray.data.aggregate import Max, Min
     from ..stages.segments import shuffle_width

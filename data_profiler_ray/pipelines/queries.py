@@ -27,6 +27,7 @@ from ..functions.similarity import knn_brute_force, knn_ivf
 from ..functions.text import (fingerprint_batch, language_id_batch,
                               quality_score_batch, token_count_batch)
 from ..stages.profile import profile_dataset
+from ..stages.segments import CutKernel, segment_reduce, sorted_segment_map
 
 _R = 6  # float rounding for hash-stable comparisons
 
@@ -314,7 +315,6 @@ def _mono_block(batch: pa.Table, starts: np.ndarray, ends: np.ndarray
                 ) -> pa.Table:
     """Vectorized per-segment ts-regression count (batch sorted by
     (user_id, event_id); segments contiguous — stages/segments contract)."""
-    from ..stages.segments import segment_reduce
     ts = batch.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
     flag = np.zeros(ts.size, dtype=np.int64)
     flag[1:] = ts[1:] < ts[:-1]
@@ -332,7 +332,7 @@ def _np_i64(batch: pa.Table, col: str) -> np.ndarray:
     return batch.column(col).cast(pa.int64()).to_numpy(zero_copy_only=False)
 
 
-class _MonoCut:
+class _MonoCut(CutKernel):
     """Mergeable partials for the per-key ts-regression count (VERDICT r3
     item 2): per cut piece carry (n_events, interior regressions, boundary
     timestamps) — counts merge by sum, junctions add first_ts[i] <
@@ -343,7 +343,6 @@ class _MonoCut:
         ("n_events", pa.int64()), ("n_reg", pa.int64()),
         ("first_ts", pa.int64()), ("last_ts", pa.int64())])
     sort_cols = ("user_id", "o_event")
-    emit_schema = None
 
     def partials(self, batch, starts, ends):
         ts = _np_i64(batch, "ts")
@@ -376,15 +375,11 @@ class _MonoCut:
                 np.add.reduceat(n_reg + junction, starts), pa.int64()),
         }, schema=_MONO_SCHEMA)
 
-    def adjust(self, batch, adjust_map):
-        return batch
-
 
 def ts_monotonicity_events(sf_dir: str) -> pa.Table:
     """Per-user ts-regression count along event_id order (the transcript
     monotone-ts check applied to the events table) — sorted-segment path
     (r2 item 1: was groupby(user).map_groups, one Python call per user)."""
-    from ..stages.segments import sorted_segment_map
     ds = _read(sf_dir, "events").select_columns(["user_id", "event_id", "ts"])
     return _tbl(sorted_segment_map(ds, "user_id", ["event_id"], _mono_block,
                                    _MONO_SCHEMA, cut_kernel=_MonoCut())
@@ -402,7 +397,6 @@ def _gaps_block(batch: pa.Table, starts: np.ndarray, ends: np.ndarray
     event_id)): sum telescopes to last-first (exact int µs), max via
     maximum.reduceat over per-row gap-to-previous (0 at segment starts,
     matching the 0 fallback for single-row users)."""
-    from ..stages.segments import segment_reduce
     ts = batch.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
     gap = np.zeros(ts.size, dtype=np.int64)
     gap[1:] = ts[1:] - ts[:-1]
@@ -418,7 +412,7 @@ def _gaps_block(batch: pa.Table, starts: np.ndarray, ends: np.ndarray
     }, schema=_GAPS_SCHEMA)
 
 
-class _GapsCut:
+class _GapsCut(CutKernel):
     """Mergeable partials for per-key gap stats: counts/sums telescope,
     max merges with the junction gaps (first_ts[i] − last_ts[i−1] ≥ 0
     because pieces are (ts, event_id)-sorted). Integer µs throughout."""
@@ -429,7 +423,6 @@ class _GapsCut:
         ("first_ts", pa.int64()), ("last_ts", pa.int64()),
         ("max_gap", pa.int64())])
     sort_cols = ("user_id", "o_ts", "o_event")
-    emit_schema = None
 
     def partials(self, batch, starts, ends):
         ts = _np_i64(batch, "ts")
@@ -467,15 +460,11 @@ class _GapsCut:
                 pa.int64()),
         }, schema=_GAPS_SCHEMA)
 
-    def adjust(self, batch, adjust_map):
-        return batch
-
 
 def user_event_gaps(sf_dir: str) -> pa.Table:
     """Per-user inter-arrival gap stats (the A14 gap-stat family applied to
     the events stream) — sorted-segment path, integer-µs arithmetic
     end-to-end so the oracle hash is exact."""
-    from ..stages.segments import sorted_segment_map
     ds = _read(sf_dir, "events").select_columns(["user_id", "event_id", "ts"])
     return _tbl(sorted_segment_map(ds, "user_id", ["ts", "event_id"],
                                    _gaps_block, _GAPS_SCHEMA,
@@ -557,7 +546,6 @@ def _session_block(batch: pa.Table, starts: np.ndarray, ends: np.ndarray
     merged on the driver — a different FP association than one whole-segment
     reduceat; the query-level ``_round`` guard absorbs the ULP-scale
     difference (and the oracle rounds identically)."""
-    from ..stages.segments import segment_reduce
     ts = batch.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
     val = batch.column("value").to_numpy(zero_copy_only=False).astype(
         np.float64)
@@ -587,7 +575,7 @@ def _session_block(batch: pa.Table, starts: np.ndarray, ends: np.ndarray
 _SESS_EMIT_SCHEMA = _SESS_SCHEMA.append(pa.field("__piece", pa.int64()))
 
 
-class _SessionCut:
+class _SessionCut(CutKernel):
     """Mergeable partials for sessionization (VERDICT r3 item 2: "session
     stitch needs only boundary timestamps"). Each cut piece emits its
     STRICTLY INTERIOR sessions distributed (local ordinals, fixed up by a
@@ -607,7 +595,6 @@ class _SessionCut:
     emit_schema = _SESS_EMIT_SCHEMA
 
     def partials(self, batch, starts, ends):
-        from ..stages.segments import segment_reduce
         ts = _np_i64(batch, "ts")
         ev = _np_i64(batch, "event_id")
         uid = _np_i64(batch, "user_id")
@@ -731,7 +718,6 @@ def sessionize_events(sf_dir: str) -> pa.Table:
     """Windowed/session aggregate: split each user's event stream into
     sessions at >30-min inactivity gaps; one row per session — sorted-
     segment path (r2 item 1), whale-key-safe via _SessionCut partials."""
-    from ..stages.segments import sorted_segment_map
     ds = _read(sf_dir, "events").select_columns(
         ["user_id", "event_id", "ts", "value"])
     out = _tbl(sorted_segment_map(ds, "user_id", ["ts", "event_id"],
@@ -966,7 +952,7 @@ def _lag_block(batch: pa.Table, starts: np.ndarray, ends: np.ndarray
     }, schema=_LAG_SCHEMA)
 
 
-class _LagCut:
+class _LagCut(CutKernel):
     """Mergeable partials for LAG (lookback-1 kernel): a cut piece emits
     all its diffs except the first row's, and carries (first/last value);
     the driver fills each piece's first-row diff from the previous piece's
@@ -977,7 +963,6 @@ class _LagCut:
         ("o_event", pa.int64()), ("first_event", pa.int64()),
         ("first_val", pa.float64()), ("last_val", pa.float64())])
     sort_cols = ("user_id", "o_ts", "o_event")
-    emit_schema = None
 
     def partials(self, batch, starts, ends):
         ts = _np_i64(batch, "ts")
@@ -1017,15 +1002,11 @@ class _LagCut:
                                    from_pandas=True),
         }, schema=_LAG_SCHEMA)
 
-    def adjust(self, batch, adjust_map):
-        return batch
-
 
 def lag_diff_events(sf_dir: str) -> pa.Table:
     """LAG window function (value − previous value per user along (ts,
     event_id)) on the sorted-segment path — the O-family window op the
     reference lacks."""
-    from ..stages.segments import sorted_segment_map
     ds = _read(sf_dir, "events").select_columns(
         ["event_id", "user_id", "ts", "value"])
     out = _tbl(sorted_segment_map(ds, "user_id", ["ts", "event_id"],

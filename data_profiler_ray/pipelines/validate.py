@@ -402,7 +402,7 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
             n_viol = sum(by_kind.values())
             lineage = {
                 "part": part,
-                "input_path": path,
+                "input_path": os.path.relpath(path, input_dir),
                 "input_bytes": os.path.getsize(path),
                 "rows_in": rows,
                 "n_conversations": tal["n_conversations"],
@@ -504,11 +504,12 @@ class _PartOutputWriter:
     violation rows, so its memory is independent of violation count.
 
     Per-kind counts in the tally are PRE-cap (exact totals); only the
-    persisted example rows are capped. Filenames are content-hashed over
-    the batch's conv_ids, so a retried task overwrites its own file
-    idempotently. Local-mode note: workers and driver share the
-    filesystem; on a multi-node cluster ``parts_root`` must be
-    shared/object storage.
+    persisted example rows are capped. Filenames hash the part and the
+    rows' keys (``_key_digest``: conv_id for verdicts, conv_id, turn_idx
+    and kind for violations; a null key hashes too), so a retried task
+    overwrites its own file idempotently. Local-mode note: workers and
+    driver share the filesystem; on a multi-node cluster ``parts_root``
+    must be shared/object storage.
     """
 
     schema = _TALLY_SCHEMA
@@ -527,9 +528,7 @@ class _PartOutputWriter:
             if sub.num_rows:
                 pdir = os.path.join(self.parts_root, part, "verdicts")
                 os.makedirs(pdir, exist_ok=True)
-                digest = hashlib.md5(
-                    "".join(sub.column("conv_id").to_pylist()).encode()
-                ).hexdigest()[:16]
+                digest = _key_digest(part, sub.select(["conv_id"]))
                 pq.write_table(sub, os.path.join(pdir, f"v-{digest}.parquet"))
                 row["n_conversations"] = sub.num_rows
                 row["n_failed"] = int(pc.sum(pc.cast(
@@ -551,9 +550,8 @@ class _PartOutputWriter:
                 capped = sv.take(pa.array(np.sort(np.concatenate(keep_idx))))
                 pdir = os.path.join(self.parts_root, part, "violations")
                 os.makedirs(pdir, exist_ok=True)
-                digest = hashlib.md5(
-                    ("|".join(capped.column("conv_id").to_pylist())
-                     + f"|{capped.num_rows}").encode()).hexdigest()[:16]
+                digest = _key_digest(
+                    part, capped.select(["conv_id", "turn_idx", "kind"]))
                 pq.write_table(capped.cast(VIOLATION_SCHEMA),
                                os.path.join(pdir, f"x-{digest}.parquet"))
             rows.append(row)

@@ -19,10 +19,12 @@ North-rule constraints over the transcript table
   the object store, one copy per node), ``pc.is_in`` does the probe; no
   shuffle.
 
-Execution shape (SURVEY.md §3.4): one range-partition sort on (conv_id,
-turn_idx) of ONLY the key columns (``conv_id, turn_idx, ts, role, tool,
-part`` — ``text`` is projected away, so shuffle volume is o(input)), then
-one task per sorted block (``_BlockChecker``):
+Execution shape (SURVEY.md §3.4): the sorted-segment stream of
+``stages/segments.py`` — one range-partition sort on (conv_id, turn_idx) of
+ONLY the key columns (``conv_id, turn_idx, ts, role, tool, part`` —
+``text`` is projected away, so shuffle volume is o(input)), then one task
+per sorted block (``_BlockChecker``), which returns its outputs and its cut
+pieces as typed tables ``_stack``ed in one block:
 
 - row-local checks (role domain, tool registry) are vectorized over the
   whole block;
@@ -38,9 +40,9 @@ one task per sorted block (``_BlockChecker``):
   arithmetic over the pieces' (first, last) ranges. The sort task merges
   the single piece of each anomalous conversation it holds whole; the
   block's first and last conversation, which the sort may have cut, go to
-  the driver, which merges them with the same function. Driver carry is
-  o(#blocks) rows even when ONE conversation spans every block (SURVEY.md
-  §7.3).
+  the driver, which reads them once (``_drain``) and merges them with the
+  same function. Driver carry is o(#blocks) rows even when ONE
+  conversation spans every block (SURVEY.md §7.3).
 
 Outputs are typed: violations (VIOLATION_SCHEMA, one row per violation) and
 verdicts (VERDICT_SCHEMA, one row per conversation).
@@ -53,7 +55,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import ConstraintConfig
-from .segments import _segments_of, shuffle_width
+from .segments import (_carry_stats, _drain, _segments_of, _stack,
+                       sort_stream)
 
 # violation-row schema: one row per violation, referencing rows by key only
 # (never by text payload) so violation output stays narrow at scale
@@ -98,31 +101,6 @@ PIECE_SCHEMA = pa.schema([
 ])
 
 _CHECK_SCHEMAS = (VIOLATION_SCHEMA, VERDICT_SCHEMA, PIECE_SCHEMA)
-_TABLE_COL = "__table"
-
-
-def _stack(tables, schemas) -> pa.Table:
-    """``tables`` (``tables[i]`` of ``schemas[i]``) as one table, so that a
-    sort task can return them in one block: the columns are the union of
-    the schemas', a column a table lacks is null in its rows, and
-    ``__table`` holds ``i``."""
-    fields: dict[str, pa.Field] = {}
-    for s in schemas:
-        for f in s:
-            fields.setdefault(f.name, f)
-    union = pa.schema([pa.field(_TABLE_COL, pa.int8())] + list(fields.values()))
-    return pa.concat_tables([pa.Table.from_arrays(
-        [pa.array(np.full(t.num_rows, i, np.int8))]
-        + [t.column(f.name) if f.name in t.column_names
-           else pa.nulls(t.num_rows, f.type) for f in fields.values()],
-        schema=union) for i, t in enumerate(tables)])
-
-
-def _unstack(tbl: pa.Table, schemas) -> list[pa.Table]:
-    """Inverse of ``_stack``."""
-    which = tbl.column(_TABLE_COL)
-    return [tbl.filter(pc.equal(which, i)).select(s.names)
-            for i, s in enumerate(schemas)]
 
 
 def _ts_drops(ts) -> tuple[np.ndarray, np.ndarray]:
@@ -423,53 +401,14 @@ def _merge_pieces(cfg: ConstraintConfig, pieces: pa.Table
     return violations, _verdicts(conv_ids, parts, counts)
 
 
-def _sorted_checks(ds: "ray.data.Dataset", cfg: ConstraintConfig, fn,
-                   columns: list[str] | None = None,
-                   nbytes: int | None = None,
-                   stats: dict | None = None) -> "ray.data.Dataset":
-    """Narrow projection → range-partition sort on (conv_id, turn_idx) →
-    ``fn`` over each sorted block (one task per block).
-
-    ``columns``: the names ``ds`` has (default ``ds.schema()``, which
-    executes a mapped dataset). ``nbytes``: the narrow columns' size, e.g.
-    from the Parquet footers; without it the projection is materialized so
-    that ``shuffle_width`` can take ``size_bytes()`` without a second
-    execution. ``stats`` (optional) receives the sort ``width``."""
+def _narrow(ds: "ray.data.Dataset", cfg: ConstraintConfig,
+            columns: list[str] | None = None) -> "ray.data.Dataset":
+    """The key columns of ``ds`` the checks read. ``columns``: the names
+    ``ds`` has (default ``ds.schema()``, which executes a mapped dataset)."""
     names = ds.schema().names if columns is None else columns
-    cols = [cfg.group_column, cfg.order_column] + [
+    return ds.select_columns([cfg.group_column, cfg.order_column] + [
         c for c in (cfg.ts_column, cfg.role_column, cfg.tool_column, "part")
-        if c in names]
-    narrow = ds.select_columns(cols)
-    if nbytes is None:
-        narrow = narrow.materialize()
-    # one sort partition per CPU up to 24, more only past ~128 MB each
-    # (stages/segments.shuffle_width)
-    width = shuffle_width(narrow, nbytes=nbytes)
-    if stats is not None:
-        stats["width"] = width
-    return narrow.repartition(width).sort(
-        [cfg.group_column, cfg.order_column]).map_batches(
-        fn, batch_format="pyarrow", batch_size=None)
-
-
-def _drain(stream: "ray.data.Dataset", schemas
-           ) -> tuple[list[pa.Table], int]:
-    """Read a stream of ``_stack``ed sort-task blocks once: one table per
-    schema, and the number of blocks."""
-    tables = [[s.empty_table()] for s in schemas]
-    n_blocks = 0
-    for block in stream.iter_batches(batch_format="pyarrow", batch_size=None):
-        n_blocks += 1
-        for acc, t in zip(tables, _unstack(block, schemas)):
-            acc.append(t)
-    return [pa.concat_tables(t) for t in tables], n_blocks
-
-
-def _carry_stats(stats: dict | None, pieces: pa.Table, n_blocks: int) -> None:
-    if stats is not None:
-        stats["carry_rows"] = pieces.num_rows
-        stats["carry_bytes"] = pieces.nbytes
-        stats["n_blocks"] = n_blocks
+        if c in names])
 
 
 def conversation_checks(ds: "ray.data.Dataset", cfg: ConstraintConfig,
@@ -487,8 +426,9 @@ def conversation_checks(ds: "ray.data.Dataset", cfg: ConstraintConfig,
 
     ``check_and_write`` is the form that writes the outputs inside the sort
     tasks instead of returning them."""
-    stream = _sorted_checks(ds, cfg, _BlockChecker(cfg, emit_row_violations),
-                            stats=stats)
+    stream = sort_stream(_narrow(ds, cfg),
+                         [cfg.group_column, cfg.order_column],
+                         _BlockChecker(cfg, emit_row_violations), stats=stats)
     (violations, verdicts, pieces), n_blocks = _drain(stream, _CHECK_SCHEMAS)
     _carry_stats(stats, pieces, n_blocks)
     merged_v, merged_d = _merge_pieces(cfg, pieces)
@@ -528,11 +468,14 @@ def check_and_write(ds: "ray.data.Dataset", cfg: ConstraintConfig, writer,
     pieces once, merges the pieces, and passes the merged rows through
     ``writer`` itself.
 
-    Returns every writer row (``writer.schema``). ``columns`` and
-    ``nbytes`` are as in ``_sorted_checks``; ``stats`` as in
+    Returns every writer row (``writer.schema``). ``columns`` is as in
+    ``_narrow``; ``nbytes``, the key columns' size (e.g. from the Parquet
+    footers), as in ``segments.sort_stream``; ``stats`` as in
     ``conversation_checks``."""
-    stream = _sorted_checks(ds, cfg, _CheckAndWrite(cfg, writer), columns,
-                            nbytes, stats)
+    stream = sort_stream(_narrow(ds, cfg, columns),
+                         [cfg.group_column, cfg.order_column],
+                         _CheckAndWrite(cfg, writer), nbytes=nbytes,
+                         stats=stats)
     (rows, pieces), n_blocks = _drain(stream, (writer.schema, PIECE_SCHEMA))
     _carry_stats(stats, pieces, n_blocks)
     return pa.concat_tables([rows, writer(*_merge_pieces(cfg, pieces))])

@@ -103,10 +103,12 @@ def loads_state(blob: bytes):
 
 
 class _PartialProfiler:
-    """map_batches callable: fold one Arrow batch into fresh accumulators and
-    emit a single serialized-state row (one row per partition value when a
-    ``part_column`` is set — ``run_validation`` folds one block of one file
-    per batch, so its batches almost always hold exactly one partition)."""
+    """Fold Arrow batches into state blobs. As a map_batches callable
+    (``profile_dataset``) it folds one batch into fresh accumulators and
+    emits one serialized-state row, or one row per partition value when a
+    ``part_column`` is set. ``run_validation`` does not map it: its read
+    tasks (``_FoldAndProject``) and ``_refold_shard`` call ``fold`` on each
+    part's rows directly."""
 
     _PROBE_FLAGS = ("all_datetime", "all_boolean", "all_numeric",
                     "all_geometry")

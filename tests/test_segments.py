@@ -1,4 +1,4 @@
-"""Sorted-segment machinery (stages/segments.py): carry-stitch exactness
+"""Sorted-segment machinery (stages/segments.py): raw-piece stitch exactness
 with keys deliberately cut across sort blocks, shuffle-width derivation,
 and the co-partitioned as-of join vs pandas merge_asof."""
 
@@ -58,7 +58,8 @@ def test_shuffle_width_scales_with_bytes():
 @pytest.mark.parametrize("width", [2, 5, 11])
 def test_sorted_segment_map_cut_keys_exact(width):
     """Per-key sum/count via the segment path with few keys and many sort
-    blocks — most keys are cut across blocks, forcing the carry stitch."""
+    blocks — most keys are cut across blocks, forcing the raw-piece
+    stitch."""
     rng = np.random.default_rng(7)
     n = 5000
     df = pd.DataFrame({
@@ -126,9 +127,12 @@ def test_rolling_window_cut_segments_vs_pandas():
         exp.to_numpy(), abs=1e-12)
 
 
-def test_asof_join_partitioned_vs_pandas_merge_asof():
+@pytest.mark.parametrize("width", [2, 5, 11])
+def test_asof_join_partitioned_vs_pandas_merge_asof(width):
     """Co-partitioned as-of (no broadcast): equal-ts inclusive match, keys
-    with no right rows stay null, right side larger than trivial."""
+    with no right rows stay null, right side larger than trivial. Each
+    width cuts other ``by`` keys across sort blocks, so the raw-piece
+    stitch runs at several block geometries."""
     from data_profiler_ray.functions.joins import asof_join_partitioned
     rng = np.random.default_rng(13)
     left = pd.DataFrame({
@@ -147,7 +151,7 @@ def test_asof_join_partitioned_vs_pandas_merge_asof():
 
     out = _collect(asof_join_partitioned(
         ray.data.from_pandas(left), ray.data.from_pandas(right),
-        by="key", on="ts", value_cols=["rate"], width=3))
+        by="key", on="ts", value_cols=["rate"], width=width))
     out = out.sort_values("payload").reset_index(drop=True)
     exp = pd.merge_asof(
         left.sort_values("ts", kind="stable"),
@@ -162,6 +166,53 @@ def test_asof_join_partitioned_vs_pandas_merge_asof():
     # the planted equal-ts row matched inclusively
     assert out.loc[out["payload"] == 0, "rate_asof"].iloc[0] == \
         right.loc[0, "rate"]
+
+
+def test_sorted_segment_map_more_partitions_than_rows(tmp_path):
+    """A sort width above the row count leaves sort blocks empty: the
+    raw-piece stitch and a cut kernel each still give one exact row per
+    key."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    from data_profiler_ray.pipelines.queries import (_GAPS_SCHEMA, _GapsCut,
+                                                     _gaps_block, ORACLE_SQL)
+    ts = np.datetime64("2025-05-01", "us").astype(np.int64) + np.array(
+        [0, 5, 9, 2, 7, 1, 4], np.int64) * 60_000_000
+    tbl = pa.table({
+        "event_id": pa.array(np.arange(7), pa.int64()),
+        "user_id": pa.array([3, 1, 3, 2, 1, 3, 2], pa.int64()),
+        "ts": pa.array(ts, pa.timestamp("us")),
+        "value": pa.array(np.arange(7, dtype=np.float64)),
+    })
+    schema = pa.schema([("user_id", pa.int64()), ("cnt", pa.int64()),
+                        ("first_e", pa.int64())])
+
+    def block(batch, starts, ends):
+        return pa.table({
+            "user_id": batch.column("user_id").take(pa.array(starts)),
+            "cnt": pa.array(ends - starts, pa.int64()),
+            "first_e": batch.column("event_id").take(pa.array(starts)),
+        }, schema=schema)
+
+    raw = _collect(sorted_segment_map(ray.data.from_arrow(tbl), "user_id",
+                                      ["event_id"], block, schema, width=11))
+    assert sorted(zip(raw["user_id"], raw["cnt"], raw["first_e"])) == [
+        (1, 2, 1), (2, 2, 3), (3, 3, 0)]
+
+    pq.write_table(tbl, str(tmp_path / "events.parquet"))
+    got = _collect(sorted_segment_map(
+        ray.data.read_parquet(str(tmp_path / "events.parquet")), "user_id",
+        ["ts", "event_id"], _gaps_block, _GAPS_SCHEMA, width=11,
+        cut_kernel=_GapsCut()))
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW events AS SELECT * FROM "
+                f"read_parquet('{tmp_path}/events.parquet')")
+    exp = con.execute(ORACLE_SQL["user_event_gaps"]).fetchdf()
+    got = got.sort_values("user_id").reset_index(drop=True)
+    exp = exp.sort_values("user_id").reset_index(drop=True)
+    pd.testing.assert_frame_equal(got[sorted(got.columns)],
+                                  exp[sorted(exp.columns)], check_dtype=False)
 
 
 def test_asof_join_partitioned_empty_right():
@@ -309,7 +360,7 @@ def test_whale_key_segment_queries_match_oracle(whale_events_dir, name):
 
 def test_whale_key_carry_is_o_blocks(whale_events_dir):
     """Driver carry stays o(#blocks) — a few fixed-size partial rows per
-    block — even though one key spans half the dataset (the raw-row stitch
+    block — even though one key spans half the dataset (raw pieces
     would have pulled 500k rows to the driver)."""
     from data_profiler_ray.pipelines.queries import (_GAPS_SCHEMA,
                                                      _SESS_SCHEMA, _GapsCut,
