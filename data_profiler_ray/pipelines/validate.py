@@ -3,11 +3,12 @@
 The north-rule lifecycle (SURVEY.md §3.4). One call over the pending
 partitions runs, one after the other:
 
-1. one stream, one Ray Data execution: ``read_parquet(pending shards)``,
-   each shard read in the same batches in every run: small shards whole
-   (``_read_batch_rows``), packed in contiguous runs into as many read
-   tasks as the cluster needs (``_read_tasks``), and shards of more than
-   ``FOLD_ROWS`` rows in one task each, cut into ``_split_factor`` blocks
+1. one stream, one Ray Data execution: ``read_parquet(pending shards)``
+   in the footer plan that ``profile_dataset`` also reads by
+   (``stages.plan.planned_read``), each shard read in the same batches in
+   every run: small shards whole, packed in contiguous runs into as many
+   read tasks as the cluster needs, and shards of more than ``FOLD_ROWS``
+   rows in one task each, cut into blocks of at most ``FOLD_ROWS`` rows
    → one ``map_batches`` callable per read batch or block
    (``_FoldAndProject``) that adds
    the part column, folds each part's rows into a profile partial, writes
@@ -76,12 +77,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-import ray.data
-
 from ..config import ValidationConfig
 from ..stages.constraints import VIOLATION_SCHEMA, check_and_write
 from ..stages.drift import bin_accumulators, drift_from_counts, spec_from_profile
-from ..stages.profile import (FOLD_ROWS, _PartialProfiler, finalize_profile,
+from ..stages.plan import _column_bytes, planned_read
+from ..stages.profile import (_PartialProfiler, finalize_profile,
                               fold_partials, merge_states)
 
 # stage timings in summary["timings"]; a stage that did not run reports 0
@@ -132,66 +132,6 @@ def _part_slices(batch: pa.Table) -> dict[str, pa.Table]:
         runs.setdefault(part, []).append(batch.slice(s, e - s))
     return {p: r[0] if len(r) == 1 else pa.concat_tables(r)
             for p, r in runs.items()}
-
-
-def _split_factor(metas: dict[str, pq.FileMetaData]) -> int:
-    """Read blocks per shard: as many as the largest of all the input's
-    shards (pending or not) needs for blocks of at most ``FOLD_ROWS``
-    rows. It depends on the input alone, not on the pending set or the
-    cluster's CPU count."""
-    most = max(md.num_rows for md in metas.values())
-    return max(1, -(-most // FOLD_ROWS))
-
-
-def _footer_bytes(md: pq.FileMetaData) -> int:
-    """Uncompressed bytes of a shard, from its footer."""
-    return sum(md.row_group(rg).total_byte_size
-               for rg in range(md.num_row_groups))
-
-
-def _read_batch_rows(metas: dict[str, pq.FileMetaData]) -> int:
-    """Rows per Parquet read batch: ``FOLD_ROWS``, or fewer where a batch
-    of the input's widest rows would exceed one Ray block. Ray fuses
-    ``_FoldAndProject`` with an unsplit read and calls it once per read
-    batch, so a shard of at most ``FOLD_ROWS`` rows folds one partial per
-    row group. Like ``_split_factor`` this depends on the input alone:
-    Ray's own batch size comes from the row widths of the files it samples
-    among the pending ones, and from the block target."""
-    target = ray.data.DataContext.get_current().target_max_block_size
-    widest = max(-(-_footer_bytes(md) // max(1, md.num_rows))
-                 for md in metas.values())
-    return max(1, min(FOLD_ROWS, target // max(1, widest))) if target \
-        else FOLD_ROWS
-
-
-def _read_tasks(pending: list[str], metas: dict[str, pq.FileMetaData],
-                split: int) -> int:
-    """Read tasks for ``pending``. Shards split into several blocks
-    (``split`` > 1) keep one task each. Otherwise each task reads a
-    contiguous run of whole shards (Ray's Parquet datasource
-    ``array_split``s the files): as many tasks as CPUs, and more when
-    needed to keep each task's footer bytes under half a Ray block, so
-    Ray adds no split of its own, which would cut shards at any row."""
-    if split > 1:
-        return len(pending)
-    cpus = max(1, int(ray.cluster_resources().get("CPU", 1)))
-    target = ray.data.DataContext.get_current().target_max_block_size
-    footer = sum(_footer_bytes(metas[p]) for p in pending)
-    by_size = -(-2 * footer // target) if target else 0
-    return min(len(pending), max(cpus, by_size))
-
-
-def _column_bytes(metas: list[pq.FileMetaData], columns: list[str]) -> int:
-    """Uncompressed bytes of ``columns`` over the files of ``metas``, from
-    their footers."""
-    total = 0
-    for md in metas:
-        for rg in range(md.num_row_groups):
-            group = md.row_group(rg)
-            total += sum(group.column(i).total_uncompressed_size
-                         for i in range(group.num_columns)
-                         if group.column(i).path_in_schema in columns)
-    return total
 
 
 def _write_atomic(path: str, data: bytes) -> None:
@@ -302,28 +242,23 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
 
     counters = dict.fromkeys(_COUNTER_KEYS, 0)
     if pending:
-        # Each shard is read in the same batches in every run, so it folds
-        # from the same partials whether it is pending alone or with all
-        # the others. A shard of at most ``FOLD_ROWS`` rows is read in one
-        # batch per row group (``_read_batch_rows``), which the fused
-        # ``_FoldAndProject`` folds as one partial; the read packs
+        # Each shard is read in the same batches in every run
+        # (``stages.plan``), so it folds from the same partials whether it
+        # is pending alone or with all the others. A shard of at most
+        # ``FOLD_ROWS`` rows is read in one batch per row group, which the
+        # fused ``_FoldAndProject`` folds as one partial; the read packs
         # contiguous runs of whole shards into as few tasks as the cluster
-        # needs (``_read_tasks``). Larger shards get one task each, its
-        # output split into ``_split_factor`` equal row ranges, a number
-        # taken from the whole input (Ray's own split factor grows as
-        # fewer shards are pending). Whole 60k-row shards
-        # as single fold batches overran the capped TopK counters and
-        # churned (measured profile stage 110 s vs 24 s at 4M turns / 8
-        # CPUs). On one vCPU a Ray Data task costs about 21 ms of wall
+        # needs. Larger shards get one task each, its output split into
+        # equal row ranges, a number taken from the whole input (Ray's own
+        # split factor grows as fewer shards are pending). Whole 60k-row
+        # shards as single fold batches overran the capped TopK counters
+        # and churned (measured profile stage 110 s vs 24 s at 4M turns /
+        # 8 CPUs). On one vCPU a Ray Data task costs about 21 ms of wall
         # time whatever it does, so one read task per small shard was
         # mostly overhead.
         metas = {p: pq.read_metadata(p) for p in shards}
-        split = _split_factor(metas)
-        counters["read_tasks"] = _read_tasks(pending, metas, split)
-        ds = ray.data.read_parquet(
-            pending, include_paths=True,
-            override_num_blocks=counters["read_tasks"] * split,
-            batch_size=_read_batch_rows(metas))
+        ds, counters["read_tasks"] = planned_read(pending, metas,
+                                                  include_paths=True)
         # the unmapped read's schema comes from the Parquet footers; the
         # mapped dataset's schema() would execute the read
         read_schema = ds.schema()

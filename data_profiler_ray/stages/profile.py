@@ -7,15 +7,21 @@ with the Ray-Data-native shape from SURVEY.md §3.4:
     read_parquet → map_batches(partial accumulators, batch_format="pyarrow")
         → iter_batches to the driver → merge_states fold → profile dict
 
-Each fold batch contributes ONE small row holding the serialized
-accumulator bundle (``dumps_state``: per column moments + KLL + a capped
-value counter of typed key/count arrays, + HLL registers once that counter
-overflowed), so what the driver pulls is o(input) regardless of data size.
-A fold batch is one Ray block, or, where the source's blocks are small
-(``_fold_batch_rows``), several blocks packed into a batch of up to
-``FOLD_ROWS`` rows. The accumulators are mergeable summaries, so folding
-the partials one at a time in stream order gives the same profile as any
-merge tree. The final profile dict has the reference's three-part shape
+Each partial contributes ONE small row holding the serialized accumulator
+bundle (``dumps_state``: per column moments + KLL + a capped value counter
+of typed key/count arrays, + HLL registers once that counter overflowed),
+so what the driver pulls is o(input) regardless of data size.
+
+A bare ``read_parquet`` is read again in the footer plan that
+``run_validation`` reads by (``stages.plan``): the partial map runs fused
+with the read (``ReadParquet->MapBatches(_PartialProfiler)``), one task
+per CPU, and folds one partial per (file, read batch) of at most
+``FOLD_ROWS`` rows. Any other Dataset folds one partial per Ray block.
+Either way the driver folds the partials in the stream's block order
+(``preserve_order``), so a Parquet input's profile depends on the files
+alone, not on the CPU count or on which task finished first: KLL
+compaction, the Misra-Gries shrink and float sums all depend on merge
+order. The final profile dict has the reference's three-part shape
 (``analysis`` / ``table`` / ``variables``, profiler.py:343-362).
 """
 
@@ -27,15 +33,9 @@ import pickle
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray.data
-from ray.data import DataContext
-from ray.data._internal.logical.interfaces import SourceOperator
-from ray.data._internal.logical.operators.read_operator import Read
-from ray.data._internal.logical.rules.set_read_parallelism import \
-    compute_additional_split_factor
-
 from ..config import ProfileConfig
 from ..state.column import ColumnAccumulator, make_accumulator
+from .plan import bare_parquet_footers, planned_read
 
 
 # State blobs start with this magic and a format version. The version
@@ -48,16 +48,6 @@ STATE_FORMAT = 3
 _CODEC = pa.Codec("zstd", 3)
 # zstd's largest ratio: an RLE block spends 4 bytes on at most 128 KiB
 _ZSTD_MAX_RATIO = 1 << 15
-
-# Most rows one partial folds when ``profile_dataset`` regroups blocks
-# (``_fold_batch_rows``) and when ``run_validation`` reads a shard
-# (``validate._read_batch_rows``, ``_split_factor``). At 16,384 a
-# high-cardinality string column's partial sits just under its counter cap
-# (16,384 keys), so every driver merge overflows and re-hashes it; at
-# 32,768 the counter overflows in the worker and the driver merges only
-# HLL registers.
-FOLD_ROWS = 32_768
-
 
 def dumps_state(obj) -> bytes:
     """``_STATE_MAGIC`` + a 2-byte ``STATE_FORMAT`` + the 8-byte length of
@@ -104,11 +94,12 @@ def loads_state(blob: bytes):
 
 class _PartialProfiler:
     """Fold Arrow batches into state blobs. As a map_batches callable
-    (``profile_dataset``) it folds one batch into fresh accumulators and
-    emits one serialized-state row, or one row per partition value when a
-    ``part_column`` is set. ``run_validation`` does not map it: its read
-    tasks (``_FoldAndProject``) and ``_refold_shard`` call ``fold`` on each
-    part's rows directly."""
+    (``profile_dataset``) it folds one batch, a (file, read batch) of a
+    planned read or one Ray block of any other Dataset, into fresh
+    accumulators and emits one serialized-state row, or one row per
+    partition value when a ``part_column`` is set. ``run_validation`` does
+    not map it: its read tasks (``_FoldAndProject``) and ``_refold_shard``
+    call ``fold`` on each part's rows directly."""
 
     _PROBE_FLAGS = ("all_datetime", "all_boolean", "all_numeric",
                     "all_geometry")
@@ -122,14 +113,13 @@ class _PartialProfiler:
         # instance: a later batch pre-sets them so the head-sample parses
         # (dateutil/to_numeric) run only until the first failing value.
         # Ray deserializes the callable afresh for every task, so this
-        # carries only across the batches of one task: the fold batches of
-        # one bundle in ``profile_dataset``, the read batches of one
-        # ``run_validation`` read task, and ``_refold_shard``'s
-        # batches. Sound because the flags are AND-merged:
-        # forcing False on a batch whose own values would have passed gives
-        # the same merged result the failing batch already forces. Keyed by
-        # part so one partition's verdict never leaks into another's
-        # checkpointed state.
+        # carries only across the batches of one task: the read batches of
+        # one read task (``profile_dataset``'s and ``run_validation``'s)
+        # and ``_refold_shard``'s batches. Sound because the flags are
+        # AND-merged: forcing False on a batch whose own values would have
+        # passed gives the same merged result the failing batch already
+        # forces. Keyed by part so one partition's verdict never leaks into
+        # another's checkpointed state.
         self._dead_probes: dict[tuple[str | None, str], tuple[str, ...]] = {}
 
     def fold(self, batch: pa.Table, part: str | None = None) -> bytes:
@@ -172,56 +162,26 @@ class _PartialProfiler:
         })
 
 
-def _fold_batch_rows(ds: "ray.data.Dataset") -> int | None:
-    """The partial stage's ``batch_size`` for ``ds``: the rows one partial
-    folds, or None for one partial per Ray block.
-
-    A batch holds at most ``FOLD_ROWS`` rows, at most
-    ``target_max_block_size`` bytes at the source's mean row width, and at
-    most its share of the rows spread over the cluster's CPUs. Ray packs
-    blocks into one task until it holds a batch, then cuts that into a
-    batch and the rest: at most two partials per task, each paying its
-    fixed cost once. That folds fewer partials than blocks only when three
-    or more blocks fit in a batch, so larger blocks (and a ``ds`` that is
-    not a read or blocks already made, whose blocks are unknown) keep one
-    partial per block. An unsplit read then keeps folding each block in
-    its read task: Ray fuses no map that sets a ``batch_size`` with a
-    read."""
-    op = ds._logical_plan.dag
-    target = DataContext.get_current().target_max_block_size
-    if isinstance(op, Read):
-        # the blocks the read's planning will make (Ray's own rule)
-        blocks = compute_additional_split_factor(
-            op._datasource_or_legacy_reader, op._parallelism, op._mem_size,
-            target)[2]
-    elif isinstance(op, SourceOperator) and op.output_data() is not None:
-        blocks = sum(len(b.block_refs) for b in op.output_data())
-    else:
-        return None
-    meta = op.infer_metadata()
-    if not blocks or not meta.num_rows or not meta.size_bytes:
-        return None
-    cpus = max(1, int(ray.cluster_resources().get("CPU", 1)))
-    rows = min(FOLD_ROWS, -(-meta.num_rows // cpus))
-    if target:
-        rows = max(1, min(rows, target * meta.num_rows // meta.size_bytes))
-    return rows if 2 * meta.num_rows < blocks * rows else None
-
-
 def _partials(ds: "ray.data.Dataset", schema: pa.Schema,
-              config: ProfileConfig, part_column: str | None = None,
-              batch_rows: int | None = None):
-    """Yield ``(part, rows, blob)`` for every partial-state row of ``ds``,
-    one partial per batch of ``batch_rows`` rows, or per Ray block when
-    None (``part`` is None without a ``part_column``). The states merge
-    under any grouping of the rows, so regrouping blocks into batches
-    changes no guarantee."""
+              config: ProfileConfig, part_column: str | None = None):
+    """Yield ``(part, rows, blob)`` for every partial-state row of ``ds``
+    (``part`` is None without a ``part_column``): one partial per Ray
+    block, or per read batch where Ray fuses the map with a read, in block
+    order. The order is ``preserve_order``'s, set on ``ds``'s context for
+    the stream and restored after it, so it does not depend on which task
+    finishes first."""
     stream = ds.map_batches(_PartialProfiler(schema, config, part_column),
-                            batch_format="pyarrow", batch_size=batch_rows)
-    for b in stream.iter_batches(batch_format="pyarrow", batch_size=None):
-        yield from zip(b.column("part").to_pylist(),
-                       b.column("rows").to_pylist(),
-                       b.column("state").to_pylist())
+                            batch_format="pyarrow", batch_size=None)
+    opts = stream.context.execution_options
+    kept, opts.preserve_order = opts.preserve_order, True
+    try:
+        for b in stream.iter_batches(batch_format="pyarrow",
+                                     batch_size=None):
+            yield from zip(b.column("part").to_pylist(),
+                           b.column("rows").to_pylist(),
+                           b.column("state").to_pylist())
+    finally:
+        opts.preserve_order = kept
 
 
 def merge_states(blobs) -> tuple[int, dict[str, ColumnAccumulator]]:
@@ -274,8 +234,7 @@ def profile_partials_by_part(ds: "ray.data.Dataset", config: ProfileConfig,
         s = ds.schema()
         schema = pa.schema([pa.field(n, t) for n, t in zip(s.names, s.types)])
     by_part: dict[str, list[tuple[int, bytes]]] = {}
-    for part, rows, blob in _partials(ds, schema, config, part_column,
-                                      _fold_batch_rows(ds)):
+    for part, rows, blob in _partials(ds, schema, config, part_column):
         by_part.setdefault(part, []).append((rows, blob))
     parts = sorted(by_part)
     folded = [fold_partials(by_part[p]) for p in parts]
@@ -288,21 +247,24 @@ def profile_partials_by_part(ds: "ray.data.Dataset", config: ProfileConfig,
 
 def profile_dataset(ds: "ray.data.Dataset", config: ProfileConfig | None = None,
                     filenames: list[str] | None = None) -> dict:
-    """Profile a Dataset into the reference-shaped dict: the partials of
-    its fold batches (``_fold_batch_rows``) fold on the driver as they
-    stream in."""
+    """Profile a Dataset into the reference-shaped dict. A bare
+    ``read_parquet`` (``stages.plan.bare_parquet_footers``) is read again
+    in the footer plan, fused with the partial fold; any other Dataset
+    folds one partial per block. The partials fold on the driver as they
+    stream in, in the stream's order."""
     config = config or ProfileConfig()
     t0 = datetime.datetime.now()
     schema = ds.schema()
     arrow_schema = pa.schema([pa.field(n, t) for n, t in
                               zip(schema.names, schema.types)])
-    # read off the source, before a column selection hides it
-    batch_rows = _fold_batch_rows(ds)
-    if config.columns:
-        ds = ds.select_columns([c for c in config.columns])
+    metas = bare_parquet_footers(ds)
+    if metas is not None:
+        ds, _ = planned_read(list(metas), metas,
+                             columns=config.columns or None)
+    elif config.columns:
+        ds = ds.select_columns(config.columns)
     total_rows, merged = merge_states(
-        blob for _, _, blob in _partials(ds, arrow_schema, config,
-                                         batch_rows=batch_rows))
+        blob for _, _, blob in _partials(ds, arrow_schema, config))
     if not merged:  # empty input: still emit one typed variable per column
         cols = config.columns or arrow_schema.names
         merged = {n: make_accumulator(arrow_schema.field(n),

@@ -227,11 +227,22 @@ class _DistinctMixin:
             return None
         return self.counter.float_items()
 
+    def _n_distinct(self) -> int:
+        """Distinct values: the counter's keys while it is exact, the HLL's
+        estimate once it has overflowed."""
+        return (self.hll.estimate() if self.counter.overflowed
+                else self.counter.n_distinct())
+
+    def _freq_value_counts(self, k: int) -> dict:
+        """The top-``k`` values and an ``Other Values (n)`` bucket counted
+        from the column's exact non-null total and ``_n_distinct``, so the
+        bucket does not depend on how the rows were batched."""
+        return self.counter.freq_distribution(k, self._n_distinct())
+
     def _distinct_result(self) -> dict:
         count = self.n - self.n_missing
         counter_exact = not self.counter.overflowed
-        n_distinct = (self.counter.n_distinct() if counter_exact
-                      else self.hll.estimate())
+        n_distinct = self._n_distinct()
         n_unique = self.counter.n_unique()
         return {
             "n_distinct": n_distinct,
@@ -366,7 +377,7 @@ class NumericAccumulator(ColumnAccumulator, _DistinctMixin):
             first, last = self.counter.extremes(5)
             out["5_min_values"] = [{"value": v, "count": c} for v, c in first]
             out["5_max_values"] = [{"value": v, "count": c} for v, c in reversed(last)]
-            out["freq_value_counts"] = self.counter.freq_distribution(max_freq_distr)
+            out["freq_value_counts"] = self._freq_value_counts(max_freq_distr)
         out["type"] = self.logical_type(num_cat_perc_threshold)
         return out
 
@@ -746,7 +757,7 @@ class StringAccumulator(ColumnAccumulator, _DistinctMixin):
         out.update(self._distinct_result())
         ltype = self.logical_type(num_cat_perc_threshold)
         out["type"] = ltype
-        out["freq_value_counts"] = self.counter.freq_distribution(max_freq_distr)
+        out["freq_value_counts"] = self._freq_value_counts(max_freq_distr)
         if ltype == NUMERIC and self.num_sub.n:
             out.update(self.num_sub.result())
             out.update(self.num_kll.result())
@@ -892,7 +903,7 @@ class GeometryAccumulator(StringAccumulator):
         out["type"] = GEOMETRY
         out["crs"] = self.crs
         out["n_invalid_wkt"] = self.n_invalid
-        out["freq_value_counts"] = self.counter.freq_distribution(max_freq_distr)
+        out["freq_value_counts"] = self._freq_value_counts(max_freq_distr)
         out["geom_type_distribution"] = [
             {"name": self.name, "type": g, "count": c}
             for g, c in sorted(self.geom_counts.items(),

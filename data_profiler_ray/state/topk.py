@@ -154,14 +154,20 @@ class TopKCounter:
         return list(zip(top.column("k").to_pylist(),
                         top.column("c").to_pylist()))
 
-    def freq_distribution(self, k: int) -> dict:
+    def freq_distribution(self, k: int, n_distinct: int | None = None) -> dict:
         """Reference ``reduceCategoricalDict`` (utils.py:497-504): top-k plus
-        an ``Other Values (n)`` bucket holding the remainder."""
+        an ``Other Values (n)`` bucket holding the remainder, from exact
+        totals: its rows are every observation not in the shown top-k
+        counts, and ``n`` is ``n_distinct`` (the counter's own by default;
+        the caller's estimate once the counter has overflowed) minus the
+        values shown. Below the cap both equal the sum and count of the
+        keys not shown."""
         top = self.top_k(k)
         out = {str(v): int(c) for v, c in top}
-        rest = self.n_distinct() - len(top)
+        rest = (self.n_distinct() if n_distinct is None
+                else n_distinct) - len(top)
         if rest > 0:
-            out[f"Other Values ({rest})"] = self.total - self.decremented - sum(c for _, c in top)
+            out[f"Other Values ({rest})"] = self.total - sum(c for _, c in top)
         return out
 
     def extremes(self, n: int = 5) -> tuple[list, list]:

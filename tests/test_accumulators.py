@@ -131,7 +131,7 @@ class _RefCounter:
 
     def other_bucket(self, k):
         top = sorted(self.counts.values(), reverse=True)[:k]
-        return self.total - self.decremented - sum(top)
+        return self.total - sum(top)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -1,6 +1,7 @@
 """Golden-profile e2e: distributed profile of parquet tables vs a pandas
 oracle computed on the same data (SURVEY.md §5.2 item 2)."""
 
+import json
 import os
 
 import numpy as np
@@ -231,17 +232,47 @@ def _assert_profile_of(prof, whole):
         assert v.get("mean") == pytest.approx(w.get("mean"), rel=1e-12)
 
 
+def _write_files(d, whole, sizes):
+    """``whole`` cut in order into one Parquet file per entry of ``sizes``
+    under ``d``; returns the directory as a string."""
+    os.makedirs(d)
+    for i, o in enumerate(np.cumsum([0] + list(sizes[:-1]))):
+        pq.write_table(whole.slice(int(o), sizes[i]), f"{d}/{i:03d}.parquet")
+    return str(d)
+
+
+def _recording_streams(monkeypatch):
+    """Wrap ``Dataset.iter_batches``; returns the list that gets every
+    Dataset it drains, so a test can read the stream's ``stats()``."""
+    seen, iter_batches = [], ray.data.Dataset.iter_batches
+
+    def recording(self, *args, **kwargs):
+        seen.append(self)
+        return iter_batches(self, *args, **kwargs)
+
+    monkeypatch.setattr(ray.data.Dataset, "iter_batches", recording)
+    return seen
+
+
+def _operators(stream):
+    """The ``Operator`` lines of a drained stream's ``stats()``."""
+    return [line for line in stream.stats().splitlines()
+            if line.startswith("Operator")]
+
+
 @pytest.mark.parametrize("tables", [
-    [1_000] * 16,    # 16 small blocks packed into fewer batches
-    [70_000],        # a block larger than a batch is folded whole
+    [1_000] * 16,    # 16 small files: one partial each, in file order
+    [70_000],        # a file over FOLD_ROWS rows is cut into equal blocks
 ])
-def test_profile_dataset_folds_one_blob_per_fold_batch(monkeypatch, tables):
-    """Over blocks already made, ``profile_dataset`` packs blocks that are
-    small against a batch of ``min(FOLD_ROWS, rows / CPUs)`` rows into one
-    partial per batch, and folds a larger block whole. Either way the
-    profile equals the one folded from all rows as a single partial."""
-    from data_profiler_ray.stages import profile as prof_mod
-    assert prof_mod.FOLD_ROWS == 32_768
+def test_profile_dataset_folds_one_blob_per_fold_batch(monkeypatch, tmp_path,
+                                                       tables):
+    """A bare ``read_parquet`` folds one partial per (file, read batch) of
+    the footer plan, in file order: a file of at most ``FOLD_ROWS`` rows is
+    one batch, and a larger one is cut into ``_split_factor`` equal
+    blocks. Either way the profile equals the one folded from all rows as
+    a single partial."""
+    from data_profiler_ray.stages import plan
+    assert plan.FOLD_ROWS == 32_768
     rng = np.random.default_rng(5)
     n = sum(tables)
     whole = pa.table({
@@ -249,29 +280,25 @@ def test_profile_dataset_folds_one_blob_per_fold_batch(monkeypatch, tables):
         "f": pa.array(rng.normal(0, 1, n)),
         "s": pa.array([f"s{v}" for v in rng.integers(0, 20_000, n)]),
     })
-    starts = np.cumsum([0] + tables[:-1])
-    ds = ray.data.from_arrow([whole.slice(int(o), k)
-                              for o, k in zip(starts, tables)])
-    batch = prof_mod._fold_batch_rows(ds)
-    cpus = int(ray.cluster_resources()["CPU"])
+    d = _write_files(tmp_path / "in", whole, tables)
     folded = _counting_merges(monkeypatch)
-    prof = profile_dataset(ds, ProfileConfig())
+    prof = profile_dataset(ray.data.read_parquet(d), ProfileConfig())
     if len(tables) > 1:
-        assert batch == min(prof_mod.FOLD_ROWS, -(-n // cpus))
-        # the blocks fill the batches exactly
-        assert len(folded) == -(-n // batch) < len(tables)
-    else:
-        assert batch is None
         assert folded == tables
+    else:
+        split = -(-n // plan.FOLD_ROWS)
+        assert folded == [-(-n // split)] + [n // split] * (split - 1)
     _assert_profile_of(prof, whole)
 
 
-def test_fold_batches_bounded_by_block_bytes(monkeypatch):
-    """Wide rows make fewer rows per fold batch: no batch holds more bytes
-    than ``DataContext.target_max_block_size``."""
+def test_fold_batches_bounded_by_block_bytes(monkeypatch, tmp_path):
+    """Wide rows make fewer rows per read batch (``_read_batch_rows``): no
+    partial holds more footer bytes than
+    ``DataContext.target_max_block_size``, and the profile still equals
+    the whole-table fold."""
     from ray.data import DataContext
 
-    from data_profiler_ray.stages import profile as prof_mod
+    from data_profiler_ray.stages import plan
     target = 256 * 1024
     monkeypatch.setattr(DataContext.get_current(), "target_max_block_size",
                         target)
@@ -281,46 +308,164 @@ def test_fold_batches_bounded_by_block_bytes(monkeypatch):
         "i": pa.array(rng.integers(0, 50, n)),
         "doc": pa.array([f"{v:06d}" * 300 for v in rng.integers(0, 999, n)]),
     })
-    row_bytes = whole.nbytes / n
-    ds = ray.data.from_arrow([whole.slice(o, 50) for o in range(0, n, 50)])
-    batch = prof_mod._fold_batch_rows(ds)
-    assert batch * row_bytes <= target < (batch + 1) * row_bytes
+    d = _write_files(tmp_path / "in", whole, [500] * 4)
+    metas = {p: pq.read_metadata(p) for p in sorted(
+        str(f) for f in (tmp_path / "in").iterdir())}
+    widest = max(-(-plan._footer_bytes(md) // md.num_rows)
+                 for md in metas.values())
+    batch = plan._read_batch_rows(metas)
+    assert batch * widest <= target < (batch + 1) * widest
     folded = _counting_merges(monkeypatch)
-    prof = profile_dataset(ds, ProfileConfig())
+    prof = profile_dataset(ray.data.read_parquet(d), ProfileConfig())
     assert sum(folded) == n
-    assert len(folded) < n // 50
-    assert max(folded) * row_bytes <= target
+    assert max(folded) <= batch
+    assert len(folded) == 4 * -(-500 // batch)
     _assert_profile_of(prof, whole)
 
 
-def test_fold_batches_keep_read_fusion(tmp_path):
-    """A read whose blocks are small against a fold batch is regrouped (here
-    a read Ray splits into many blocks, which it never fuses with a map);
-    a read with larger blocks keeps one partial per block, so its partial
-    stage stays fused into the read tasks."""
-    from data_profiler_ray.stages import profile as prof_mod
-    rng = np.random.default_rng(3)
-    tbl = pa.table({"x": pa.array(rng.normal(0, 1, 16_000))})
+def test_fold_batches_keep_read_fusion(monkeypatch, tmp_path):
+    """The partial map runs fused with the planned read: one operator,
+    ``ReadParquet->MapBatches(_PartialProfiler)``, in one task per CPU,
+    folding one partial per file."""
     cpus = int(ray.cluster_resources()["CPU"])
-    for d, shards in (("one", 1), ("per_cpu", 2 * cpus)):
-        os.makedirs(tmp_path / d)
-        k = -(-len(tbl) // shards)
-        for i in range(shards):
-            pq.write_table(tbl.slice(i * k, k), tmp_path / d / f"{i}.parquet")
-    split = ray.data.read_parquet(str(tmp_path / "one"),
-                                  override_num_blocks=8 * cpus)
-    unsplit = ray.data.read_parquet(str(tmp_path / "per_cpu"))
-    assert prof_mod._fold_batch_rows(split) == min(
-        prof_mod.FOLD_ROWS, -(-len(tbl) // cpus))
-    assert prof_mod._fold_batch_rows(unsplit) is None
+    rng = np.random.default_rng(3)
+    whole = pa.table({"x": pa.array(rng.normal(0, 1, 16_000))})
+    files = 2 * cpus
+    k = -(-len(whole) // files)
+    d = _write_files(tmp_path / "in", whole, [k] * (files - 1)
+                     + [len(whole) - k * (files - 1)])
+    seen = _recording_streams(monkeypatch)
+    folded = _counting_merges(monkeypatch)
+    prof = profile_dataset(ray.data.read_parquet(d), ProfileConfig())
+    [op] = _operators(seen[-1])
+    assert op.startswith(
+        "Operator 1 ReadParquet->MapBatches(_PartialProfiler): "
+        f"{cpus} tasks executed"), op
+    assert len(folded) == files
+    _assert_profile_of(prof, whole)
 
-    def stats(ds):
-        return ds.map_batches(lambda b: b.slice(0, 1), batch_format="pyarrow",
-                              batch_size=prof_mod._fold_batch_rows(ds)
-                              ).materialize().stats()
 
-    assert "ReadParquet->SplitBlocks" in stats(split)
-    assert "ReadParquet->MapBatches" in stats(unsplit)
+def _profile_json(prof):
+    return {key: json.dumps(prof[key], sort_keys=True, default=str)
+            for key in ("table", "variables")}
+
+
+@pytest.fixture(scope="module")
+def lineitem_dir(tmp_path_factory):
+    """``perfbench.inputs.lineitem(40_000, 7)`` in 8 files: every column
+    kind, and an ``l_comment`` counter that overflows."""
+    from perfbench.inputs import lineitem, write_shards
+    d = str(tmp_path_factory.mktemp("lineitem") / "in")
+    write_shards(lineitem(40_000, 7), d, 8)
+    return d
+
+
+def test_parquet_profile_same_at_one_and_four_read_tasks(monkeypatch,
+                                                         lineitem_dir):
+    """A Parquet input's profile ``table``/``variables`` do not depend on
+    the CPU count the read plan sizes its tasks by: at 1 and at 4 read
+    tasks the same partials fold in the same order."""
+    from data_profiler_ray.stages import plan
+    seen = _recording_streams(monkeypatch)
+    folded = _counting_merges(monkeypatch)
+    got = {}
+    for cpus in (1, 4):
+        monkeypatch.setattr(plan, "_cpus", lambda cpus=cpus: cpus)
+        folded.clear()
+        got[cpus] = _profile_json(profile_dataset(
+            ray.data.read_parquet(lineitem_dir), ProfileConfig()))
+        assert folded == [5_000] * 8
+        [op] = _operators(seen[-1])
+        assert f"{cpus} tasks executed" in op, op
+    assert got[1] == got[4]
+
+
+def test_parquet_profile_ignores_task_completion_order(monkeypatch,
+                                                       lineitem_dir):
+    """Two 4-task runs whose fold tasks sleep for random times give the
+    same profile ``table``/``variables``: the partials fold in (file,
+    batch) order, not in the order the tasks finish."""
+    from data_profiler_ray.stages import plan
+    from data_profiler_ray.stages import profile as prof_mod
+
+    class Sleepy(prof_mod._PartialProfiler):
+        def __call__(self, batch):
+            import random
+            import time
+            time.sleep(random.uniform(0, 0.3))
+            return super().__call__(batch)
+
+    monkeypatch.setattr(plan, "_cpus", lambda: 4)
+    monkeypatch.setattr(prof_mod, "_PartialProfiler", Sleepy)
+    runs = [_profile_json(profile_dataset(
+        ray.data.read_parquet(lineitem_dir), ProfileConfig()))
+        for _ in range(2)]
+    assert runs[0] == runs[1]
+
+
+def test_other_reads_keep_their_plan(monkeypatch, tmp_path):
+    """A mapped read, a ``columns=`` read and a ``filter=`` read are not
+    read again in the footer plan: each folds as given and keeps the map's
+    effect, its columns or its filter."""
+    import pyarrow.compute as pc
+
+    from data_profiler_ray.stages import plan
+    rng = np.random.default_rng(4)
+    whole = pa.table({"i": pa.array(rng.integers(0, 1_000, 4_000)),
+                      "f": pa.array(rng.normal(0, 1, 4_000))})
+    d = _write_files(tmp_path / "in", whole, [1_000] * 4)
+
+    def doubled(b):
+        return b.set_column(0, "i", pc.multiply(b.column("i"), 2))
+
+    bare = ray.data.read_parquet(d)
+    mapped = ray.data.read_parquet(d).map_batches(doubled,
+                                                  batch_format="pyarrow")
+    narrow = ray.data.read_parquet(d, columns=["f"])
+    filtered = ray.data.read_parquet(d, filter=pc.field("i") < 100)
+    assert plan.bare_parquet_footers(bare) is not None
+    reads = []
+    monkeypatch.setattr(ray.data, "read_parquet",
+                        lambda *a, **k: reads.append(a))
+    for ds in (mapped, narrow, filtered):
+        assert plan.bare_parquet_footers(ds) is None
+    v = {x["name"]: x for x in profile_dataset(
+        mapped, ProfileConfig())["variables"]}
+    assert v["i"]["max"] == 2 * pc.max(whole.column("i")).as_py()
+    prof = profile_dataset(narrow, ProfileConfig())
+    assert [x["name"] for x in prof["variables"]] == ["f"]
+    prof = profile_dataset(filtered, ProfileConfig())
+    assert prof["table"]["num_rows"] == pc.sum(
+        pc.less(whole.column("i"), 100)).as_py()
+    assert reads == []
+
+
+@pytest.mark.parametrize("slices", [16, 5, 1])
+def test_other_values_bucket_from_exact_totals(slices):
+    """Past the counter cap, ``Other Values (n)`` holds every non-null row
+    not shown in the top 10, and ``n`` is ``n_distinct`` minus 10, however
+    the rows were sliced into partials (``l_comment`` of
+    ``lineitem(100_000, 52)``, about 75,000 distinct values)."""
+    from perfbench.inputs import lineitem
+
+    from data_profiler_ray.stages.profile import (_PartialProfiler,
+                                                  merge_states)
+    tbl = lineitem(100_000, 52).select(["l_comment"])
+    profiler = _PartialProfiler(tbl.schema, ProfileConfig())
+    k = -(-len(tbl) // slices)
+    _, merged = merge_states(profiler.fold(tbl.slice(o, k))
+                             for o in range(0, len(tbl), k))
+    acc = merged["l_comment"]
+    assert acc.counter.overflowed
+    r = acc.result()
+    top = {key: c for key, c in r["freq_value_counts"].items()
+           if not key.startswith("Other Values")}
+    assert len(top) == 10
+    non_null = len(tbl) - tbl.column("l_comment").null_count
+    assert r["count"] == non_null
+    assert r["freq_value_counts"][
+        f"Other Values ({r['n_distinct'] - 10})"] == \
+        non_null - sum(top.values())
 
 
 def test_merge_states_fold_matches_raw_columns(monkeypatch):

@@ -348,9 +348,9 @@ def test_shard_of_one_table_twice_is_profiled_whole(tmp_path, monkeypatch):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from data_profiler_ray.pipelines import validate
+    from data_profiler_ray.stages import plan
     from data_profiler_ray.synthetic import generate_transcripts
-    monkeypatch.setattr(validate, "FOLD_ROWS", 500)
+    monkeypatch.setattr(plan, "FOLD_ROWS", 500)
     tbl = generate_transcripts(2000, seed=3)
     src = tmp_path / "in"
     src.mkdir()
@@ -434,10 +434,10 @@ def test_profile_is_exact_across_fresh_and_resumed_runs(
     alone would split 2 pending shards further, to 2 blocks per CPU).
     With ``fold_rows`` 300 every shard of 1000 rows is read as 4 blocks,
     so each part folds from several partials."""
-    from data_profiler_ray.pipelines import validate
+    from data_profiler_ray.stages import plan
     from data_profiler_ray.synthetic import write_transcripts
     if fold_rows:
-        monkeypatch.setattr(validate, "FOLD_ROWS", fold_rows)
+        monkeypatch.setattr(plan, "FOLD_ROWS", fold_rows)
     per_shard = 4 if fold_rows else 1
     src = str(tmp_path / "in")
     write_transcripts(src, 16_000, seed=7, num_shards=16, dup_frac=0.01,
@@ -500,3 +500,17 @@ def test_read_tasks_keep_blocks_under_target_size(small_shards_dir, tmp_path,
         assert json.dumps(s["profile"][key], sort_keys=True, default=str) \
             == json.dumps(default["profile"][key], sort_keys=True,
                           default=str)
+
+
+def test_profile_dataset_matches_run_validation(small_shards_dir, tmp_path):
+    """Where every shard is one read batch, ``profile_dataset`` over the
+    shards and ``run_validation`` fold the same partials in the same
+    order, and so give equal ``table``/``variables``."""
+    cfg = _cfg(str(tmp_path / "out"))
+    s = run_validation(small_shards_dir, cfg)
+    assert s["counters"]["partials_folded"] == s["parts_total"]
+    prof = profile_dataset(ray.data.read_parquet(small_shards_dir),
+                           cfg.profile)
+    for key in ("table", "variables"):
+        assert json.dumps(prof[key], sort_keys=True, default=str) == \
+            json.dumps(s["profile"][key], sort_keys=True, default=str)
