@@ -1,18 +1,25 @@
 """Read plans from Parquet footers, shared by both entry points.
 
-``run_validation`` and ``profile_dataset`` read Parquet the same way: the
-footers (``pq.read_metadata``, once per file per call) fix how many read
-tasks there are (``_read_tasks``), how many blocks each file is cut into
-(``_split_factor``) and how many rows one Parquet read batch holds
-(``_read_batch_rows``). A map with ``batch_size=None`` then runs fused
-with the read and is called once per read batch (or per split block), so
-one partial folds one (file, read batch). Each of these numbers depends
-on the input alone, except the task count, which only regroups whole
-files: the partials are the same at any CPU count.
+Both entry points fold Parquet in units fixed by the footers
+(``pq.read_metadata``, once per file per call), so their partials, and
+hence the profile, depend on the input alone, not on the CPU count or the
+task order.
+
+``run_validation`` folds one partial per (file, read batch): the footers
+fix how many read tasks there are (``_read_tasks``), how many blocks each
+file is cut into (``_split_factor``) and how many rows one Parquet read
+batch holds (``_read_batch_rows``), and a map with ``batch_size=None``
+runs fused with the read (``planned_read``), called once per read batch
+or split block. The task count only regroups whole files.
+
+``profile_dataset`` folds one partial per fold unit (``fold_units``): a
+run of consecutive row groups of at most ``FOLD_ROWS`` rows, read in
+``_read_batch_rows`` batches by one of ``unit_runs``' read tasks, which
+only regroup whole units.
 
 Ray's own read planning would size batches from the files it samples and
-split blocks by the CPU count, so the partials, and hence the profile,
-would depend on the cluster.
+split blocks by the CPU count, so the partials would depend on the
+cluster.
 """
 
 from __future__ import annotations
@@ -24,12 +31,13 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-# Most rows one partial folds: the rows of one Parquet read batch
-# (``_read_batch_rows``) and of one split block (``_split_factor``). At
-# 16,384 a high-cardinality string column's partial sits just under its
-# counter cap (16,384 keys), so every driver merge overflows and re-hashes
-# it; at 32,768 the counter overflows in the worker and the driver merges
-# only HLL registers.
+# Most rows one partial folds, unless one row group alone holds more: the
+# rows of one profile fold unit (``fold_units``), and of one Parquet read
+# batch (``_read_batch_rows``) or split block (``_split_factor``) of
+# ``run_validation``. At 16,384 a high-cardinality string column's partial
+# sits just under its counter cap (16,384 keys), so every driver merge
+# overflows and re-hashes it; at 32,768 the counter overflows in the worker
+# and the driver merges only HLL registers.
 FOLD_ROWS = 32_768
 
 
@@ -57,10 +65,11 @@ def _read_batch_rows(metas: dict[str, pq.FileMetaData]) -> int:
     """Rows per Parquet read batch: ``FOLD_ROWS``, or fewer where a batch
     of the input's widest rows would exceed one Ray block. Ray fuses a
     ``batch_size=None`` map with an unsplit read and calls it once per
-    read batch, so a file of at most ``FOLD_ROWS`` rows folds one partial
-    per row group. Like ``_split_factor`` this depends on the input alone:
-    Ray's own batch size comes from the row widths of the files it samples,
-    and from the block target."""
+    read batch, so in ``run_validation`` a file of at most ``FOLD_ROWS``
+    rows folds one partial per row group; a profile fold unit folds all
+    its batches into one. Like ``_split_factor`` this depends on the
+    input alone: Ray's own batch size comes from the row widths of the
+    files it samples, and from the block target."""
     target = ray.data.DataContext.get_current().target_max_block_size
     widest = max(-(-_footer_bytes(md) // max(1, md.num_rows))
                  for md in metas.values())
@@ -108,6 +117,47 @@ def planned_read(files: list[str], metas: dict[str, pq.FileMetaData],
     return ray.data.read_parquet(files, override_num_blocks=tasks * split,
                                  batch_size=_read_batch_rows(metas),
                                  **read_args), tasks
+
+
+def fold_units(metas: dict[str, pq.FileMetaData]
+               ) -> list[list[tuple[str, list[int]]]]:
+    """The input's profile fold units, each a list of ``(file, row
+    groups)``: runs of consecutive row groups, in sorted file order, of at
+    most ``FOLD_ROWS`` rows each, cut only at row-group boundaries. A row
+    group of more than ``FOLD_ROWS`` rows is a unit of its own; row groups
+    without rows are in none. Like ``_split_factor`` this depends on the
+    input alone."""
+    units: list[list[tuple[str, list[int]]]] = []
+    unit: list[tuple[str, list[int]]] = []
+    rows = 0
+    for path in sorted(metas):
+        md = metas[path]
+        for rg in range(md.num_row_groups):
+            n = md.row_group(rg).num_rows
+            if not n:
+                continue
+            if unit and rows + n > FOLD_ROWS:
+                units.append(unit)
+                unit, rows = [], 0
+            if unit and unit[-1][0] == path:
+                unit[-1][1].append(rg)
+            else:
+                unit.append((path, [rg]))
+            rows += n
+    if unit:
+        units.append(unit)
+    return units
+
+
+def unit_runs(units: list) -> list[list]:
+    """``units`` as ``min(CPUs, len(units))`` contiguous runs of about
+    equal length, one per read task: the task count regroups whole units
+    only, so the partials are the same at any CPU count."""
+    tasks = min(_cpus(), len(units))
+    if not tasks:
+        return []
+    cuts = [len(units) * i // tasks for i in range(tasks + 1)]
+    return [units[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def bare_parquet_footers(ds: "ray.data.Dataset"

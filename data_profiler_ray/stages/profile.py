@@ -4,7 +4,7 @@ Replaces the reference's whole-file pandas loop
 (``/root/reference/stelardataprofiler/tabular_timeseries/profiler.py:329-403``)
 with the Ray-Data-native shape from SURVEY.md §3.4:
 
-    read_parquet → map_batches(partial accumulators, batch_format="pyarrow")
+    read (+ partial accumulators per fold unit or block)
         → iter_batches to the driver → merge_states fold → profile dict
 
 Each partial contributes ONE small row holding the serialized accumulator
@@ -12,12 +12,12 @@ bundle (``dumps_state``: per column moments + KLL + a capped value counter
 of typed key/count arrays, + HLL registers once that counter overflowed),
 so what the driver pulls is o(input) regardless of data size.
 
-A bare ``read_parquet`` is read again in the footer plan that
-``run_validation`` reads by (``stages.plan``): the partial map runs fused
-with the read (``ReadParquet->MapBatches(_PartialProfiler)``), one task
-per CPU, and folds one partial per (file, read batch) of at most
-``FOLD_ROWS`` rows. Any other Dataset folds one partial per Ray block.
-Either way the driver folds the partials in the stream's block order
+A bare ``read_parquet`` is read again from its footers (``stages.plan``)
+through ``_FoldUnitsDatasource``: one read task per CPU, each reading a
+contiguous run of fold units (``plan.fold_units``: consecutive row groups
+of at most ``FOLD_ROWS`` rows) and folding each unit's read batches into
+one partial. Any other Dataset folds one partial per Ray block. Either way
+the driver folds the partials in the stream's block order
 (``preserve_order``), so a Parquet input's profile depends on the files
 alone, not on the CPU count or on which task finished first: KLL
 compaction, the Misra-Gries shrink and float sums all depend on merge
@@ -28,14 +28,21 @@ order. The final profile dict has the reference's three-part shape
 from __future__ import annotations
 
 import datetime
+import functools
 import pickle
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
+
+import ray.data
+from ray.data import Datasource, ReadTask
+from ray.data.block import BlockMetadata
 
 from ..config import ProfileConfig
 from ..state.column import ColumnAccumulator, make_accumulator
-from .plan import bare_parquet_footers, planned_read
+from .plan import _read_batch_rows, bare_parquet_footers, fold_units, \
+    unit_runs
 
 
 # State blobs start with this magic and a format version. The version
@@ -93,13 +100,15 @@ def loads_state(blob: bytes):
 
 
 class _PartialProfiler:
-    """Fold Arrow batches into state blobs. As a map_batches callable
-    (``profile_dataset``) it folds one batch, a (file, read batch) of a
-    planned read or one Ray block of any other Dataset, into fresh
-    accumulators and emits one serialized-state row, or one row per
-    partition value when a ``part_column`` is set. ``run_validation`` does
-    not map it: its read tasks (``_FoldAndProject``) and ``_refold_shard``
-    call ``fold`` on each part's rows directly."""
+    """Fold Arrow batches into state blobs. ``fold`` folds a sequence of
+    batches, in order, into one set of fresh accumulators and returns one
+    blob; a single batch is the one-batch case. ``profile_dataset``'s read
+    tasks (``_FoldUnitsDatasource``) fold one fold unit's read batches
+    per call. As a map_batches callable (any other Dataset) it folds one
+    Ray block and emits one serialized-state row, or one row per
+    partition value when a ``part_column`` is set. ``run_validation``'s
+    read tasks (``_FoldAndProject``) and ``_refold_shard`` call ``fold``
+    on each part's rows directly."""
 
     _PROBE_FLAGS = ("all_datetime", "all_boolean", "all_numeric",
                     "all_geometry")
@@ -113,39 +122,47 @@ class _PartialProfiler:
         # instance: a later batch pre-sets them so the head-sample parses
         # (dateutil/to_numeric) run only until the first failing value.
         # Ray deserializes the callable afresh for every task, so this
-        # carries only across the batches of one task: the read batches of
-        # one read task (``profile_dataset``'s and ``run_validation``'s)
-        # and ``_refold_shard``'s batches. Sound because the flags are
-        # AND-merged: forcing False on a batch whose own values would have
-        # passed gives the same merged result the failing batch already
-        # forces. Keyed by part so one partition's verdict never leaks into
-        # another's checkpointed state.
+        # carries only across the batches of one task: the fold units of
+        # one ``profile_dataset`` read task, the read batches of one
+        # ``run_validation`` read task and ``_refold_shard``'s batches.
+        # Sound because the flags are AND-merged: forcing False on a batch
+        # whose own values would have passed gives the same merged result
+        # the failing batch already forces. Keyed by part so one
+        # partition's verdict never leaks into another's checkpointed
+        # state.
         self._dead_probes: dict[tuple[str | None, str], tuple[str, ...]] = {}
 
-    def fold(self, batch: pa.Table, part: str | None = None) -> bytes:
-        """One batch of one part as a state blob (``dumps_state``)."""
+    def fold(self, batches, part: str | None = None) -> bytes:
+        """``batches`` (one Arrow table or record batch, or an iterable of
+        them) of one part, folded in order, as a state blob
+        (``dumps_state``)."""
+        if isinstance(batches, (pa.Table, pa.RecordBatch)):
+            batches = (batches,)
         accs: dict[str, ColumnAccumulator] = {}
-        cols = self.config.columns or self.schema.names
+        cols = [n for n in self.config.columns or self.schema.names
+                if not (self.part_column and n == self.part_column)]
         for name in cols:
-            if self.part_column and name == self.part_column:
-                continue
-            fld = self.schema.field(name)
             if name in (self.config.geometry_columns or ()):
                 from ..state.column import GeometryAccumulator
                 acc = GeometryAccumulator(name, crs=self.config.geometry_crs)
             else:
                 acc = make_accumulator(
-                    fld, text_stats=self.config.text_stats
+                    self.schema.field(name), text_stats=self.config.text_stats
                     and not self.config.light_mode)
             for f in self._dead_probes.get((part, name), ()):
                 setattr(acc, f, False)
-            acc.update(batch.column(name))
+            accs[name] = acc
+        rows = 0
+        for batch in batches:
+            rows += len(batch)
+            for name, acc in accs.items():
+                acc.update(batch.column(name))
+        for name, acc in accs.items():
             dead = tuple(f for f in self._PROBE_FLAGS
                          if getattr(acc, f, True) is False)
             if dead:
                 self._dead_probes[(part, name)] = dead
-            accs[name] = acc
-        return dumps_state((len(batch), accs))
+        return dumps_state((rows, accs))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if self.part_column is None:
@@ -162,16 +179,88 @@ class _PartialProfiler:
         })
 
 
+def _unit_batches(unit: list[tuple[str, list[int]]], batch_rows: int,
+                  columns: list[str] | None):
+    """The row groups of a fold unit in Parquet read batches of at most
+    ``batch_rows`` rows, in file order, each as a table as Ray's read
+    gives it: ``memory_size`` counts a column's validity bitmap only
+    where it holds nulls, as a table column's ``combine_chunks`` does."""
+    for path, groups in unit:
+        with pq.ParquetFile(path) as f:
+            for b in f.iter_batches(batch_size=batch_rows,
+                                    row_groups=groups, columns=columns):
+                yield pa.Table.from_batches([b])
+
+
+def _fold_unit_run(run: list, profiler: _PartialProfiler, batch_rows: int,
+                   columns: list[str] | None):
+    """A ``_FoldUnitsDatasource`` read task: one ``(part, rows, state)``
+    row per ``(unit, rows)`` of ``run``."""
+    for unit, rows in run:
+        blob = profiler.fold(_unit_batches(unit, batch_rows, columns))
+        yield pa.table({"part": pa.array([None], pa.string()),
+                        "rows": pa.array([rows], pa.int64()),
+                        "state": pa.array([blob], pa.large_binary())})
+
+
+class _FoldUnitsDatasource(Datasource):
+    """A bare Parquet input read as its fold units (``plan.fold_units``):
+    one read task per run of ``plan.unit_runs``, each yielding one partial
+    row per unit (``_fold_unit_run``). The runs are fixed when the
+    datasource is built; ``partials`` asks for exactly that many blocks,
+    so Ray adds no split of its own."""
+
+    def __init__(self, metas: dict, schema: pa.Schema,
+                 config: ProfileConfig):
+        self.runs = unit_runs([
+            (unit, sum(metas[p].row_group(g).num_rows
+                       for p, groups in unit for g in groups))
+            for unit in fold_units(metas)])
+        self.profiler = _PartialProfiler(schema, config)
+        self.batch_rows = _read_batch_rows(metas)
+        self.columns = config.columns or None
+
+    def get_name(self) -> str:
+        return "ParquetFoldUnits"
+
+    def estimate_inmemory_data_size(self) -> None:
+        """None: from an input size Ray would work out a split of its own."""
+        return None
+
+    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+        return [ReadTask(
+            functools.partial(_fold_unit_run, run, self.profiler,
+                              self.batch_rows, self.columns),
+            BlockMetadata(num_rows=len(run), size_bytes=None,
+                          exec_stats=None,
+                          input_files=sorted({p for unit, _ in run
+                                              for p, _ in unit})))
+            for run in self.runs]
+
+    def partials(self):
+        """Yield ``(part, rows, blob)`` per fold unit, in unit order
+        (``_in_order``); none for an input without rows."""
+        if self.runs:
+            yield from _in_order(ray.data.read_datasource(
+                self, override_num_blocks=len(self.runs)))
+
+
 def _partials(ds: "ray.data.Dataset", schema: pa.Schema,
               config: ProfileConfig, part_column: str | None = None):
     """Yield ``(part, rows, blob)`` for every partial-state row of ``ds``
     (``part`` is None without a ``part_column``): one partial per Ray
     block, or per read batch where Ray fuses the map with a read, in block
-    order. The order is ``preserve_order``'s, set on ``ds``'s context for
-    the stream and restored after it, so it does not depend on which task
-    finishes first."""
-    stream = ds.map_batches(_PartialProfiler(schema, config, part_column),
-                            batch_format="pyarrow", batch_size=None)
+    order (``_in_order``)."""
+    yield from _in_order(ds.map_batches(
+        _PartialProfiler(schema, config, part_column),
+        batch_format="pyarrow", batch_size=None))
+
+
+def _in_order(stream: "ray.data.Dataset"):
+    """Yield ``(part, rows, blob)`` for every row of a partial stream, in
+    block order. The order is ``preserve_order``'s, set on ``stream``'s
+    context for the stream and restored after it, so it does not depend
+    on which task finishes first."""
     opts = stream.context.execution_options
     kept, opts.preserve_order = opts.preserve_order, True
     try:
@@ -249,9 +338,10 @@ def profile_dataset(ds: "ray.data.Dataset", config: ProfileConfig | None = None,
                     filenames: list[str] | None = None) -> dict:
     """Profile a Dataset into the reference-shaped dict. A bare
     ``read_parquet`` (``stages.plan.bare_parquet_footers``) is read again
-    in the footer plan, fused with the partial fold; any other Dataset
-    folds one partial per block. The partials fold on the driver as they
-    stream in, in the stream's order."""
+    as its fold units, each folded into one partial inside its read task
+    (``_FoldUnitsDatasource``); any other Dataset folds one partial per
+    block. The partials fold on the driver as they stream in, in the
+    stream's order."""
     config = config or ProfileConfig()
     t0 = datetime.datetime.now()
     schema = ds.schema()
@@ -259,12 +349,13 @@ def profile_dataset(ds: "ray.data.Dataset", config: ProfileConfig | None = None,
                               zip(schema.names, schema.types)])
     metas = bare_parquet_footers(ds)
     if metas is not None:
-        ds, _ = planned_read(list(metas), metas,
-                             columns=config.columns or None)
-    elif config.columns:
-        ds = ds.select_columns(config.columns)
-    total_rows, merged = merge_states(
-        blob for _, _, blob in _partials(ds, arrow_schema, config))
+        partials = _FoldUnitsDatasource(metas, arrow_schema,
+                                        config).partials()
+    else:
+        if config.columns:
+            ds = ds.select_columns(config.columns)
+        partials = _partials(ds, arrow_schema, config)
+    total_rows, merged = merge_states(blob for _, _, blob in partials)
     if not merged:  # empty input: still emit one typed variable per column
         cols = config.columns or arrow_schema.names
         merged = {n: make_accumulator(arrow_schema.field(n),

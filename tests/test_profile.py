@@ -1,6 +1,7 @@
 """Golden-profile e2e: distributed profile of parquet tables vs a pandas
 oracle computed on the same data (SURVEY.md §5.2 item 2)."""
 
+import datetime
 import json
 import os
 
@@ -260,42 +261,71 @@ def _operators(stream):
             if line.startswith("Operator")]
 
 
+def _recording_folds(monkeypatch, out, delay=0.0):
+    """Replace ``stages.profile._PartialProfiler`` with a subclass whose
+    ``fold``, wherever it runs, sleeps for a random time of up to
+    ``delay`` seconds and records the row count of each batch it folds in
+    a new file under ``out``. Returns a function that reads the records
+    back, one list of batch row counts per fold, in no particular order."""
+    from data_profiler_ray.stages import profile as prof_mod
+    os.makedirs(out)
+
+    class Recording(prof_mod._PartialProfiler):
+        def fold(self, batches, part=None):
+            import random
+            import time
+            import uuid
+            if isinstance(batches, (pa.Table, pa.RecordBatch)):
+                batches = [batches]
+            batches = list(batches)
+            time.sleep(random.uniform(0, delay))
+            with open(os.path.join(out, uuid.uuid4().hex), "w") as f:
+                json.dump([len(b) for b in batches], f)
+            return super().fold(batches, part=part)
+
+    monkeypatch.setattr(prof_mod, "_PartialProfiler", Recording)
+
+    def records():
+        def load(name):
+            with open(os.path.join(out, name)) as f:
+                return json.load(f)
+        return [load(name) for name in os.listdir(out)]
+    return records
+
+
 @pytest.mark.parametrize("tables", [
-    [1_000] * 16,    # 16 small files: one partial each, in file order
-    [70_000],        # a file over FOLD_ROWS rows is cut into equal blocks
+    # files of 12,500 rows pack two to a unit, in file order
+    ([12_500] * 5, [25_000, 25_000, 12_500]),
+    # a row group over FOLD_ROWS rows is a unit of its own
+    ([70_000], [70_000]),
 ])
 def test_profile_dataset_folds_one_blob_per_fold_batch(monkeypatch, tmp_path,
                                                        tables):
-    """A bare ``read_parquet`` folds one partial per (file, read batch) of
-    the footer plan, in file order: a file of at most ``FOLD_ROWS`` rows is
-    one batch, and a larger one is cut into ``_split_factor`` equal
-    blocks. Either way the profile equals the one folded from all rows as
-    a single partial."""
+    """A bare ``read_parquet`` folds one partial per fold unit
+    (``plan.fold_units``), in file order, and the profile equals the one
+    folded from all rows as a single partial."""
     from data_profiler_ray.stages import plan
     assert plan.FOLD_ROWS == 32_768
+    sizes, units = tables
     rng = np.random.default_rng(5)
-    n = sum(tables)
+    n = sum(sizes)
     whole = pa.table({
         "i": pa.array(rng.integers(0, 5_000, n)),
         "f": pa.array(rng.normal(0, 1, n)),
         "s": pa.array([f"s{v}" for v in rng.integers(0, 20_000, n)]),
     })
-    d = _write_files(tmp_path / "in", whole, tables)
+    d = _write_files(tmp_path / "in", whole, sizes)
     folded = _counting_merges(monkeypatch)
     prof = profile_dataset(ray.data.read_parquet(d), ProfileConfig())
-    if len(tables) > 1:
-        assert folded == tables
-    else:
-        split = -(-n // plan.FOLD_ROWS)
-        assert folded == [-(-n // split)] + [n // split] * (split - 1)
+    assert folded == units
     _assert_profile_of(prof, whole)
 
 
 def test_fold_batches_bounded_by_block_bytes(monkeypatch, tmp_path):
     """Wide rows make fewer rows per read batch (``_read_batch_rows``): no
-    partial holds more footer bytes than
-    ``DataContext.target_max_block_size``, and the profile still equals
-    the whole-table fold."""
+    batch a unit folds holds more footer bytes than
+    ``DataContext.target_max_block_size``, the unit still folds into one
+    partial, and the profile still equals the whole-table fold."""
     from ray.data import DataContext
 
     from data_profiler_ray.stages import plan
@@ -315,33 +345,35 @@ def test_fold_batches_bounded_by_block_bytes(monkeypatch, tmp_path):
                  for md in metas.values())
     batch = plan._read_batch_rows(metas)
     assert batch * widest <= target < (batch + 1) * widest
+    records = _recording_folds(monkeypatch, str(tmp_path / "folds"))
     folded = _counting_merges(monkeypatch)
     prof = profile_dataset(ray.data.read_parquet(d), ProfileConfig())
-    assert sum(folded) == n
-    assert max(folded) <= batch
-    assert len(folded) == 4 * -(-500 // batch)
+    assert folded == [n]
+    [batches] = records()
+    assert sum(batches) == n
+    assert max(batches) <= batch
+    assert len(batches) == 4 * -(-500 // batch)
     _assert_profile_of(prof, whole)
 
 
 def test_fold_batches_keep_read_fusion(monkeypatch, tmp_path):
-    """The partial map runs fused with the planned read: one operator,
-    ``ReadParquet->MapBatches(_PartialProfiler)``, in one task per CPU,
-    folding one partial per file."""
+    """The fold runs inside the read: one operator,
+    ``ReadParquetFoldUnits`` (no ``ReadParquet``), in one task per CPU,
+    folding one partial per fold unit."""
+    from data_profiler_ray.stages import plan
+    monkeypatch.setattr(plan, "FOLD_ROWS", 2_000)
     cpus = int(ray.cluster_resources()["CPU"])
     rng = np.random.default_rng(3)
-    whole = pa.table({"x": pa.array(rng.normal(0, 1, 16_000))})
     files = 2 * cpus
-    k = -(-len(whole) // files)
-    d = _write_files(tmp_path / "in", whole, [k] * (files - 1)
-                     + [len(whole) - k * (files - 1)])
+    whole = pa.table({"x": pa.array(rng.normal(0, 1, 2_000 * files))})
+    d = _write_files(tmp_path / "in", whole, [2_000] * files)
     seen = _recording_streams(monkeypatch)
     folded = _counting_merges(monkeypatch)
     prof = profile_dataset(ray.data.read_parquet(d), ProfileConfig())
     [op] = _operators(seen[-1])
     assert op.startswith(
-        "Operator 1 ReadParquet->MapBatches(_PartialProfiler): "
-        f"{cpus} tasks executed"), op
-    assert len(folded) == files
+        f"Operator 1 ReadParquetFoldUnits: {cpus} tasks executed"), op
+    assert folded == [2_000] * files
     _assert_profile_of(prof, whole)
 
 
@@ -364,8 +396,10 @@ def test_parquet_profile_same_at_one_and_four_read_tasks(monkeypatch,
                                                          lineitem_dir):
     """A Parquet input's profile ``table``/``variables`` do not depend on
     the CPU count the read plan sizes its tasks by: at 1 and at 4 read
-    tasks the same partials fold in the same order."""
+    tasks the same fold units (here 4 of two files each) fold in the same
+    order."""
     from data_profiler_ray.stages import plan
+    monkeypatch.setattr(plan, "FOLD_ROWS", 10_000)
     seen = _recording_streams(monkeypatch)
     folded = _counting_merges(monkeypatch)
     got = {}
@@ -374,33 +408,172 @@ def test_parquet_profile_same_at_one_and_four_read_tasks(monkeypatch,
         folded.clear()
         got[cpus] = _profile_json(profile_dataset(
             ray.data.read_parquet(lineitem_dir), ProfileConfig()))
-        assert folded == [5_000] * 8
+        assert folded == [10_000] * 4
         [op] = _operators(seen[-1])
         assert f"{cpus} tasks executed" in op, op
     assert got[1] == got[4]
 
 
 def test_parquet_profile_ignores_task_completion_order(monkeypatch,
-                                                       lineitem_dir):
-    """Two 4-task runs whose fold tasks sleep for random times give the
-    same profile ``table``/``variables``: the partials fold in (file,
-    batch) order, not in the order the tasks finish."""
+                                                       lineitem_dir,
+                                                       tmp_path):
+    """Two 4-task runs whose read tasks sleep for random times in each
+    fold give the same profile ``table``/``variables``: the partials fold
+    in unit order, not in the order the tasks finish."""
     from data_profiler_ray.stages import plan
-    from data_profiler_ray.stages import profile as prof_mod
-
-    class Sleepy(prof_mod._PartialProfiler):
-        def __call__(self, batch):
-            import random
-            import time
-            time.sleep(random.uniform(0, 0.3))
-            return super().__call__(batch)
-
+    monkeypatch.setattr(plan, "FOLD_ROWS", 10_000)
     monkeypatch.setattr(plan, "_cpus", lambda: 4)
-    monkeypatch.setattr(prof_mod, "_PartialProfiler", Sleepy)
-    runs = [_profile_json(profile_dataset(
-        ray.data.read_parquet(lineitem_dir), ProfileConfig()))
-        for _ in range(2)]
+    runs = []
+    for run in range(2):
+        records = _recording_folds(monkeypatch, str(tmp_path / f"{run}"),
+                                   delay=0.3)
+        runs.append(_profile_json(profile_dataset(
+            ray.data.read_parquet(lineitem_dir), ProfileConfig())))
+        assert sorted(map(sum, records())) == [10_000] * 4
     assert runs[0] == runs[1]
+
+
+def _write_row_groups(path, whole, group_rows):
+    """``whole`` as one Parquet file of row groups of ``group_rows`` rows;
+    returns its footer."""
+    pq.write_table(whole, path, row_group_size=group_rows)
+    return pq.read_metadata(path)
+
+
+def test_fold_units_pack_row_groups_from_footers(monkeypatch, tmp_path):
+    """Fold units are runs of consecutive row groups, in file order, of at
+    most ``FOLD_ROWS`` rows: 12,500-row files pack two to a unit, a row
+    group over ``FOLD_ROWS`` rows is its own unit, a file of several row
+    groups is cut only at row-group boundaries, and a unit reads in
+    batches of at most ``_read_batch_rows`` rows."""
+    from data_profiler_ray.stages import plan
+    from data_profiler_ray.stages.profile import _unit_batches
+    tbl = pa.table({"x": pa.array(np.arange(70_000))})
+    metas = {str(tmp_path / f"{i}.parquet"): _write_row_groups(
+        str(tmp_path / f"{i}.parquet"), tbl.slice(0, 12_500), 12_500)
+        for i in range(5)}
+    p = sorted(metas)
+    assert plan.fold_units(metas) == [[(p[0], [0]), (p[1], [0])],
+                                      [(p[2], [0]), (p[3], [0])],
+                                      [(p[4], [0])]]
+    # 5,000 rows, then one 70,000-row group, then 50,000 rows in groups
+    # of 10,000
+    layout = [(tbl.slice(0, 5_000), 5_000), (tbl, 70_000),
+              (tbl.slice(0, 50_000), 10_000)]
+    metas = {str(tmp_path / f"m{i}.parquet"): _write_row_groups(
+        str(tmp_path / f"m{i}.parquet"), t, g)
+        for i, (t, g) in enumerate(layout)}
+    m = sorted(metas)
+    units = plan.fold_units(metas)
+    assert units == [[(m[0], [0])], [(m[1], [0])],
+                     [(m[2], [0, 1, 2])], [(m[2], [3, 4])]]
+    batch = plan._read_batch_rows(metas)
+    assert batch == plan.FOLD_ROWS
+    sizes = [[len(b) for b in _unit_batches(u, batch, None)] for u in units]
+    assert sizes == [[5_000], [32_768, 32_768, 4_464], [30_000], [20_000]]
+    # the task count regroups whole units only
+    monkeypatch.setattr(plan, "_cpus", lambda: 3)
+    assert plan.unit_runs(units) == [units[:1], units[1:2], units[2:]]
+    monkeypatch.setattr(plan, "_cpus", lambda: 8)
+    assert plan.unit_runs(units) == [[u] for u in units]
+    assert plan.unit_runs([]) == []
+
+
+def test_zero_row_files_fold_nothing(monkeypatch, tmp_path):
+    """Files without rows among others fold into no unit and leave the
+    profile as the other files give it; an input of only such files still
+    gets one typed variable per column."""
+    from data_profiler_ray.stages import plan
+    rng = np.random.default_rng(6)
+    whole = pa.table({"i": pa.array(rng.integers(0, 100, 3_000)),
+                      "s": pa.array([f"s{v}" for v in
+                                     rng.integers(0, 50, 3_000)])})
+    d = _write_files(tmp_path / "in", whole, [0, 1_000, 0, 2_000, 0])
+    metas = {str(p): pq.read_metadata(p)
+             for p in sorted((tmp_path / "in").iterdir())}
+    assert [[f for f, _ in u] for u in plan.fold_units(metas)] == \
+        [[sorted(metas)[1], sorted(metas)[3]]]
+    ds = ray.data.read_parquet(d)
+    assert plan.bare_parquet_footers(ds) is not None
+    folded = _counting_merges(monkeypatch)
+    prof = profile_dataset(ds, ProfileConfig())
+    assert folded == [3_000]
+    _assert_profile_of(prof, whole)
+
+    e = _write_files(tmp_path / "empty", whole, [0, 0])
+    folded.clear()
+    prof = profile_dataset(ray.data.read_parquet(e), ProfileConfig())
+    assert folded == []
+    assert prof["table"]["num_rows"] == 0
+    assert [(v["name"], v["count"]) for v in prof["variables"]] == \
+        [("i", 0), ("s", 0)]
+
+
+def test_columns_read_folds_only_those_columns(monkeypatch, tmp_path):
+    """``config.columns`` on a bare read: the fold units read and profile
+    only those columns, with the values a whole-table fold gives them."""
+    rng = np.random.default_rng(8)
+    whole = pa.table({"i": pa.array(rng.integers(0, 1_000, 4_000)),
+                      "f": pa.array(rng.normal(0, 1, 4_000)),
+                      "s": pa.array([f"s{v}" for v in
+                                     rng.integers(0, 99, 4_000)])})
+    d = _write_files(tmp_path / "in", whole, [1_000] * 4)
+    seen = _recording_streams(monkeypatch)
+    prof = profile_dataset(ray.data.read_parquet(d),
+                           ProfileConfig(columns=["s", "f"]))
+    [op] = _operators(seen[-1])
+    assert op.startswith("Operator 1 ReadParquetFoldUnits"), op
+    assert [v["name"] for v in prof["variables"]] == ["s", "f"]
+    _assert_profile_of(prof, whole.select(["s", "f"]))
+
+
+def test_sequential_fold_equals_merged_one_batch_partials():
+    """Below every counter cap, folding a unit's batches in sequence into
+    one partial gives the same profile as merging one partial per batch,
+    for every column kind of ``lineitem``."""
+    from perfbench.inputs import lineitem
+
+    from data_profiler_ray.stages.profile import (_PartialProfiler,
+                                                  finalize_profile,
+                                                  merge_states)
+    tbl = lineitem(6_000, 3)
+    cfg = ProfileConfig()
+    batches = [tbl.slice(o, 1_500) for o in range(0, len(tbl), 1_500)]
+    seq = merge_states([_PartialProfiler(tbl.schema, cfg).fold(batches)])
+    per_batch = _PartialProfiler(tbl.schema, cfg)
+    merged = merge_states(per_batch.fold(b) for b in batches)
+    assert not any(getattr(a, "counter", None) is not None
+                   and a.counter.overflowed for a in merged[1].values())
+    t0 = datetime.datetime.now()
+    got = [_profile_json(finalize_profile(*m, cfg, t0, []))
+           for m in (seq, merged)]
+    assert got[0] == got[1]
+
+
+def test_stages_import_no_ray_internals():
+    """No module under ``data_profiler_ray/stages/`` imports
+    ``ray.data._internal``: the stages use Ray Data's public API only."""
+    import ast
+
+    import data_profiler_ray.stages as stages
+    root = os.path.dirname(stages.__file__)
+    found = []
+    for name in sorted(os.listdir(root)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(root, name)) as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                mods = [node.module] + [f"{node.module}.{a.name}"
+                                        for a in node.names]
+            else:
+                continue
+            found += [(name, m) for m in mods
+                      if m.startswith("ray.data._internal")]
+    assert found == []
 
 
 def test_other_reads_keep_their_plan(monkeypatch, tmp_path):
