@@ -3,45 +3,44 @@
 The north-rule lifecycle (SURVEY.md §3.4). One call over the pending
 partitions runs, one after the other:
 
-1. one stream, one Ray Data execution: ``read_parquet(pending shards)``
-   in the footer plan that ``profile_dataset`` also reads by
-   (``stages.plan.planned_read``), each shard read in the same batches in
-   every run: small shards whole, packed in contiguous runs into as many
-   read tasks as the cluster needs, and shards of more than ``FOLD_ROWS``
-   rows in one task each, cut into blocks of at most ``FOLD_ROWS`` rows
-   → one ``map_batches`` callable per read batch or block
-   (``_FoldAndProject``) that adds
-   the part column, folds each part's rows into a profile partial, writes
-   it from the worker to ``parts/<part>/partials/`` and returns only the
-   narrow key columns → range-partition sort on (conv_id, turn_idx) → one
-   task per sorted block that checks it (row-local and conversation
-   checks) and writes its verdict and violation rows to per-partition
-   parquet (``_PartOutputWriter``). The driver reads only the per-part
-   tally rows and the o(#blocks) cut pieces, merges the pieces and writes
-   their rows (``stages.constraints.check_and_write``). ``text`` is read
-   once and never enters the sort;
-2. per part, the driver folds the partial files in sorted-name order
-   (``fold_partials``: a part with one partial passes through
-   byte-identical), writes ``state.pkl`` and deletes ``partials/``. The
-   fixed blocks and order make a part's state independent of task
-   completion order and of which other parts are pending.
-   A part whose partials do not cover its shard's footer row count (two
-   blocks with one key sequence shared a file name) is refolded from the
-   shard on the driver instead;
+1. one stream, one Ray Data execution: each pending shard's fold units
+   (``stages.plan.fold_units``: runs of its row groups of at most
+   ``FOLD_ROWS`` rows), packed into one read task per CPU and read
+   through the datasource ``profile_dataset`` also reads by
+   (``stages.plan.FoldUnitsDatasource``). Each read task
+   (``_fold_and_project``) folds each unit into a profile partial, writes
+   it from the worker to ``parts/<part>/partials/`` and yields only the
+   narrow key columns and the ``part`` → range-partition sort on
+   (conv_id, turn_idx) → one task per sorted block that checks it
+   (row-local and conversation checks) and writes its verdict and
+   violation rows to per-partition parquet (``_PartOutputWriter``). The
+   driver reads only the per-part tally rows and the o(#blocks) cut
+   pieces, merges the pieces and writes their rows
+   (``stages.constraints.check_and_write``). ``text`` is read once and
+   never enters the sort;
+2. per part, the driver folds the partial files in sorted-name order,
+   which is unit order (``fold_partials``: a part with one partial passes
+   through byte-identical), writes ``state.pkl`` and deletes
+   ``partials/``. A shard's units depend on its footer alone, so a part's
+   state does not depend on task completion order or on which other
+   parts are pending. Partials that do not add up to the shard's footer
+   row count raise ``RuntimeError``;
 3. per-partition checkpoints: lineage.json, _DONE marker;
 4. the final merge of every partition's state (done + fresh): one fold
    on the driver (``merge_states``), then profile.json, the verdict rollup
    and drift.
 
-Schemas, the read split and the sort width come from the Parquet footers,
-so no Ray Data execution runs only to learn a schema or a size.
+Schemas, the read plan and the sort width come from the Parquet footers,
+so no Ray Data execution runs only to learn a schema or a size. Every
+shard, done or pending, must have the same columns and types
+(``stages.plan.footer_schema``); one that differs raises ``ValueError``
+before any task starts.
 
 ``summary["timings"]``: ``constraints`` is the one stream of step 1,
 ``profile`` the per-part fold of step 2, ``checkpoint_write`` step 3,
 ``final_merge`` and ``rollup`` step 4. ``summary["counters"]`` holds the
-call's read tasks, sort width, sorted block count, cut-piece carry, the
-number of profile partials folded and the number of parts refolded from
-their shard.
+call's read tasks, sort width, sorted block count, cut-piece carry and
+the number of profile partials folded.
 
 Resume semantics: a partition with a ``_DONE`` marker is SKIPPED entirely —
 its saved profile state, verdicts and lineage are reloaded and merged with
@@ -63,6 +62,7 @@ those into the baseline spec (stages/drift.py).
 from __future__ import annotations
 
 import datetime
+import functools
 import glob
 import hashlib
 import json
@@ -80,58 +80,26 @@ import pyarrow.parquet as pq
 from ..config import ValidationConfig
 from ..stages.constraints import VIOLATION_SCHEMA, check_and_write
 from ..stages.drift import bin_accumulators, drift_from_counts, spec_from_profile
-from ..stages.plan import _column_bytes, planned_read
+from ..stages.plan import (FoldUnitsDatasource, _column_bytes,
+                           _read_batch_rows, _unit_batches, footer_schema,
+                           numbered_units, unit_runs)
 from ..stages.profile import (_PartialProfiler, finalize_profile,
                               fold_partials, merge_states)
 
 # stage timings in summary["timings"]; a stage that did not run reports 0
 _TIMING_KEYS = ("profile", "constraints", "checkpoint_write", "final_merge",
                 "rollup")
-# summary["counters"]: the read tasks the stream asked for
-# (``_read_tasks``), the constraint sort's ``stats``, the number of
-# profile partial files folded and of parts refolded from their shard
-# (``_refold_shard``); 0 when nothing was recomputed
+# summary["counters"]: the stream's read tasks (``plan.unit_runs``), the
+# constraint sort's ``stats`` and the number of profile partial files
+# folded; 0 when nothing was recomputed
 _COUNTER_KEYS = ("read_tasks", "sort_width", "n_sort_blocks", "carry_rows",
-                 "carry_bytes", "partials_folded", "parts_refolded")
+                 "carry_bytes", "partials_folded")
 _PARTIALS = "partials"
 _TMP_MARK = ".tmp-"  # in the name of a partial file not yet complete
 
 
 def _part_of(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
-
-
-def _add_part_column(batch: pa.Table) -> pa.Table:
-    """Replace the ``path`` column with the shard's ``part`` name. The
-    regexes run once per distinct path of a chunk, not once per row."""
-    parts = []
-    for chunk in batch.column("path").chunks:
-        enc = chunk.dictionary_encode()
-        names = pc.replace_substring_regex(
-            pc.replace_substring_regex(enc.dictionary, r"^.*/", ""),
-            r"\.parquet$", "")
-        parts.append(names.take(enc.indices))
-    col = pa.chunked_array(parts, type=batch.schema.field("path").type)
-    return batch.drop_columns(["path"]).append_column("part", col)
-
-
-def _part_slices(batch: pa.Table) -> dict[str, pa.Table]:
-    """Each ``part``'s rows of ``batch``, in order of first appearance:
-    zero-copy slices of the runs between the column's change points, a
-    part's runs concatenated if it has more than one."""
-    col = batch.column("part")
-    if not len(col):
-        return {}
-    change = pc.not_equal(col.slice(1), col.slice(0, len(col) - 1))
-    starts = np.flatnonzero(
-        np.r_[True, change.to_numpy(zero_copy_only=False)])
-    ends = np.r_[starts[1:], len(col)]
-    runs: dict[str, list[pa.Table]] = {}
-    for part, s, e in zip(col.take(pa.array(starts)).to_pylist(),
-                          starts, ends):
-        runs.setdefault(part, []).append(batch.slice(s, e - s))
-    return {p: r[0] if len(r) == 1 else pa.concat_tables(r)
-            for p, r in runs.items()}
 
 
 def _write_atomic(path: str, data: bytes) -> None:
@@ -143,41 +111,33 @@ def _write_atomic(path: str, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-class _FoldAndProject:
-    """The stream's ``map_batches`` callable, one call per read batch (Ray
-    fuses it with an unsplit read) or per split read block: add
-    the ``part`` column, fold each part's rows (``_part_slices``) into a
-    profile partial (``_PartialProfiler``), write it from the worker to
-    ``<parts_root>/<part>/partials/<digest>-<rows>``, and return only the
-    ``narrow_columns`` the constraint sort needs.
+def _fold_and_project(run: list, profiler: _PartialProfiler,
+                      parts_root: str, batch_rows: int,
+                      narrow_columns: list[str]):
+    """A read task of the stream (``plan.FoldUnitsDatasource``): for each
+    ``(k, unit, rows)`` of ``run``, fold the unit's read batches into one
+    profile partial, write it from the worker to
+    ``<parts_root>/<part>/partials/<k:06d>-<rows>``, and yield only the
+    batches' ``narrow_columns`` the constraint sort needs, with the
+    shard's ``part``. ``k`` is the unit's index within its shard, so
+    sorted-name order is unit order and a retried task rewrites the same
+    names."""
+    for k, unit, rows in run:
+        part = _part_of(unit[0][0])
+        narrow = []
 
-    The digest covers the part and its rows' ``key_columns`` (conv_id,
-    turn_idx) as Arrow IPC bytes, not the state bytes. So a retried task
-    writes the same name and replaces its own file, even where the
-    profiler's probe memory (``_dead_probes``) made the bytes differ. Two
-    blocks of one part with the same key sequence (e.g. a shard holding
-    one table twice, read in an even number of equal blocks) share a name
-    and one partial replaces the other; the driver sees the part's rows
-    fall short of the shard footer and refolds that shard
-    (``_refold_shard``)."""
+        def batches():
+            for b in _unit_batches(unit, batch_rows, None):
+                narrow.append(b.select(narrow_columns))
+                yield b
 
-    def __init__(self, schema: pa.Schema, profile_cfg, parts_root: str,
-                 key_columns: list[str], narrow_columns: list[str]):
-        self.profiler = _PartialProfiler(schema, profile_cfg,
-                                         part_column="part")
-        self.parts_root = parts_root
-        self.key_columns = key_columns
-        self.narrow_columns = narrow_columns
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        batch = _add_part_column(batch)
-        for part, sub in _part_slices(batch).items():
-            digest = _key_digest(part, sub.select(self.key_columns))
-            pdir = os.path.join(self.parts_root, part, _PARTIALS)
-            os.makedirs(pdir, exist_ok=True)
-            _write_atomic(os.path.join(pdir, f"{digest}-{len(sub)}"),
-                          self.profiler.fold(sub, part=part))
-        return batch.select(self.narrow_columns)
+        blob = profiler.fold(batches(), part=part)
+        pdir = os.path.join(parts_root, part, _PARTIALS)
+        os.makedirs(pdir, exist_ok=True)
+        _write_atomic(os.path.join(pdir, f"{k:06d}-{rows}"), blob)
+        for t in narrow:
+            yield t.append_column("part", pa.array([part] * len(t),
+                                                   pa.string()))
 
 
 def _key_digest(part: str, keys: pa.Table) -> str:
@@ -203,18 +163,6 @@ def _fold_part(pdir: str) -> tuple[int, bytes, int]:
     return rows, blob, len(names)
 
 
-def _refold_shard(path: str, schema: pa.Schema,
-                  profile_cfg) -> tuple[int, bytes]:
-    """The shard's (rows, state blob), folded on the driver one Parquet
-    batch at a time in file order: the fallback for a part whose partial
-    files do not cover the shard's rows."""
-    profiler = _PartialProfiler(schema, profile_cfg, part_column="part")
-    part = _part_of(path)
-    return fold_partials(
-        [(b.num_rows, profiler.fold(pa.Table.from_batches([b]), part=part))
-         for b in pq.ParquetFile(path).iter_batches()])
-
-
 def run_validation(input_dir: str, cfg: ValidationConfig,
                    baseline_profile: dict | None = None) -> dict:
     """Validate every parquet shard under ``input_dir``; resumable."""
@@ -234,44 +182,44 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
         else:
             pending.append(p)
 
-    # clear leftovers of crashed/partial runs for pending parts (workers
-    # write verdict files before the _DONE marker lands)
-    for p in pending:
-        shutil.rmtree(os.path.join(out, "parts", _part_of(p)),
-                      ignore_errors=True)
-
     counters = dict.fromkeys(_COUNTER_KEYS, 0)
     if pending:
-        # Each shard is read in the same batches in every run
-        # (``stages.plan``), so it folds from the same partials whether it
-        # is pending alone or with all the others. A shard of at most
-        # ``FOLD_ROWS`` rows is read in one batch per row group, which the
-        # fused ``_FoldAndProject`` folds as one partial; the read packs
-        # contiguous runs of whole shards into as few tasks as the cluster
-        # needs. Larger shards get one task each, its output split into
-        # equal row ranges, a number taken from the whole input (Ray's own
-        # split factor grows as fewer shards are pending). Whole 60k-row
-        # shards as single fold batches overran the capped TopK counters
-        # and churned (measured profile stage 110 s vs 24 s at 4M turns /
-        # 8 CPUs). On one vCPU a Ray Data task costs about 21 ms of wall
-        # time whatever it does, so one read task per small shard was
-        # mostly overhead.
+        # every shard's footer, done or pending: the schema check, the
+        # read batch size and the sort size depend on the input alone
         metas = {p: pq.read_metadata(p) for p in shards}
-        ds, counters["read_tasks"] = planned_read(pending, metas,
-                                                  include_paths=True)
-        # the unmapped read's schema comes from the Parquet footers; the
-        # mapped dataset's schema() would execute the read
-        read_schema = ds.schema()
-        schema = pa.schema(
-            [pa.field(n, t) for n, t in zip(read_schema.names,
-                                            read_schema.types)]
-            + [pa.field("part", pa.string())])
+        schema = footer_schema(metas)
+        # clear leftovers of crashed/partial runs for pending parts
+        # (workers write partial and verdict files before the _DONE marker
+        # lands)
+        for p in pending:
+            shutil.rmtree(os.path.join(out, "parts", _part_of(p)),
+                          ignore_errors=True)
+        # Each pending shard is read as its own fold units, in read
+        # batches sized from the whole input (``stages.plan``), so it
+        # folds the same partials whether it is pending alone or with all
+        # the others. ``unit_runs`` packs the units into one read task per
+        # CPU: on one vCPU a Ray Data task costs about 21 ms of wall time
+        # whatever it does. A row group of more than ``FOLD_ROWS`` rows is
+        # one unit, and loses nothing by it: the 208k rows of
+        # ``perfbench.inputs.dirty_whale_transcripts(204_000, 1701)`` as
+        # one row group folded as one partial over 7 read batches of
+        # 32,768 rows in 0.94-0.95 s with a 201 KB state, and as 7
+        # partials plus a merge in 0.97-1.00 s with 513 KB (in process,
+        # one pinned vCPU, best of 3, two runs). More CPUs are not
+        # measured.
+        units = [u for p in pending for u in numbered_units({p: metas[p]})]
+        runs = unit_runs(units)
+        counters["read_tasks"] = len(runs)
         ccfg = cfg.constraints
         narrow_cols = [c for c in (ccfg.group_column, ccfg.order_column,
                                    ccfg.ts_column, ccfg.role_column,
                                    ccfg.tool_column)
                        if c in schema.names]
         parts_root = os.path.join(out, "parts")
+        ds = FoldUnitsDatasource(runs, functools.partial(
+            _fold_and_project, profiler=_PartialProfiler(schema, cfg.profile),
+            parts_root=parts_root, batch_rows=_read_batch_rows(metas),
+            narrow_columns=narrow_cols)).read()
 
         # verdict and violation rows are written to per-partition parquet
         # by the sort tasks (idempotent content-hashed filenames, so task
@@ -280,16 +228,11 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
         # task (``max_violations_per_kind``); only per-part TALLY rows — a
         # few ints each — and the cut pieces come back to the driver, so
         # driver memory is independent of violation count. The profile
-        # partials stay on the workers' side too (``_FoldAndProject``).
+        # partials stay on the workers' side too (``_fold_and_project``).
         t = time.time()
         stats: dict = {}
-        projected = ds.map_batches(
-            _FoldAndProject(schema, cfg.profile, parts_root,
-                            [ccfg.group_column, ccfg.order_column],
-                            narrow_cols + ["part"]),
-            batch_format="pyarrow", batch_size=None)
         tally_tbl = check_and_write(
-            projected, ccfg,
+            ds, ccfg,
             _PartOutputWriter(parts_root, ccfg.max_violations_per_kind),
             columns=narrow_cols + ["part"],
             nbytes=_column_bytes([metas[p] for p in pending], narrow_cols),
@@ -314,9 +257,9 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
             rows, blob, n_partials = _fold_part(pdir)
             counters["partials_folded"] += n_partials
             if rows != metas[path].num_rows:
-                # two blocks with one key sequence shared a partial name
-                rows, blob = _refold_shard(path, schema, cfg.profile)
-                counters["parts_refolded"] += 1
+                raise RuntimeError(
+                    f"part {part}: its partials hold {rows} rows, but its "
+                    f"shard's footer {metas[path].num_rows}")
             os.makedirs(pdir, exist_ok=True)
             with open(os.path.join(pdir, "state.pkl"), "wb") as f:
                 f.write(blob)

@@ -1,21 +1,16 @@
 """Read plans from Parquet footers, shared by both entry points.
 
-Both entry points fold Parquet in units fixed by the footers
-(``pq.read_metadata``, once per file per call), so their partials, and
-hence the profile, depend on the input alone, not on the CPU count or the
-task order.
-
-``run_validation`` folds one partial per (file, read batch): the footers
-fix how many read tasks there are (``_read_tasks``), how many blocks each
-file is cut into (``_split_factor``) and how many rows one Parquet read
-batch holds (``_read_batch_rows``), and a map with ``batch_size=None``
-runs fused with the read (``planned_read``), called once per read batch
-or split block. The task count only regroups whole files.
-
-``profile_dataset`` folds one partial per fold unit (``fold_units``): a
-run of consecutive row groups of at most ``FOLD_ROWS`` rows, read in
-``_read_batch_rows`` batches by one of ``unit_runs``' read tasks, which
-only regroup whole units.
+Both entry points read Parquet as fold units fixed by the footers
+(``pq.read_metadata``, once per file per call): runs of consecutive row
+groups of at most ``FOLD_ROWS`` rows (``fold_units``), each read in
+``_read_batch_rows`` batches and folded into one partial inside its read
+task. ``unit_runs`` packs the units into one read task per CPU, regrouping
+whole units only, and ``FoldUnitsDatasource`` reads the runs through Ray
+Data's public ``Datasource`` API. So the partials, and hence the profile,
+depend on the input alone, not on the CPU count or the task order.
+``profile_dataset`` plans the units of all its files; ``run_validation``
+plans each pending shard's units on their own, so a shard folds the same
+partials whether it is pending alone or with the others.
 
 Ray's own read planning would size batches from the files it samples and
 split blocks by the CPU count, so the partials would depend on the
@@ -24,35 +19,29 @@ cluster.
 
 from __future__ import annotations
 
+import functools
 import os
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray
 import ray.data
+from ray.data import Datasource, ReadTask
+from ray.data.block import BlockMetadata
 
-# Most rows one partial folds, unless one row group alone holds more: the
-# rows of one profile fold unit (``fold_units``), and of one Parquet read
-# batch (``_read_batch_rows``) or split block (``_split_factor``) of
-# ``run_validation``. At 16,384 a high-cardinality string column's partial
-# sits just under its counter cap (16,384 keys), so every driver merge
-# overflows and re-hashes it; at 32,768 the counter overflows in the worker
-# and the driver merges only HLL registers.
+# Most rows of one fold unit (``fold_units``), unless one row group alone
+# holds more, and of one Parquet read batch (``_read_batch_rows``). At
+# 16,384 a high-cardinality string column's partial sits just under its
+# counter cap (16,384 keys), so every driver merge overflows and re-hashes
+# it; at 32,768 the counter overflows in the worker and the driver merges
+# only HLL registers.
 FOLD_ROWS = 32_768
 
 
 def _cpus() -> int:
     """The cluster's CPUs, at least 1."""
     return max(1, int(ray.cluster_resources().get("CPU", 1)))
-
-
-def _split_factor(metas: dict[str, pq.FileMetaData]) -> int:
-    """Read blocks per file: as many as the largest of all the input's
-    files (pending or not) needs for blocks of at most ``FOLD_ROWS``
-    rows. It depends on the input alone, not on the pending set or the
-    cluster's CPU count."""
-    most = max(md.num_rows for md in metas.values())
-    return max(1, -(-most // FOLD_ROWS))
 
 
 def _footer_bytes(md: pq.FileMetaData) -> int:
@@ -63,34 +52,17 @@ def _footer_bytes(md: pq.FileMetaData) -> int:
 
 def _read_batch_rows(metas: dict[str, pq.FileMetaData]) -> int:
     """Rows per Parquet read batch: ``FOLD_ROWS``, or fewer where a batch
-    of the input's widest rows would exceed one Ray block. Ray fuses a
-    ``batch_size=None`` map with an unsplit read and calls it once per
-    read batch, so in ``run_validation`` a file of at most ``FOLD_ROWS``
-    rows folds one partial per row group; a profile fold unit folds all
-    its batches into one. Like ``_split_factor`` this depends on the
-    input alone: Ray's own batch size comes from the row widths of the
-    files it samples, and from the block target."""
+    of the input's widest rows would exceed one Ray block. A fold unit
+    folds all its batches into one partial, so this bounds the rows held
+    at once, not the partial count. It depends on ``metas`` alone, which
+    ``run_validation`` gives for all its shards, pending or not: Ray's
+    own batch size comes from the row widths of the files it samples,
+    and from the block target."""
     target = ray.data.DataContext.get_current().target_max_block_size
     widest = max(-(-_footer_bytes(md) // max(1, md.num_rows))
                  for md in metas.values())
     return max(1, min(FOLD_ROWS, target // max(1, widest))) if target \
         else FOLD_ROWS
-
-
-def _read_tasks(pending: list[str], metas: dict[str, pq.FileMetaData],
-                split: int) -> int:
-    """Read tasks for ``pending``. Files split into several blocks
-    (``split`` > 1) keep one task each. Otherwise each task reads a
-    contiguous run of whole files (Ray's Parquet datasource
-    ``array_split``s the files): as many tasks as CPUs, and more when
-    needed to keep each task's footer bytes under half a Ray block, so
-    Ray adds no split of its own, which would cut files at any row."""
-    if split > 1:
-        return len(pending)
-    target = ray.data.DataContext.get_current().target_max_block_size
-    footer = sum(_footer_bytes(metas[p]) for p in pending)
-    by_size = -(-2 * footer // target) if target else 0
-    return min(len(pending), max(_cpus(), by_size))
 
 
 def _column_bytes(metas: list[pq.FileMetaData], columns: list[str]) -> int:
@@ -106,27 +78,13 @@ def _column_bytes(metas: list[pq.FileMetaData], columns: list[str]) -> int:
     return total
 
 
-def planned_read(files: list[str], metas: dict[str, pq.FileMetaData],
-                 **read_args) -> tuple["ray.data.Dataset", int]:
-    """``read_parquet(files)`` in the footer plan, and its read tasks:
-    ``files`` in the given order, each read in the same batches in every
-    run. ``metas`` holds the footers of the whole input, of which
-    ``files`` may be a part; ``read_args`` go to ``read_parquet``."""
-    split = _split_factor(metas)
-    tasks = _read_tasks(files, metas, split)
-    return ray.data.read_parquet(files, override_num_blocks=tasks * split,
-                                 batch_size=_read_batch_rows(metas),
-                                 **read_args), tasks
-
-
 def fold_units(metas: dict[str, pq.FileMetaData]
                ) -> list[list[tuple[str, list[int]]]]:
-    """The input's profile fold units, each a list of ``(file, row
+    """The input's fold units, each a list of ``(file, row
     groups)``: runs of consecutive row groups, in sorted file order, of at
     most ``FOLD_ROWS`` rows each, cut only at row-group boundaries. A row
     group of more than ``FOLD_ROWS`` rows is a unit of its own; row groups
-    without rows are in none. Like ``_split_factor`` this depends on the
-    input alone."""
+    without rows are in none. This depends on ``metas`` alone."""
     units: list[list[tuple[str, list[int]]]] = []
     unit: list[tuple[str, list[int]]] = []
     rows = 0
@@ -158,6 +116,83 @@ def unit_runs(units: list) -> list[list]:
         return []
     cuts = [len(units) * i // tasks for i in range(tasks + 1)]
     return [units[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def numbered_units(metas: dict[str, pq.FileMetaData]
+                   ) -> list[tuple[int, list, int]]:
+    """``fold_units(metas)`` as ``(k, unit, rows)``: each unit with its
+    index and its footer row count."""
+    return [(k, unit, sum(metas[p].row_group(g).num_rows
+                          for p, groups in unit for g in groups))
+            for k, unit in enumerate(fold_units(metas))]
+
+
+def _unit_batches(unit: list[tuple[str, list[int]]], batch_rows: int,
+                  columns: list[str] | None):
+    """The row groups of a fold unit in Parquet read batches of at most
+    ``batch_rows`` rows, in file order, each as a table as Ray's read
+    gives it: ``memory_size`` counts a column's validity bitmap only
+    where it holds nulls, as a table column's ``combine_chunks`` does."""
+    for path, groups in unit:
+        with pq.ParquetFile(path) as f:
+            for b in f.iter_batches(batch_size=batch_rows,
+                                    row_groups=groups, columns=columns):
+                yield pa.Table.from_batches([b])
+
+
+class FoldUnitsDatasource(Datasource):
+    """Fold units read as one read task per run (``unit_runs`` of
+    ``numbered_units``): a task's blocks are ``read_run(run)``'s tables.
+    The runs are fixed when the datasource is built, and ``read`` asks
+    for exactly that many blocks, so Ray adds no split of its own."""
+
+    def __init__(self, runs: list[list[tuple[int, list, int]]], read_run):
+        self.runs = runs
+        self.read_run = read_run
+
+    def get_name(self) -> str:
+        return "ParquetFoldUnits"
+
+    def estimate_inmemory_data_size(self) -> None:
+        """None: from an input size Ray would work out a split of its own."""
+        return None
+
+    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+        return [ReadTask(
+            functools.partial(self.read_run, run),
+            BlockMetadata(num_rows=None, size_bytes=None, exec_stats=None,
+                          input_files=sorted({p for _, unit, _ in run
+                                              for p, _ in unit})))
+            for run in self.runs]
+
+    def read(self) -> "ray.data.Dataset":
+        """The Dataset of every run's blocks; an empty one without runs."""
+        return ray.data.read_datasource(
+            self, override_num_blocks=max(1, len(self.runs)))
+
+
+def footer_schema(metas: dict[str, pq.FileMetaData]) -> pa.Schema:
+    """The Arrow schema the files of ``metas`` share, from their footers,
+    in the first file's column order. A file that lacks a column of the
+    first file, has one it lacks, or types one otherwise raises
+    ``ValueError`` naming the file and the column. Column order may
+    differ: every reader selects columns by name."""
+    first, *rest = sorted(metas)
+
+    def columns(path):
+        return {f.name: f.type for f in metas[path].schema.to_arrow_schema()}
+
+    want = columns(first)
+    for path in rest:
+        got = columns(path)
+        for name in [*want, *got]:
+            if got.get(name) != want.get(name):
+                raise ValueError(
+                    f"{path}: column {name!r} is "
+                    f"{got.get(name, 'missing')}, but "
+                    f"{want.get(name, 'missing')} in {first}; all files "
+                    "must have the same columns and types")
+    return pa.schema(list(want.items()))
 
 
 def bare_parquet_footers(ds: "ray.data.Dataset"

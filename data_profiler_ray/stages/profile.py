@@ -13,7 +13,7 @@ of typed key/count arrays, + HLL registers once that counter overflowed),
 so what the driver pulls is o(input) regardless of data size.
 
 A bare ``read_parquet`` is read again from its footers (``stages.plan``)
-through ``_FoldUnitsDatasource``: one read task per CPU, each reading a
+through ``plan.FoldUnitsDatasource``: one read task per CPU, each reading a
 contiguous run of fold units (``plan.fold_units``: consecutive row groups
 of at most ``FOLD_ROWS`` rows) and folding each unit's read batches into
 one partial. Any other Dataset folds one partial per Ray block. Either way
@@ -33,16 +33,11 @@ import pickle
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
-
-import ray.data
-from ray.data import Datasource, ReadTask
-from ray.data.block import BlockMetadata
 
 from ..config import ProfileConfig
 from ..state.column import ColumnAccumulator, make_accumulator
-from .plan import _read_batch_rows, bare_parquet_footers, fold_units, \
-    unit_runs
+from .plan import (FoldUnitsDatasource, _read_batch_rows, _unit_batches,
+                   bare_parquet_footers, numbered_units, unit_runs)
 
 
 # State blobs start with this magic and a format version. The version
@@ -102,13 +97,11 @@ def loads_state(blob: bytes):
 class _PartialProfiler:
     """Fold Arrow batches into state blobs. ``fold`` folds a sequence of
     batches, in order, into one set of fresh accumulators and returns one
-    blob; a single batch is the one-batch case. ``profile_dataset``'s read
-    tasks (``_FoldUnitsDatasource``) fold one fold unit's read batches
-    per call. As a map_batches callable (any other Dataset) it folds one
-    Ray block and emits one serialized-state row, or one row per
-    partition value when a ``part_column`` is set. ``run_validation``'s
-    read tasks (``_FoldAndProject``) and ``_refold_shard`` call ``fold``
-    on each part's rows directly."""
+    blob; a single batch is the one-batch case. The read tasks of both
+    entry points (``plan.FoldUnitsDatasource``) fold one fold unit's read
+    batches per call. As a map_batches callable (any other Dataset) it
+    folds one Ray block and emits one serialized-state row, or one row per
+    partition value when a ``part_column`` is set."""
 
     _PROBE_FLAGS = ("all_datetime", "all_boolean", "all_numeric",
                     "all_geometry")
@@ -119,17 +112,15 @@ class _PartialProfiler:
         self.config = config
         self.part_column = part_column
         # per-(part, column) probe verdicts already known False in THIS
-        # instance: a later batch pre-sets them so the head-sample parses
+        # instance: a later fold pre-sets them so the head-sample parses
         # (dateutil/to_numeric) run only until the first failing value.
-        # Ray deserializes the callable afresh for every task, so this
-        # carries only across the batches of one task: the fold units of
-        # one ``profile_dataset`` read task, the read batches of one
-        # ``run_validation`` read task and ``_refold_shard``'s batches.
-        # Sound because the flags are AND-merged: forcing False on a batch
-        # whose own values would have passed gives the same merged result
-        # the failing batch already forces. Keyed by part so one
-        # partition's verdict never leaks into another's checkpointed
-        # state.
+        # Ray deserializes the profiler afresh for every task, so this
+        # carries only across the fold units of one read task (of either
+        # entry point) or the blocks of one map task. Sound because the
+        # flags are AND-merged: forcing False on a batch whose own values
+        # would have passed gives the same merged result the failing batch
+        # already forces. Keyed by part so one partition's verdict never
+        # leaks into another's checkpointed state.
         self._dead_probes: dict[tuple[str | None, str], tuple[str, ...]] = {}
 
     def fold(self, batches, part: str | None = None) -> bytes:
@@ -179,70 +170,15 @@ class _PartialProfiler:
         })
 
 
-def _unit_batches(unit: list[tuple[str, list[int]]], batch_rows: int,
-                  columns: list[str] | None):
-    """The row groups of a fold unit in Parquet read batches of at most
-    ``batch_rows`` rows, in file order, each as a table as Ray's read
-    gives it: ``memory_size`` counts a column's validity bitmap only
-    where it holds nulls, as a table column's ``combine_chunks`` does."""
-    for path, groups in unit:
-        with pq.ParquetFile(path) as f:
-            for b in f.iter_batches(batch_size=batch_rows,
-                                    row_groups=groups, columns=columns):
-                yield pa.Table.from_batches([b])
-
-
 def _fold_unit_run(run: list, profiler: _PartialProfiler, batch_rows: int,
                    columns: list[str] | None):
-    """A ``_FoldUnitsDatasource`` read task: one ``(part, rows, state)``
-    row per ``(unit, rows)`` of ``run``."""
-    for unit, rows in run:
+    """A ``profile_dataset`` read task (``plan.FoldUnitsDatasource``): one
+    ``(part, rows, state)`` row per ``(k, unit, rows)`` of ``run``."""
+    for _, unit, rows in run:
         blob = profiler.fold(_unit_batches(unit, batch_rows, columns))
         yield pa.table({"part": pa.array([None], pa.string()),
                         "rows": pa.array([rows], pa.int64()),
                         "state": pa.array([blob], pa.large_binary())})
-
-
-class _FoldUnitsDatasource(Datasource):
-    """A bare Parquet input read as its fold units (``plan.fold_units``):
-    one read task per run of ``plan.unit_runs``, each yielding one partial
-    row per unit (``_fold_unit_run``). The runs are fixed when the
-    datasource is built; ``partials`` asks for exactly that many blocks,
-    so Ray adds no split of its own."""
-
-    def __init__(self, metas: dict, schema: pa.Schema,
-                 config: ProfileConfig):
-        self.runs = unit_runs([
-            (unit, sum(metas[p].row_group(g).num_rows
-                       for p, groups in unit for g in groups))
-            for unit in fold_units(metas)])
-        self.profiler = _PartialProfiler(schema, config)
-        self.batch_rows = _read_batch_rows(metas)
-        self.columns = config.columns or None
-
-    def get_name(self) -> str:
-        return "ParquetFoldUnits"
-
-    def estimate_inmemory_data_size(self) -> None:
-        """None: from an input size Ray would work out a split of its own."""
-        return None
-
-    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
-        return [ReadTask(
-            functools.partial(_fold_unit_run, run, self.profiler,
-                              self.batch_rows, self.columns),
-            BlockMetadata(num_rows=len(run), size_bytes=None,
-                          exec_stats=None,
-                          input_files=sorted({p for unit, _ in run
-                                              for p, _ in unit})))
-            for run in self.runs]
-
-    def partials(self):
-        """Yield ``(part, rows, blob)`` per fold unit, in unit order
-        (``_in_order``); none for an input without rows."""
-        if self.runs:
-            yield from _in_order(ray.data.read_datasource(
-                self, override_num_blocks=len(self.runs)))
 
 
 def _partials(ds: "ray.data.Dataset", schema: pa.Schema,
@@ -339,7 +275,7 @@ def profile_dataset(ds: "ray.data.Dataset", config: ProfileConfig | None = None,
     """Profile a Dataset into the reference-shaped dict. A bare
     ``read_parquet`` (``stages.plan.bare_parquet_footers``) is read again
     as its fold units, each folded into one partial inside its read task
-    (``_FoldUnitsDatasource``); any other Dataset folds one partial per
+    (``plan.FoldUnitsDatasource``); any other Dataset folds one partial per
     block. The partials fold on the driver as they stream in, in the
     stream's order."""
     config = config or ProfileConfig()
@@ -349,8 +285,12 @@ def profile_dataset(ds: "ray.data.Dataset", config: ProfileConfig | None = None,
                               zip(schema.names, schema.types)])
     metas = bare_parquet_footers(ds)
     if metas is not None:
-        partials = _FoldUnitsDatasource(metas, arrow_schema,
-                                        config).partials()
+        read_run = functools.partial(
+            _fold_unit_run, profiler=_PartialProfiler(arrow_schema, config),
+            batch_rows=_read_batch_rows(metas),
+            columns=config.columns or None)
+        partials = _in_order(FoldUnitsDatasource(
+            unit_runs(numbered_units(metas)), read_run).read())
     else:
         if config.columns:
             ds = ds.select_columns(config.columns)

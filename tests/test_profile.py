@@ -551,28 +551,31 @@ def test_sequential_fold_equals_merged_one_batch_partials():
 
 
 def test_stages_import_no_ray_internals():
-    """No module under ``data_profiler_ray/stages/`` imports
-    ``ray.data._internal``: the stages use Ray Data's public API only."""
+    """No module under ``data_profiler_ray/stages/`` or
+    ``data_profiler_ray/pipelines/`` imports ``ray.data._internal``: the
+    stages and the pipelines use Ray Data's public API only."""
     import ast
 
+    import data_profiler_ray.pipelines as pipelines
     import data_profiler_ray.stages as stages
-    root = os.path.dirname(stages.__file__)
     found = []
-    for name in sorted(os.listdir(root)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(root, name)) as f:
-            tree = ast.parse(f.read())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                mods = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                mods = [node.module] + [f"{node.module}.{a.name}"
-                                        for a in node.names]
-            else:
+    for pkg in (stages, pipelines):
+        root = os.path.dirname(pkg.__file__)
+        for name in sorted(os.listdir(root)):
+            if not name.endswith(".py"):
                 continue
-            found += [(name, m) for m in mods
-                      if m.startswith("ray.data._internal")]
+            with open(os.path.join(root, name)) as f:
+                tree = ast.parse(f.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    mods = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    mods = [node.module] + [f"{node.module}.{a.name}"
+                                            for a in node.names]
+                else:
+                    continue
+                found += [(pkg.__name__, name, m) for m in mods
+                          if m.startswith("ray.data._internal")]
     assert found == []
 
 

@@ -5,6 +5,7 @@ import os
 import shutil
 
 import pandas as pd
+import pyarrow as pa
 import pytest
 import ray.data
 
@@ -255,113 +256,154 @@ def test_timings_and_lineage(transcripts_dir, tmp_path):
     assert s2["timings"]["constraints"] == 0
 
 
+def _write_groups(path, tables):
+    """One Parquet shard at ``path`` whose row groups are ``tables``, in
+    order; returns its footer."""
+    import pyarrow.parquet as pq
+    with pq.ParquetWriter(path, tables[0].schema) as w:
+        for t in tables:
+            w.write_table(t)
+    return pq.read_metadata(path)
+
+
 def _partial_block(conv: str, turns: list[int], code: list[str]):
     import pyarrow as pa
     n = len(turns)
     return pa.table({"conv_id": [conv] * n,
                      "turn_idx": pa.array(turns, pa.int32()),
-                     "code": code,
-                     "path": ["/in/p0.parquet"] * n})
+                     "code": code})
 
 
-def test_fold_and_project_retry_overwrites_its_partial(tmp_path):
-    """A retried fold of a block replaces its own partial file, also on a
-    worker whose probe memory from another block of the part made the
-    state bytes differ; the driver then folds exactly the blocks' rows."""
+def test_fold_and_project_retry_overwrites_its_partial(tmp_path,
+                                                       monkeypatch):
+    """A retried read run rewrites its own partial files under the same
+    names, also on a worker whose probe memory from another unit of the
+    part made the state bytes differ; the driver then folds exactly the
+    units' rows."""
     import glob
 
-    import pyarrow as pa
-
-    from data_profiler_ray.pipelines.validate import (_FoldAndProject,
+    from data_profiler_ray.pipelines.validate import (_fold_and_project,
                                                       _fold_part)
-    schema = pa.schema([("conv_id", pa.string()), ("turn_idx", pa.int32()),
-                        ("code", pa.string()), ("part", pa.string())])
-    root = str(tmp_path / "parts")
-
-    def fold_and_project():
-        return _FoldAndProject(schema, ProfileConfig(), root,
-                               ["conv_id", "turn_idx"],
-                               ["conv_id", "turn_idx", "part"])
-
+    from data_profiler_ray.stages import plan
+    from data_profiler_ray.stages.profile import _PartialProfiler
+    monkeypatch.setattr(plan, "FOLD_ROWS", 3)
     block = _partial_block("c1", [0, 1, 2], ["1", "2", "3"])
     other = _partial_block("c2", [0, 1], ["x", "y"])  # kills all_numeric
-    out = fold_and_project()(block)
-    assert out.column_names == ["conv_id", "turn_idx", "part"]
-    assert out.column("part").to_pylist() == ["p0"] * 3
-    [first] = glob.glob(f"{root}/p0/partials/*")
-    first_bytes = open(first, "rb").read()
+    path = str(tmp_path / "p0.parquet")
+    metas = {path: _write_groups(path, [block, other])}
+    first, second = plan.numbered_units(metas)
+    root = str(tmp_path / "parts")
 
-    used = fold_and_project()
-    used(other)
-    used(block)  # the retry, on a worker that folded another block first
+    def run(profiler, units):
+        return list(_fold_and_project(units, profiler, root, 100,
+                                      ["conv_id", "turn_idx"]))
+
+    out = run(_PartialProfiler(block.schema, ProfileConfig()), [first])
+    assert [t.column_names for t in out] == [["conv_id", "turn_idx", "part"]]
+    assert out[0].column("part").to_pylist() == ["p0"] * 3
+    [name] = glob.glob(f"{root}/p0/partials/*")
+    assert os.path.basename(name) == "000000-3"
+    first_bytes = open(name, "rb").read()
+
+    used = _PartialProfiler(block.schema, ProfileConfig())
+    run(used, [second])
+    run(used, [first])  # the retry, on a worker that folded another unit
     files = sorted(glob.glob(f"{root}/p0/partials/*"))
-    assert len(files) == 2 and first in files  # one file per block
-    assert open(first, "rb").read() != first_bytes  # probe memory differs
+    assert [os.path.basename(f) for f in files] == ["000000-3", "000001-2"]
+    assert open(name, "rb").read() != first_bytes  # probe memory differs
 
     rows, _, n_partials = _fold_part(f"{root}/p0")
     assert (rows, n_partials) == (5, 2)
     assert not os.path.exists(f"{root}/p0/partials")
 
 
-def test_fold_and_project_folds_interleaved_parts_once(tmp_path):
-    """A block whose parts are interleaved (a, b, a) folds each part's rows
-    exactly once: a's two runs make one partial, equal to a fold of all of
-    a's rows, and the returned rows keep the block's order."""
+def test_fold_and_project_folds_interleaved_parts_once(tmp_path,
+                                                       monkeypatch):
+    """A read run over the units of two shards writes each unit's partial
+    once, under its own shard's part, equal to a fold of the unit's rows;
+    the narrow rows come back in unit order with their ``part``."""
     import glob
 
-    import pyarrow as pa
-
-    from data_profiler_ray.pipelines.validate import (_FoldAndProject,
-                                                      _key_digest)
+    from data_profiler_ray.pipelines.validate import _fold_and_project
+    from data_profiler_ray.stages import plan
     from data_profiler_ray.stages.profile import _PartialProfiler
-    schema = pa.schema([("conv_id", pa.string()), ("turn_idx", pa.int32()),
-                        ("code", pa.string()), ("part", pa.string())])
+    monkeypatch.setattr(plan, "FOLD_ROWS", 4)
+    a = [_partial_block("c1", [0, 1, 2], ["1", "2", "3"]),
+         _partial_block("c3", [0, 1, 2, 3], ["4", "5", "6", "7"])]
+    b = [_partial_block("c2", [0, 1], ["x", "y"])]
+    metas = {}
+    for name, groups in (("p0", a), ("p1", b)):
+        path = str(tmp_path / f"{name}.parquet")
+        metas[path] = _write_groups(path, groups)
+    units = [u for p in sorted(metas)
+             for u in plan.numbered_units({p: metas[p]})]
+    assert [(k, rows) for k, _, rows in units] == [(0, 3), (1, 4), (0, 2)]
     root = str(tmp_path / "parts")
-    runs = [_partial_block("c1", [0, 1, 2], ["1", "2", "3"]),
-            _partial_block("c2", [0, 1], ["x", "y"]),
-            _partial_block("c3", [0, 1, 2, 3], ["4", "5", "6", "7"])]
-    runs[1] = runs[1].set_column(3, "path", pa.array(["/in/p1.parquet"] * 2))
-    out = _FoldAndProject(schema, ProfileConfig(), root,
-                          ["conv_id", "turn_idx"],
-                          ["conv_id", "part"])(pa.concat_tables(runs))
-    assert out.column("conv_id").to_pylist() == ["c1"] * 3 + ["c2"] * 2 \
-        + ["c3"] * 4
-    assert out.column("part").to_pylist() == ["p0"] * 3 + ["p1"] * 2 \
-        + ["p0"] * 4
-
-    rows_a = pa.concat_tables([runs[0], runs[2]]).drop_columns(["path"])
-    rows_a = rows_a.append_column("part", pa.array(["p0"] * 7))
-    [a] = glob.glob(f"{root}/p0/partials/*")
-    [b] = glob.glob(f"{root}/p1/partials/*")
-    digest = _key_digest("p0", rows_a.select(["conv_id", "turn_idx"]))
-    assert os.path.basename(a) == f"{digest}-7"
-    assert b.endswith("-2")
-    want = _PartialProfiler(schema, ProfileConfig(),
-                            part_column="part").fold(rows_a, part="p0")
-    assert open(a, "rb").read() == want
+    schema = a[0].schema
+    out = pa.concat_tables(_fold_and_project(
+        units, _PartialProfiler(schema, ProfileConfig()), root, 100,
+        ["conv_id"]))
+    assert out.column("conv_id").to_pylist() == ["c1"] * 3 + ["c3"] * 4 \
+        + ["c2"] * 2
+    assert out.column("part").to_pylist() == ["p0"] * 7 + ["p1"] * 2
+    names = sorted(os.path.relpath(f, root)
+                   for f in glob.glob(f"{root}/*/partials/*"))
+    assert names == ["p0/partials/000000-3", "p0/partials/000001-4",
+                     "p1/partials/000000-2"]
+    for rows, name in ((a[0], "p0/partials/000000-3"),
+                       (a[1], "p0/partials/000001-4"),
+                       (b[0], "p1/partials/000000-2")):
+        want = _PartialProfiler(schema, ProfileConfig()).fold(
+            rows, part=name[:2])
+        assert open(os.path.join(root, name), "rb").read() == want
 
 
 def test_shard_of_one_table_twice_is_profiled_whole(tmp_path, monkeypatch):
-    """A shard holding one table twice, read as 8 equal blocks: blocks i
-    and i + 4 share a key sequence and a partial name, and the part is
-    refolded from the shard instead of losing rows."""
-    import pyarrow as pa
+    """A shard holding one table twice, stored in 8 row groups of 500
+    rows: row groups i and i + 4 hold the same rows, and each still folds
+    its own partial, so the part is profiled whole."""
     import pyarrow.parquet as pq
 
     from data_profiler_ray.stages import plan
     from data_profiler_ray.synthetic import generate_transcripts
     monkeypatch.setattr(plan, "FOLD_ROWS", 500)
     tbl = generate_transcripts(2000, seed=3)
+    assert tbl.num_rows == 2000
     src = tmp_path / "in"
     src.mkdir()
-    pq.write_table(pa.concat_tables([tbl, tbl]), str(src / "s0.parquet"))
+    pq.write_table(pa.concat_tables([tbl, tbl]), str(src / "s0.parquet"),
+                   row_group_size=500)
     s = run_validation(str(src), _cfg(str(tmp_path / "out")))
-    assert s["counters"]["parts_refolded"] == 1
+    assert s["counters"]["partials_folded"] == 8
     assert s["total_rows"] == 2 * tbl.num_rows
     assert s["profile"]["table"]["num_rows"] == 2 * tbl.num_rows
     assert {v["n"] for v in s["profile"]["variables"]} == {2 * tbl.num_rows}
     assert s["lineage"][0]["violations_by_kind"]["duplicate_key"] > 0
     assert not (tmp_path / "out" / "parts" / "s0" / "partials").exists()
+
+
+def test_shard_of_small_row_groups_folds_one_partial(tmp_path):
+    """A 500-row shard stored in row groups of 200 rows is one fold unit:
+    it folds one partial, and its profile equals the one of the same rows
+    stored as one row group."""
+    import pyarrow.parquet as pq
+
+    from data_profiler_ray.synthetic import generate_transcripts
+    tbl = generate_transcripts(500, seed=5)
+    assert tbl.num_rows == 500
+    got = {}
+    for group_rows in (200, 500):
+        src = tmp_path / f"in{group_rows}"
+        src.mkdir()
+        pq.write_table(tbl, str(src / "s0.parquet"),
+                       row_group_size=group_rows)
+        s = run_validation(str(src), _cfg(str(tmp_path / f"out{group_rows}")))
+        assert s["counters"]["partials_folded"] == 1
+        assert s["total_rows"] == 500
+        got[group_rows] = [json.dumps(s["profile"][key], sort_keys=True,
+                                      default=str)
+                           for key in ("table", "variables")]
+    assert got[200] == got[500]
 
 
 def test_stale_partials_are_ignored(transcripts_dir, tmp_path):
@@ -392,28 +434,34 @@ def test_stale_partials_are_ignored(transcripts_dir, tmp_path):
 
 def test_one_read_and_one_execution_per_call(transcripts_dir, tmp_path,
                                              monkeypatch):
-    """A call reads the shards once and drains one Ray Data stream; its
-    counters land in summary.json."""
-    calls = {"read_parquet": 0, "iter_batches": 0}
-    read, iter_batches = ray.data.read_parquet, ray.data.Dataset.iter_batches
+    """A call reads the shards once, through the fold-units datasource and
+    not Ray's Parquet reader, and drains one Ray Data stream; its counters
+    land in summary.json."""
+    calls = {"read_parquet": 0, "read_datasource": 0, "iter_batches": 0}
+    read_parquet = ray.data.read_parquet
+    read_datasource = ray.data.read_datasource
+    iter_batches = ray.data.Dataset.iter_batches
 
-    def counted_read(*args, **kwargs):
-        calls["read_parquet"] += 1
-        return read(*args, **kwargs)
-
-    def counted_iter(self, *args, **kwargs):
-        calls["iter_batches"] += 1
-        return iter_batches(self, *args, **kwargs)
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
 
     def no_materialize(self):
         raise AssertionError("run_validation materialized a dataset")
 
-    monkeypatch.setattr(ray.data, "read_parquet", counted_read)
-    monkeypatch.setattr(ray.data.Dataset, "iter_batches", counted_iter)
+    monkeypatch.setattr(ray.data, "read_parquet",
+                        counted("read_parquet", read_parquet))
+    monkeypatch.setattr(ray.data, "read_datasource",
+                        counted("read_datasource", read_datasource))
+    monkeypatch.setattr(ray.data.Dataset, "iter_batches",
+                        counted("iter_batches", iter_batches))
     monkeypatch.setattr(ray.data.Dataset, "materialize", no_materialize)
     cfg = _cfg(str(tmp_path / "out"))
     s = run_validation(transcripts_dir, cfg)
-    assert calls == {"read_parquet": 1, "iter_batches": 1}
+    assert calls == {"read_parquet": 0, "read_datasource": 1,
+                     "iter_batches": 1}
     with open(os.path.join(cfg.output_dir, "summary.json")) as f:
         counters = json.load(f)["counters"]
     assert counters == s["counters"]
@@ -429,11 +477,14 @@ def test_one_read_and_one_execution_per_call(transcripts_dir, tmp_path,
 def test_profile_is_exact_across_fresh_and_resumed_runs(
         tmp_path, monkeypatch, fold_rows):
     """Two fresh runs give the same profile table and variables, and so
-    does a run that redid 2 of 16 shards: it reads each of them in the
-    same blocks as the fresh run, at Ray's default read block sizes (Ray
-    alone would split 2 pending shards further, to 2 blocks per CPU).
-    With ``fold_rows`` 300 every shard of 1000 rows is read as 4 blocks,
-    so each part folds from several partials."""
+    does a run that redid 2 of 16 shards: it folds each of them from the
+    same fold units as the fresh run. Every shard of 1000 rows is stored
+    in row groups of 250, so with ``fold_rows`` 300 it is 4 units and its
+    part folds from 4 partials; by default it is one unit."""
+    import glob
+
+    import pyarrow.parquet as pq
+
     from data_profiler_ray.stages import plan
     from data_profiler_ray.synthetic import write_transcripts
     if fold_rows:
@@ -443,6 +494,8 @@ def test_profile_is_exact_across_fresh_and_resumed_runs(
     write_transcripts(src, 16_000, seed=7, num_shards=16, dup_frac=0.01,
                       gap_frac=0.005, bad_role_frac=0.01,
                       ts_regression_frac=0.005, dangling_tool_frac=0.2)
+    for p in glob.glob(f"{src}/*.parquet"):
+        pq.write_table(pq.read_table(p), p, row_group_size=250)
     out = str(tmp_path / "out")
     fresh = run_validation(src, _cfg(out))
     assert fresh["counters"]["partials_folded"] == 16 * per_shard
@@ -475,14 +528,14 @@ def test_small_shards_read_in_one_task_per_cpu(small_shards_dir, tmp_path):
     cpus = int(ray.cluster_resources()["CPU"])
     assert s["counters"]["read_tasks"] == min(16, cpus)
     assert s["counters"]["partials_folded"] == 16
-    assert s["counters"]["parts_refolded"] == 0
 
 
 def test_read_tasks_keep_blocks_under_target_size(small_shards_dir, tmp_path,
                                                   monkeypatch):
     """With Ray's block target lowered to twice the largest shard's footer
-    bytes the read asks for more tasks, every part still folds exactly one
-    partial, and the profile equals the one read at the default target."""
+    bytes, the read keeps its task count (the fold units fix it, not the
+    block target), every part still folds exactly one partial, and the
+    profile equals the one read at the default target."""
     import glob
 
     import pyarrow.parquet as pq
@@ -493,13 +546,86 @@ def test_read_tasks_keep_blocks_under_target_size(small_shards_dir, tmp_path,
     monkeypatch.setattr(DataContext.get_current(), "target_max_block_size",
                         2 * shard_bytes)
     s = run_validation(small_shards_dir, _cfg(str(tmp_path / "b")))
-    assert s["counters"]["read_tasks"] > default["counters"]["read_tasks"]
+    assert s["counters"]["read_tasks"] == default["counters"]["read_tasks"]
     assert s["counters"]["partials_folded"] == 16
-    assert s["counters"]["parts_refolded"] == 0
     for key in ("table", "variables"):
         assert json.dumps(s["profile"][key], sort_keys=True, default=str) \
             == json.dumps(default["profile"][key], sort_keys=True,
                           default=str)
+
+
+def _two_shards(src, second=lambda t: t, rows=(100, 100)):
+    """Shards s0 and s1 of the first ``rows[0]`` and the next ``rows[1]``
+    of 200 transcript rows, s1 passed through ``second`` first; returns
+    ``src`` as a string."""
+    import pyarrow.parquet as pq
+
+    from data_profiler_ray.synthetic import generate_transcripts
+    tbl = generate_transcripts(200, seed=1)
+    os.makedirs(src)
+    pq.write_table(tbl.slice(0, rows[0]), os.path.join(src, "s0.parquet"))
+    pq.write_table(second(tbl.slice(rows[0], rows[1])),
+                   os.path.join(src, "s1.parquet"))
+    return str(src)
+
+
+def test_empty_shard_beside_a_full_one(tmp_path):
+    """A shard without rows folds no partial and checks no conversation;
+    the full shard beside it is validated as on its own."""
+    src = _two_shards(tmp_path / "in", rows=(0, 200))
+    s = run_validation(src, _cfg(str(tmp_path / "out")))
+    assert s["total_rows"] == 200
+    assert s["profile"]["table"]["num_rows"] == 200
+    assert s["counters"]["partials_folded"] == 1
+    assert [(l["part"], l["rows_in"], l["n_conversations"])
+            for l in s["lineage"]] == [
+        ("s0", 0, 0), ("s1", 200, s["n_conversations"])]
+    assert s["n_conversations"] > 0 and s["passed"]
+
+
+def test_all_empty_input(tmp_path):
+    """Shards without rows validate to an empty, passing summary: no
+    partial, no conversation and a profile of no rows."""
+    src = _two_shards(tmp_path / "in", rows=(0, 0))
+    s = run_validation(src, _cfg(str(tmp_path / "out")))
+    assert (s["total_rows"], s["n_conversations"], s["n_violations"]) == \
+        (0, 0, 0)
+    assert s["passed"]
+    assert s["counters"]["partials_folded"] == 0
+    assert s["profile"]["table"]["num_rows"] == 0
+
+
+@pytest.mark.parametrize("second, match", [
+    (lambda t: t.drop_columns(["tool"]),
+     r"s1\.parquet: column 'tool' is missing, but string in .*s0\.parquet"),
+    (lambda t: t.set_column(1, "turn_idx", t.column(1).cast(pa.int64())),
+     r"s1\.parquet: column 'turn_idx' is int64, but int32 in .*s0\.parquet"),
+], ids=["missing_column", "other_type"])
+def test_shards_of_other_schemas_raise_before_any_task(tmp_path, second,
+                                                       match):
+    """Shards whose columns or column types differ raise a ValueError
+    naming the shard and the column, before any partition is written."""
+    src = _two_shards(tmp_path / "in", second)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=match):
+        run_validation(src, _cfg(str(out)))
+    assert os.listdir(out / "parts") == []
+
+
+def test_resumed_shard_of_another_schema_raises(tmp_path):
+    """On resume, a pending shard whose schema differs from the done
+    shards' raises the same ValueError, before its part is touched."""
+    import pyarrow.parquet as pq
+    src = _two_shards(tmp_path / "in")
+    out = tmp_path / "out"
+    run_validation(src, _cfg(str(out)))
+    s1 = os.path.join(src, "s1.parquet")
+    pq.write_table(pq.read_table(s1).drop_columns(["tool"]), s1)
+    os.remove(out / "parts" / "s1" / "_DONE")
+    with pytest.raises(ValueError, match=r"s1\.parquet: column 'tool' is "
+                                         r"missing, but string in "):
+        run_validation(src, _cfg(str(out)))
+    assert (out / "parts" / "s1" / "state.pkl").exists()
 
 
 def test_profile_dataset_matches_run_validation(small_shards_dir, tmp_path):
