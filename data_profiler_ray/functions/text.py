@@ -246,7 +246,10 @@ def tfidf_summary_batch(batch: pa.Table, text_col: str = "text",
 
 
 _ARANGE = np.arange(0, dtype=np.int64)
-_ARANGE32 = np.arange(0, dtype=np.int32)
+# _TAIL_MASK[r]: the low r bytes of a little-endian word (r = 0: all 8)
+_TAIL_MASK = np.array([(1 << 64) - 1] + [(1 << (8 * r)) - 1
+                                         for r in range(1, 8)],
+                      dtype=np.uint64)
 
 
 def _arange_i64(n: int) -> np.ndarray:
@@ -258,17 +261,6 @@ def _arange_i64(n: int) -> np.ndarray:
     if _ARANGE.size < n:
         _ARANGE = np.arange(max(n, 2 * _ARANGE.size), dtype=np.int64)
     return _ARANGE[:n]
-
-
-def _arange_i32(n: int) -> np.ndarray:
-    """int32 variant of :func:`_arange_i64` for per-batch index vectors —
-    a batch's byte count always fits int32 (blocks are tens of MB), and the
-    bandwidth-starved host pays double for int64 index traffic (the dst
-    scatter vector of the word-hash kernel alone is O(batch bytes) · 8)."""
-    global _ARANGE32
-    if _ARANGE32.size < n:
-        _ARANGE32 = np.arange(max(n, 2 * _ARANGE32.size), dtype=np.int32)
-    return _ARANGE32[:n]
 
 
 def hash_string_array(arr: pa.Array | pa.ChunkedArray) -> np.ndarray:
@@ -289,8 +281,7 @@ def hash_string_array(arr: pa.Array | pa.ChunkedArray) -> np.ndarray:
     offsets = off_buf[b.offset: b.offset + len(b) + 1]
     data = (np.frombuffer(buffers[2], dtype=np.uint8)
             if buffers[2] is not None else np.zeros(0, np.uint8))
-    # copy: numpy kernels on read-only views of Arrow buffers hit slow paths
-    raw = np.array(data[offsets[0]:offsets[-1]], copy=True).astype(np.uint64)
+    raw = data[offsets[0]:offsets[-1]].astype(np.uint64)
     rel = (offsets - offsets[0]).astype(np.int64)
     lens = np.diff(rel)
     out = np.zeros(len(lens), dtype=np.uint64)
@@ -328,7 +319,13 @@ def hash_string_array_words(arr: pa.Array | pa.ChunkedArray) -> np.ndarray:
     the hash only needs to be a good random 64-bit key (distinct counting,
     long-key compression), NOT where a specific byte-level value is relied
     on across call sites (fingerprints, shingles, split keys keep
-    ``hash_string_array``).
+    ``hash_string_array``). The values are part of the profile state format
+    (long-value counter keys, HLL hashes): ``tests/test_string_kernels.py``
+    pins them.
+
+    Each word is one unaligned little-endian load at ``start + 8j`` from
+    the bytes padded by 8; a string's last word keeps only its own bytes
+    (``_TAIL_MASK``), which equals zero-padding the tail.
     """
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
@@ -337,35 +334,27 @@ def hash_string_array_words(arr: pa.Array | pa.ChunkedArray) -> np.ndarray:
     off_buf = np.frombuffer(buffers[1], dtype=np.int64,
                             count=b.offset + len(b) + 1)
     offsets = off_buf[b.offset: b.offset + len(b) + 1]
-    data = (np.frombuffer(buffers[2], dtype=np.uint8)
-            if buffers[2] is not None else np.zeros(0, np.uint8))
-    raw = np.array(data[offsets[0]:offsets[-1]], copy=True)
-    rel = (offsets - offsets[0]).astype(np.int64)
+    rel = offsets - offsets[0]
     lens = np.diff(rel)
-    n = len(lens)
     wlens = -(-lens // 8)                       # words per string
-    out = np.zeros(n, dtype=np.uint64)
+    out = np.zeros(len(lens), dtype=np.uint64)
     total_w = int(wlens.sum())
     if total_w:
-        wstart = np.concatenate([[0], np.cumsum(wlens)])[:-1]
-        padded = np.zeros(total_w * 8, dtype=np.uint8)
-        # scatter each string's bytes to its word-aligned region; index
-        # vectors in int32 when they fit (they always do for real blocks) —
-        # halves the dominant O(bytes) repeat+scatter memory traffic
-        if total_w * 8 < 2**31 and raw.size < 2**31:
-            dst = (_arange_i32(raw.size)
-                   + np.repeat((wstart * 8 - rel[:-1]).astype(np.int32),
-                               lens))
-            exp = (np.repeat((wlens - 1 + wstart).astype(np.int32), wlens)
-                   - _arange_i32(total_w))
-        else:
-            dst = (_arange_i64(raw.size)
-                   + np.repeat(wstart * 8 - rel[:-1], lens))
-            exp = np.repeat(wlens - 1 + wstart, wlens) - _arange_i64(total_w)
-        padded[dst] = raw
-        words = padded.view(np.uint64)          # little-endian words
-        pows = _hash_powers(int(wlens.max()))
+        size = int(rel[-1])
+        padded = np.zeros(size + 8, dtype=np.uint8)
+        padded[:size] = np.frombuffer(buffers[2], dtype=np.uint8)[
+            offsets[0]:offsets[-1]]
+        # the 8-byte word starting at every byte offset, as a strided view
+        windows = np.ndarray((size + 1,), dtype="<u8", buffer=padded,
+                             strides=(1,))
+        wend = np.cumsum(wlens)
+        wstart = wend - wlens
+        ar = _arange_i64(total_w)
+        words = windows[np.repeat(rel[:-1] - 8 * wstart, wlens) + 8 * ar]
         nonempty = wlens > 0
+        words[wend[nonempty] - 1] &= _TAIL_MASK[lens[nonempty] & 7]
+        exp = np.repeat(wend - 1, wlens) - ar
+        pows = _hash_powers(int(wlens.max()))
         with np.errstate(over="ignore"):
             terms = words * pows[exp]
             sums = np.add.reduceat(terms, wstart[nonempty])

@@ -83,8 +83,8 @@ from ..stages.drift import bin_accumulators, drift_from_counts, spec_from_profil
 from ..stages.plan import (FoldUnitsDatasource, _column_bytes,
                            _read_batch_rows, _unit_batches, footer_schema,
                            numbered_units, unit_runs)
-from ..stages.profile import (_PartialProfiler, finalize_profile,
-                              fold_partials, merge_states)
+from ..stages.profile import (_PartialProfiler, empty_accumulators,
+                              finalize_profile, fold_partials, merge_states)
 
 # stage timings in summary["timings"]; a stage that did not run reports 0
 _TIMING_KEYS = ("profile", "constraints", "checkpoint_write", "final_merge",
@@ -308,6 +308,12 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
     total_rows, merged = merge_states(
         pathlib.Path(out, "parts", _part_of(p), "state.pkl").read_bytes()
         for p in shards)
+    if not merged:
+        # no shard holds a row; a resume with every part done reads the
+        # footers only here
+        if not pending:
+            schema = footer_schema({p: pq.read_metadata(p) for p in shards})
+        merged = empty_accumulators(schema, cfg.profile)
     profile = finalize_profile(total_rows, merged, cfg.profile, t0,
                                filenames=shards)
     with open(os.path.join(out, "profile.json"), "w") as f:

@@ -296,13 +296,19 @@ def profile_dataset(ds: "ray.data.Dataset", config: ProfileConfig | None = None,
             ds = ds.select_columns(config.columns)
         partials = _partials(ds, arrow_schema, config)
     total_rows, merged = merge_states(blob for _, _, blob in partials)
-    if not merged:  # empty input: still emit one typed variable per column
-        cols = config.columns or arrow_schema.names
-        merged = {n: make_accumulator(arrow_schema.field(n),
-                                      text_stats=config.text_stats)
-                  for n in cols}
+    if not merged:
+        merged = empty_accumulators(arrow_schema, config)
     return finalize_profile(total_rows, merged, config, t0,
                             filenames=filenames or [])
+
+
+def empty_accumulators(schema: pa.Schema, config: ProfileConfig
+                       ) -> dict[str, ColumnAccumulator]:
+    """The merged state of an input without rows: one empty accumulator
+    per profiled column, so the profile still holds one typed variable
+    per column."""
+    return {n: make_accumulator(schema.field(n), text_stats=config.text_stats)
+            for n in config.columns or schema.names}
 
 
 def finalize_profile(total_rows: int, merged: dict[str, ColumnAccumulator],

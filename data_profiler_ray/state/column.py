@@ -1,7 +1,8 @@
 """Per-column mergeable profile accumulators.
 
-One accumulator instance per column per Ray Data block; instances merge
-associatively, so the per-block partials fold in any grouping. Together
+One accumulator instance per column per fold unit (``stages/plan.py``),
+or per Ray Data block for a Dataset that is not a bare Parquet read;
+instances merge associatively, so the partials fold in any grouping. Together
 they reproduce the reference profiler's per-variable stat families
 (SURVEY.md §2.5):
 
@@ -20,8 +21,9 @@ they reproduce the reference profiler's per-variable stat families
   (``variables/utils.py:288-430``) as mergeable all-batch probes instead of
   whole-column pandas scans.
 
-Input is a ``pyarrow.Array``/``ChunkedArray`` slice of the block — zero-copy
-from the object store; all per-batch work is Arrow/numpy kernels.
+Input is a ``pyarrow.Array``/``ChunkedArray`` column of a read batch; all
+per-batch work is Arrow/numpy kernels. A string column's text stats are
+computed once per distinct value of the batch (``_value_counts``).
 """
 
 from __future__ import annotations
@@ -141,11 +143,12 @@ def _long_keys(vals: pa.Array, key_cap: int) -> pa.Array:
     import binascii
     from ..functions.text import hash_string_array_words
     h = hash_string_array_words(long_vals)
-    hexs = np.frombuffer(binascii.hexlify(h.astype(">u8").tobytes()),
-                         dtype="S16").astype("U16")
+    hexs = pa.FixedSizeBinaryArray.from_buffers(
+        pa.binary(16), len(h),
+        [None, pa.py_buffer(binascii.hexlify(h.astype(">u8").tobytes()))])
     keyed = pc.binary_join_element_wise(
         pc.utf8_slice_codeunits(long_vals, 0, key_cap - 16),
-        pa.array(hexs, pa.string()), "")
+        hexs.cast(pa.string()), "")
     return pc.replace_with_mask(vals, long_mask, keyed.cast(vals.type))
 
 
@@ -161,6 +164,13 @@ def _key_hashes(keys: pa.Array) -> np.ndarray:
         return hash64(keys.to_numpy(zero_copy_only=False))
     except (TypeError, ValueError, pa.ArrowInvalid):
         return hash64(np.asarray(keys.to_pylist(), dtype=object))
+
+
+def _value_counts(valid: pa.Array) -> tuple[pa.Array, np.ndarray]:
+    """A batch's distinct values, in first-seen order, and their counts."""
+    vc = valid.value_counts()
+    return vc.field("values"), vc.field("counts").to_numpy(
+        zero_copy_only=False)
 
 
 class _DistinctMixin:
@@ -184,12 +194,11 @@ class _DistinctMixin:
     def _seed_hll(self, keys: pa.Array) -> None:
         self.hll.update_hashes(_key_hashes(keys))
 
-    def _update_distinct(self, valid: pa.Array) -> None:
-        if len(valid) == 0:
+    def _update_distinct(self, keys: pa.Array, counts: np.ndarray) -> None:
+        """Fold one batch's distinct ``keys`` and their ``counts``
+        (``_value_counts``)."""
+        if len(keys) == 0:
             return
-        vc = valid.value_counts()
-        keys = vc.field("values")
-        counts = vc.field("counts").to_numpy(zero_copy_only=False)
         key_cap = getattr(self, "_LONG_KEY", 0)
         if key_cap and _string_type(keys.type):
             keys = _long_keys(keys, key_cap)
@@ -312,7 +321,7 @@ class NumericAccumulator(ColumnAccumulator, _DistinctMixin):
             zero_copy_only=False)
         self.moments.update(x)
         self.kll.update(x)
-        self._update_distinct(valid)
+        self._update_distinct(*_value_counts(valid))
 
     def merge(self, other: "NumericAccumulator") -> None:
         self._merge_base(other)
@@ -445,7 +454,7 @@ class DatetimeAccumulator(ColumnAccumulator, _DistinctMixin):
         x = epoch.to_numpy(zero_copy_only=False).astype(np.float64) / 1e6
         self.moments.update(x)
         self.kll.update(x)
-        self._update_distinct(epoch)
+        self._update_distinct(*_value_counts(epoch))
 
     def merge(self, other: "DatetimeAccumulator") -> None:
         self._merge_base(other)
@@ -481,11 +490,53 @@ class DatetimeAccumulator(ColumnAccumulator, _DistinctMixin):
         return out
 
 
-_DIGIT_PAT = r"[0-9]"
-_UPPER_PAT = r"[A-Z]"
-_SPACE_PAT = r"\s"
-_PUNCT_PAT = r"[^\w\s]"
-_WORD_PAT = r"\S+"
+# a stat vector with a value at or above this folds row by row
+# (``StringAccumulator._update_compact``); a value of this many bytes can
+# reach it
+_COMPACT_MAX = 1_048_576
+# the reference's char classes over ASCII: ``\s`` is bytes 9-13 and 32;
+# ``[^\w\s]`` is the printable bytes that are not alphanumeric, ``_`` or
+# whitespace
+_SPACE_BYTES = np.array([9, 10, 11, 12, 13, 32])
+_PUNCT_BYTES = np.array([c for c in range(33, 127)
+                         if not chr(c).isalnum() and c != 95])
+_BOOL_WORD_SET = pa.array(sorted(BOOL_WORDS))
+# pandas reads a string as a number only if it holds an ASCII digit or
+# "inf" in any case: '١٢', 'True', '.' and '' all coerce to NaN
+_NUMBER_HINT = r"[0-9]|(?i:inf)"
+
+
+def _data_bytes(arr: pa.Array) -> np.ndarray:
+    """The value bytes of a string or binary array, as a uint8 view."""
+    bufs = arr.buffers()
+    if not len(arr) or bufs[2] is None:
+        return np.zeros(0, np.uint8)
+    large = pa.types.is_large_string(arr.type) or pa.types.is_large_binary(
+        arr.type)
+    offs = np.frombuffer(bufs[1], dtype=np.int64 if large else np.int32,
+                         count=arr.offset + len(arr) + 1)
+    return np.frombuffer(bufs[2], dtype=np.uint8)[
+        offs[arr.offset]:offs[arr.offset + len(arr)]]
+
+
+def _byte_hist(raw: np.ndarray) -> np.ndarray:
+    """``np.bincount(raw, minlength=256)`` of a uint8 array, counted as
+    byte pairs: ``np.bincount`` widens its input to int64 first, and
+    reading the bytes as uint16 pairs halves that. The pair histogram's
+    row sums count the high bytes, its column sums the low bytes."""
+    n = raw.size & ~1
+    pairs = np.bincount(raw[:n].view(np.uint16), minlength=1 << 16)
+    pairs = pairs.reshape(256, 256)
+    hist = pairs.sum(axis=0) + pairs.sum(axis=1)
+    if raw.size & 1:
+        hist[raw[-1]] += 1
+    return hist
+
+
+def _bool_words(vals: pa.Array) -> bool:
+    """Every value, trimmed and lowercased, is one of ``BOOL_WORDS``."""
+    low = pc.utf8_lower(pc.utf8_trim_whitespace(vals))
+    return bool(pc.all(pc.is_in(low, value_set=_BOOL_WORD_SET)).as_py())
 
 
 class StringAccumulator(ColumnAccumulator, _DistinctMixin):
@@ -535,28 +586,32 @@ class StringAccumulator(ColumnAccumulator, _DistinctMixin):
         if len(valid) == 0:
             return
         self.probe_checked = True
-        self._update_distinct(valid)
+        keys, counts = _value_counts(valid)
+        self._update_distinct(keys, counts)
         self._probes(valid)
         if self.text_stats:
-            self._text(valid)
+            if pc.max(pc.binary_length(keys)).as_py() >= _COMPACT_MAX:
+                # such a value may give a stat that folds row by row, in
+                # row order
+                keys, counts = valid, np.ones(len(valid), np.int64)
+            self._text(keys, counts)
 
     def _probes(self, valid: pa.Array) -> None:
         # Each probe quick-rejects on a small head sample before paying for a
         # full-batch scan — text columns fail in the first few values, so the
         # expensive parses only run on columns that are plausibly that type.
         import pandas as pd
-        head = pd.Series(valid.slice(0, 16).to_pylist())
+        head = valid.slice(0, 16)
+        hv = head.to_pylist()
         # boolean-word probe (utils.py:232-250)
         if self.all_boolean:
-            if not head.str.strip().str.lower().isin(BOOL_WORDS).all():
-                self.all_boolean = False
-            else:
-                low = pc.utf8_lower(pc.utf8_trim_whitespace(valid))
-                ok = pc.is_in(low, value_set=pa.array(sorted(BOOL_WORDS)))
-                self.all_boolean = bool(pc.all(ok).as_py())
+            self.all_boolean = _bool_words(head) and _bool_words(valid)
         # numeric probe (utils.py:253-262) — every value float-coercible
         if self.all_numeric:
-            if pd.to_numeric(head, errors="coerce").isna().any():
+            if (not pc.all(pc.match_substring_regex(head,
+                                                    _NUMBER_HINT)).as_py()
+                    or pd.to_numeric(pd.Series(hv),
+                                     errors="coerce").isna().any()):
                 self.all_numeric = False
             else:
                 s = pd.Series(valid.to_pandas())
@@ -576,11 +631,12 @@ class StringAccumulator(ColumnAccumulator, _DistinctMixin):
                 # format="mixed" parses each value on its own, so a text
                 # column is rejected on its first value without parsing
                 # the other fifteen
+                head_s = pd.Series(hv)
                 with np.errstate(all="ignore"):
-                    head_parsed = pd.to_datetime(head[:1], errors="coerce",
+                    head_parsed = pd.to_datetime(head_s[:1], errors="coerce",
                                                  format="mixed")
                     if not head_parsed.isna().any():
-                        head_parsed = pd.to_datetime(head, errors="coerce",
+                        head_parsed = pd.to_datetime(head_s, errors="coerce",
                                                      format="mixed")
                 if head_parsed.isna().any():
                     self.all_datetime = False
@@ -589,98 +645,75 @@ class StringAccumulator(ColumnAccumulator, _DistinctMixin):
                     parsed = pd.to_datetime(s, errors="coerce", format="mixed")
                     self.all_datetime = not parsed.isna().any()
         if self.all_geometry:
-            hv = head.tolist()
-            self.all_geometry = all(isinstance(v, str) and _WKT_RE.match(v) for v in hv)
+            self.all_geometry = all(isinstance(v, str) and _WKT_RE.match(v)
+                                    for v in hv)
 
-    def _text(self, valid: pa.Array) -> None:
-        """Char-class + word-length stats, vectorized at the byte level.
+    def _text(self, keys: pa.Array, counts: np.ndarray) -> None:
+        """Char-class, char-length and word-length stats of a batch from
+        its distinct ``keys`` and their ``counts``: each stat is computed
+        once per distinct value and weighted by its count, which folds the
+        same histograms as a pass over every row.
 
         The reference ASCII-coerces text before scanning
         (``text/profiler.py:224-227``) and then counts char classes in a
-        Python loop (``:259-280``); here we scan the Arrow string data buffer
-        once with numpy bincount (ASCII classes; multi-byte UTF-8 bytes land
-        in the >=0x80 bins and are ignored, matching the reference's ASCII
-        coercion). Word boundaries come from whitespace-byte transitions.
+        Python loop (``:259-280``). Here the classes are ASCII byte classes
+        of a byte histogram (``_byte_hist``): multi-byte UTF-8 bytes are
+        >= 0x80 and fall in none, matching the reference's ASCII coercion.
+        The distinct values' bytes are counted once, and the values that
+        repeat once more, weighted by their count - 1. Words are the
+        non-empty runs between the whitespace bytes 9-13 and 32
+        (``ascii_split_whitespace``).
         """
-        n_chars_i = pc.utf8_length(valid).to_numpy(zero_copy_only=False)
-        self.total_chars += int(n_chars_i.sum())
-        self._update_compact(n_chars_i, self.char_len, self.char_len_kll)
+        n_chars = pc.utf8_length(keys).to_numpy(zero_copy_only=False)
+        self.total_chars += int(np.dot(n_chars.astype(np.int64), counts))
+        self._update_compact(n_chars, counts, self.char_len,
+                             self.char_len_kll)
 
-        bin_arr = valid.cast(pa.large_binary())
-        if isinstance(bin_arr, pa.ChunkedArray):
-            bin_arr = bin_arr.combine_chunks()
-        offsets = np.frombuffer(bin_arr.buffers()[1], dtype=np.int64,
-                                count=len(bin_arr) + 1)
-        data = np.frombuffer(bin_arr.buffers()[2], dtype=np.uint8)
-        # copy out of the read-only Arrow buffer: numpy kernels (bincount,
-        # fancy indexing) hit a slow element-wise path on non-writeable views
-        raw = np.array(data[offsets[0]:offsets[-1]], copy=True)
-        if raw.size:
-            counts = np.bincount(raw, minlength=256)
-            self.n_digit += int(counts[48:58].sum())
-            self.n_upper += int(counts[65:91].sum())
-            ws = int(counts[9:14].sum() + counts[32])
-            self.n_space += ws
-            # punct = ASCII printable non-alnum non-space non-underscore
-            # (regex [^\w\s] over ASCII)
-            is_alnum = np.zeros(256, dtype=bool)
-            is_alnum[48:58] = is_alnum[65:91] = is_alnum[97:123] = True
-            is_alnum[95] = True  # underscore is \w
-            punct_mask = np.zeros(256, dtype=bool)
-            punct_mask[33:127] = True
-            punct_mask &= ~is_alnum
-            self.n_punct += int(counts[punct_mask].sum())
+        hist = _byte_hist(_data_bytes(keys))
+        rep = np.flatnonzero(counts > 1)
+        if rep.size:
+            rkeys = keys.take(pa.array(rep))
+            lens = pc.binary_length(rkeys).to_numpy(zero_copy_only=False)
+            hist = hist + np.bincount(
+                _data_bytes(rkeys), weights=np.repeat(counts[rep] - 1, lens),
+                minlength=256).astype(np.int64)
+        self.n_digit += int(hist[48:58].sum())
+        self.n_upper += int(hist[65:91].sum())
+        self.n_space += int(hist[_SPACE_BYTES].sum())
+        self.n_punct += int(hist[_PUNCT_BYTES].sum())
 
-            # word runs without building a separator-padded copy: a word
-            # starts at a non-space byte whose predecessor is space OR a
-            # value boundary; ends symmetrically (runs can't span values)
-            rel_off = (offsets - offsets[0]).astype(np.int64)
-            space_mask = np.zeros(256, dtype=bool)
-            space_mask[[9, 10, 11, 12, 13, 32]] = True
-            nonsp = ~space_mask[raw]
-            prev_sp = np.empty_like(nonsp)
-            prev_sp[0] = True
-            np.logical_not(nonsp[:-1], out=prev_sp[1:])
-            next_sp = np.empty_like(nonsp)
-            next_sp[-1] = True
-            np.logical_not(nonsp[1:], out=next_sp[:-1])
-            bnd = rel_off[1:-1]
-            if bnd.size:
-                # empty leading/trailing values give bnd == 0 or == raw.size
-                prev_sp[bnd[bnd < raw.size]] = True   # value start breaks a run
-                next_sp[bnd[bnd > 0] - 1] = True      # value end breaks a run
-            start_idx = np.flatnonzero(nonsp & prev_sp)
-            end_idx = np.flatnonzero(nonsp & next_sp)
-            if start_idx.size:
-                wl = end_idx - start_idx + 1
-                self._update_compact(wl, self.word_len, self.word_len_kll)
-            # words per value: word starts falling inside each value span
-            wc = np.diff(np.searchsorted(start_idx, rel_off))
-            self._update_compact(wc, self.words_per_value, None)
-        else:
-            self.words_per_value.update(np.zeros(len(bin_arr)))
+        tokens = pc.ascii_split_whitespace(keys)
+        wl = pc.binary_length(tokens.flatten()).to_numpy(zero_copy_only=False)
+        parent = pc.list_parent_indices(tokens).to_numpy(
+            zero_copy_only=False)
+        word = wl > 0
+        wl, parent = wl[word], parent[word]
+        self._update_compact(wl, counts[parent], self.word_len,
+                             self.word_len_kll)
+        self._update_compact(np.bincount(parent, minlength=len(keys)),
+                             counts, self.words_per_value, None)
 
     @staticmethod
-    def _update_compact(ints: np.ndarray, moments, kll) -> None:
-        """Feed a non-negative small-integer stat vector (word/char lengths,
-        words-per-value) through its ``np.bincount`` histogram: the moments
-        and KLL weighted-update paths are exact for integer weights and turn
-        ~14 O(#rows) passes into O(#bins) — the single largest cost of the
-        text fold at the 2M-turn profile (425 ms/block for word lengths).
-        Falls back to the plain O(#rows) path for pathological value ranges
-        (a single multi-MB "word" would otherwise allocate max-value bins)."""
+    def _update_compact(ints: np.ndarray, weights: np.ndarray, moments,
+                        kll) -> None:
+        """Feed a non-negative small-integer stat (char or word lengths,
+        words per value) whose value ``ints[i]`` occurs ``weights[i]`` times
+        through its weighted ``np.bincount`` histogram: the moments and KLL
+        weighted-update paths are exact for integer weights and cost
+        O(#bins) instead of O(#rows). A stat reaching ``_COMPACT_MAX`` (a
+        single multi-MB "word" would allocate that many bins) is expanded
+        to one value per occurrence for the plain O(#rows) path."""
         if ints.size == 0:
             return
-        mx = int(ints.max())
-        if mx < 1_048_576:
-            hist = np.bincount(ints)
+        if int(ints.max()) < _COMPACT_MAX:
+            hist = np.bincount(ints, weights=weights)
             nz = np.flatnonzero(hist)
-            wts = hist[nz]
+            wts = hist[nz].astype(np.int64)
             moments.update_weighted(nz, wts)
             if kll is not None:
                 kll.update_weighted(nz, wts)
         else:
-            f = ints.astype(np.float64)
+            f = np.repeat(ints, weights).astype(np.float64)
             moments.update(f)
             if kll is not None:
                 kll.update(f)
@@ -828,7 +861,7 @@ class GeometryAccumulator(StringAccumulator):
         if len(valid) == 0:
             return
         self.probe_checked = True
-        self._update_distinct(valid)
+        self._update_distinct(*_value_counts(valid))
         self._probes(valid)
         areas, lengths = [], []
         pts = [self.hull_pts]

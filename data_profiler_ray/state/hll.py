@@ -13,8 +13,10 @@ Column accumulators feed this sketch only once their value counter has
 overflowed (``state/column.py:_DistinctMixin``); until then the counter's
 keys are the exact distinct set.
 
-Hashing is ``pandas.util.hash_array`` — vectorized, deterministic across
-processes (fixed internal key), works for numeric and object dtypes alike.
+The column accumulators hash strings with the word hash
+``functions.text.hash_string_array_words`` (``state/column.py:_key_hashes``)
+and every other type with ``pandas.util.hash_array`` (``hash64``). Both are
+vectorized and deterministic across processes.
 """
 
 from __future__ import annotations

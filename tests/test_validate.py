@@ -585,14 +585,23 @@ def test_empty_shard_beside_a_full_one(tmp_path):
 
 def test_all_empty_input(tmp_path):
     """Shards without rows validate to an empty, passing summary: no
-    partial, no conversation and a profile of no rows."""
+    partial, no conversation and a profile of no rows, whose variables
+    are ``profile_dataset``'s over the same files (one typed variable per
+    column), on a fresh run and on a resume with every part done."""
     src = _two_shards(tmp_path / "in", rows=(0, 0))
-    s = run_validation(src, _cfg(str(tmp_path / "out")))
+    cfg = _cfg(str(tmp_path / "out"))
+    s = run_validation(src, cfg)
     assert (s["total_rows"], s["n_conversations"], s["n_violations"]) == \
         (0, 0, 0)
     assert s["passed"]
     assert s["counters"]["partials_folded"] == 0
     assert s["profile"]["table"]["num_rows"] == 0
+    direct = profile_dataset(ray.data.read_parquet(src), cfg.profile)
+    assert len(direct["variables"]) == 6
+    assert s["profile"]["variables"] == direct["variables"]
+    resumed = run_validation(src, cfg)
+    assert resumed["parts_skipped"] == 2
+    assert resumed["profile"]["variables"] == direct["variables"]
 
 
 @pytest.mark.parametrize("second, match", [
