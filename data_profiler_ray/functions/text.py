@@ -310,7 +310,8 @@ def hash_string_array(arr: pa.Array | pa.ChunkedArray) -> np.ndarray:
     return out
 
 
-def hash_string_array_words(arr: pa.Array | pa.ChunkedArray) -> np.ndarray:
+def hash_string_array_words(arr: pa.Array | pa.ChunkedArray,
+                            rows: np.ndarray | None = None) -> np.ndarray:
     """64-bit polynomial hash per string over its 8-byte WORDS (zero-padded
     tail, byte length mixed in) with the same splitmix64 finalizer as
     ``hash_string_array``.
@@ -326,6 +327,9 @@ def hash_string_array_words(arr: pa.Array | pa.ChunkedArray) -> np.ndarray:
     Each word is one unaligned little-endian load at ``start + 8j`` from
     the bytes padded by 8; a string's last word keeps only its own bytes
     (``_TAIL_MASK``), which equals zero-padding the tail.
+
+    ``rows``: hash only these rows, read in place (``hash(arr)[rows]``
+    without hashing the others or copying them out first).
     """
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
@@ -334,13 +338,15 @@ def hash_string_array_words(arr: pa.Array | pa.ChunkedArray) -> np.ndarray:
     off_buf = np.frombuffer(buffers[1], dtype=np.int64,
                             count=b.offset + len(b) + 1)
     offsets = off_buf[b.offset: b.offset + len(b) + 1]
-    rel = offsets - offsets[0]
-    lens = np.diff(rel)
+    starts, ends = offsets[:-1], offsets[1:]
+    if rows is not None:
+        starts, ends = starts[rows], ends[rows]
+    lens = ends - starts
     wlens = -(-lens // 8)                       # words per string
     out = np.zeros(len(lens), dtype=np.uint64)
     total_w = int(wlens.sum())
     if total_w:
-        size = int(rel[-1])
+        size = int(offsets[-1] - offsets[0])
         padded = np.zeros(size + 8, dtype=np.uint8)
         padded[:size] = np.frombuffer(buffers[2], dtype=np.uint8)[
             offsets[0]:offsets[-1]]
@@ -350,7 +356,8 @@ def hash_string_array_words(arr: pa.Array | pa.ChunkedArray) -> np.ndarray:
         wend = np.cumsum(wlens)
         wstart = wend - wlens
         ar = _arange_i64(total_w)
-        words = windows[np.repeat(rel[:-1] - 8 * wstart, wlens) + 8 * ar]
+        words = windows[np.repeat(starts - offsets[0] - 8 * wstart, wlens)
+                        + 8 * ar]
         nonempty = wlens > 0
         words[wend[nonempty] - 1] &= _TAIL_MASK[lens[nonempty] & 7]
         exp = np.repeat(wend - 1, wlens) - ar

@@ -8,9 +8,10 @@ partitions runs, one after the other:
    ``FOLD_ROWS`` rows), packed into one read task per CPU and read
    through the datasource ``profile_dataset`` also reads by
    (``stages.plan.FoldUnitsDatasource``). Each read task
-   (``_fold_and_project``) folds each unit into a profile partial, writes
-   it from the worker to ``parts/<part>/partials/`` and yields only the
-   narrow key columns and the ``part`` → range-partition sort on
+   (``_fold_and_project``) folds each unit into a profile partial
+   (``stages.profile.fold``: a function of the unit's rows alone, so a
+   retried task writes the same bytes), writes it from the worker to
+   ``parts/<part>/partials/`` and yields only the narrow key columns and the ``part`` → range-partition sort on
    (conv_id, turn_idx) → one task per sorted block that checks it
    (row-local and conversation checks) and writes its verdict and
    violation rows to per-partition parquet (``_PartOutputWriter``). The
@@ -77,14 +78,14 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..config import ValidationConfig
+from ..config import ProfileConfig, ValidationConfig
 from ..stages.constraints import VIOLATION_SCHEMA, check_and_write
 from ..stages.drift import bin_accumulators, drift_from_counts, spec_from_profile
 from ..stages.plan import (FoldUnitsDatasource, _column_bytes,
                            _read_batch_rows, _unit_batches, footer_schema,
                            numbered_units, unit_runs)
-from ..stages.profile import (_PartialProfiler, empty_accumulators,
-                              finalize_profile, fold_partials, merge_states)
+from ..stages.profile import (finalize_profile, fold, fold_partials,
+                              make_accumulators, merge_states)
 
 # stage timings in summary["timings"]; a stage that did not run reports 0
 _TIMING_KEYS = ("profile", "constraints", "checkpoint_write", "final_merge",
@@ -111,7 +112,7 @@ def _write_atomic(path: str, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _fold_and_project(run: list, profiler: _PartialProfiler,
+def _fold_and_project(run: list, schema: pa.Schema, config: ProfileConfig,
                       parts_root: str, batch_rows: int,
                       narrow_columns: list[str]):
     """A read task of the stream (``plan.FoldUnitsDatasource``): for each
@@ -120,8 +121,9 @@ def _fold_and_project(run: list, profiler: _PartialProfiler,
     ``<parts_root>/<part>/partials/<k:06d>-<rows>``, and yield only the
     batches' ``narrow_columns`` the constraint sort needs, with the
     shard's ``part``. ``k`` is the unit's index within its shard, so
-    sorted-name order is unit order and a retried task rewrites the same
-    names."""
+    sorted-name order is unit order, and a retried task rewrites the same
+    names with the same bytes: a partial depends on its unit's rows
+    alone (``stages.profile.fold``)."""
     for k, unit, rows in run:
         part = _part_of(unit[0][0])
         narrow = []
@@ -131,7 +133,7 @@ def _fold_and_project(run: list, profiler: _PartialProfiler,
                 narrow.append(b.select(narrow_columns))
                 yield b
 
-        blob = profiler.fold(batches(), part=part)
+        blob = fold(batches(), schema, config)
         pdir = os.path.join(parts_root, part, _PARTIALS)
         os.makedirs(pdir, exist_ok=True)
         _write_atomic(os.path.join(pdir, f"{k:06d}-{rows}"), blob)
@@ -217,7 +219,7 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
                        if c in schema.names]
         parts_root = os.path.join(out, "parts")
         ds = FoldUnitsDatasource(runs, functools.partial(
-            _fold_and_project, profiler=_PartialProfiler(schema, cfg.profile),
+            _fold_and_project, schema=schema, config=cfg.profile,
             parts_root=parts_root, batch_rows=_read_batch_rows(metas),
             narrow_columns=narrow_cols)).read()
 
@@ -313,9 +315,12 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
         # footers only here
         if not pending:
             schema = footer_schema({p: pq.read_metadata(p) for p in shards})
-        merged = empty_accumulators(schema, cfg.profile)
-    profile = finalize_profile(total_rows, merged, cfg.profile, t0,
-                               filenames=shards)
+        merged = make_accumulators(schema, cfg.profile)
+    # shard paths relative to input_dir, as in lineage.json: the output
+    # does not depend on where the input lives
+    profile = finalize_profile(
+        total_rows, merged, cfg.profile, t0,
+        filenames=[os.path.relpath(p, input_dir) for p in shards])
     with open(os.path.join(out, "profile.json"), "w") as f:
         json.dump(profile, f, indent=2, default=str)
     timings["final_merge"] = time.time() - tfm
@@ -357,8 +362,11 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
         "timings": {k: round(v, 3) for k, v in timings.items()},
         "counters": counters,
     }
+    # summary.json leaves out the profile (profile.json holds it) and the
+    # output directory it lives in
     with open(os.path.join(out, "summary.json"), "w") as f:
-        json.dump({k: v for k, v in summary.items() if k != "profile"},
+        json.dump({k: v for k, v in summary.items()
+                   if k not in ("profile", "output_dir")},
                   f, indent=2, default=str)
     return summary
 

@@ -12,6 +12,9 @@ bundle (``dumps_state``: per column moments + KLL + a capped value counter
 of typed key/count arrays, + HLL registers once that counter overflowed),
 so what the driver pulls is o(input) regardless of data size.
 
+Every partial is ``fold``: fresh accumulators (``make_accumulators``, also
+the merged state of an input without rows) fed one fold unit's or one
+block's batches in order, so a partial depends on its own rows alone.
 A bare ``read_parquet`` is read again from its footers (``stages.plan``)
 through ``plan.FoldUnitsDatasource``: one read task per CPU, each reading a
 contiguous run of fold units (``plan.fold_units``: consecutive row groups
@@ -35,7 +38,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import ProfileConfig
-from ..state.column import ColumnAccumulator, make_accumulator
+from ..state.column import (ColumnAccumulator, GeometryAccumulator,
+                            make_accumulator)
 from .plan import (FoldUnitsDatasource, _read_batch_rows, _unit_batches,
                    bare_parquet_footers, numbered_units, unit_runs)
 
@@ -94,91 +98,71 @@ def loads_state(blob: bytes):
     return pickle.loads(raw)
 
 
-class _PartialProfiler:
-    """Fold Arrow batches into state blobs. ``fold`` folds a sequence of
-    batches, in order, into one set of fresh accumulators and returns one
-    blob; a single batch is the one-batch case. The read tasks of both
-    entry points (``plan.FoldUnitsDatasource``) fold one fold unit's read
-    batches per call. As a map_batches callable (any other Dataset) it
-    folds one Ray block and emits one serialized-state row, or one row per
-    partition value when a ``part_column`` is set."""
-
-    _PROBE_FLAGS = ("all_datetime", "all_boolean", "all_numeric",
-                    "all_geometry")
-
-    def __init__(self, schema: pa.Schema, config: ProfileConfig,
-                 part_column: str | None = None):
-        self.schema = schema
-        self.config = config
-        self.part_column = part_column
-        # per-(part, column) probe verdicts already known False in THIS
-        # instance: a later fold pre-sets them so the head-sample parses
-        # (dateutil/to_numeric) run only until the first failing value.
-        # Ray deserializes the profiler afresh for every task, so this
-        # carries only across the fold units of one read task (of either
-        # entry point) or the blocks of one map task. Sound because the
-        # flags are AND-merged: forcing False on a batch whose own values
-        # would have passed gives the same merged result the failing batch
-        # already forces. Keyed by part so one partition's verdict never
-        # leaks into another's checkpointed state.
-        self._dead_probes: dict[tuple[str | None, str], tuple[str, ...]] = {}
-
-    def fold(self, batches, part: str | None = None) -> bytes:
-        """``batches`` (one Arrow table or record batch, or an iterable of
-        them) of one part, folded in order, as a state blob
-        (``dumps_state``)."""
-        if isinstance(batches, (pa.Table, pa.RecordBatch)):
-            batches = (batches,)
-        accs: dict[str, ColumnAccumulator] = {}
-        cols = [n for n in self.config.columns or self.schema.names
-                if not (self.part_column and n == self.part_column)]
-        for name in cols:
-            if name in (self.config.geometry_columns or ()):
-                from ..state.column import GeometryAccumulator
-                acc = GeometryAccumulator(name, crs=self.config.geometry_crs)
-            else:
-                acc = make_accumulator(
-                    self.schema.field(name), text_stats=self.config.text_stats
-                    and not self.config.light_mode)
-            for f in self._dead_probes.get((part, name), ()):
-                setattr(acc, f, False)
-            accs[name] = acc
-        rows = 0
-        for batch in batches:
-            rows += len(batch)
-            for name, acc in accs.items():
-                acc.update(batch.column(name))
-        for name, acc in accs.items():
-            dead = tuple(f for f in self._PROBE_FLAGS
-                         if getattr(acc, f, True) is False)
-            if dead:
-                self._dead_probes[(part, name)] = dead
-        return dumps_state((rows, accs))
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.part_column is None:
-            subs = [(None, batch)]
+def make_accumulators(schema: pa.Schema, config: ProfileConfig
+                      ) -> dict[str, ColumnAccumulator]:
+    """One fresh accumulator per profiled column (``config.columns``, else
+    every field of ``schema``): a ``GeometryAccumulator`` for a declared
+    geometry column, else ``make_accumulator``'s by Arrow type, with text
+    stats unless ``light_mode``. Every partial starts from these, and so
+    does the merged state of an input without rows, so its profile still
+    holds one typed variable per column."""
+    accs: dict[str, ColumnAccumulator] = {}
+    for name in config.columns or schema.names:
+        if name in (config.geometry_columns or ()):
+            accs[name] = GeometryAccumulator(name, crs=config.geometry_crs)
         else:
-            col = batch.column(self.part_column)
-            subs = [(p, batch.filter(pc.equal(col, p)))
-                    for p in pc.unique(col).to_pylist()]
-        return pa.table({
-            "part": pa.array([p for p, _ in subs], type=pa.string()),
-            "rows": pa.array([len(sub) for _, sub in subs], type=pa.int64()),
-            "state": pa.array([self.fold(sub, part=p) for p, sub in subs],
-                              type=pa.large_binary()),
-        })
+            accs[name] = make_accumulator(
+                schema.field(name),
+                text_stats=config.text_stats and not config.light_mode)
+    return accs
 
 
-def _fold_unit_run(run: list, profiler: _PartialProfiler, batch_rows: int,
-                   columns: list[str] | None):
+def fold(batches, schema: pa.Schema, config: ProfileConfig) -> bytes:
+    """``batches`` (one Arrow table or record batch, or an iterable of
+    them), folded in order into fresh accumulators (``make_accumulators``),
+    as a state blob (``dumps_state``). A pure function of the rows: the
+    read tasks of both entry points fold one fold unit's read batches per
+    call, and the per-block path one block (or one part of it)."""
+    if isinstance(batches, (pa.Table, pa.RecordBatch)):
+        batches = (batches,)
+    accs = make_accumulators(schema, config)
+    rows = 0
+    for batch in batches:
+        rows += len(batch)
+        for name, acc in accs.items():
+            acc.update(batch.column(name))
+    return dumps_state((rows, accs))
+
+
+def _fold_unit_run(run: list, schema: pa.Schema, config: ProfileConfig,
+                   batch_rows: int, columns: list[str] | None):
     """A ``profile_dataset`` read task (``plan.FoldUnitsDatasource``): one
     ``(part, rows, state)`` row per ``(k, unit, rows)`` of ``run``."""
     for _, unit, rows in run:
-        blob = profiler.fold(_unit_batches(unit, batch_rows, columns))
+        blob = fold(_unit_batches(unit, batch_rows, columns), schema, config)
         yield pa.table({"part": pa.array([None], pa.string()),
                         "rows": pa.array([rows], pa.int64()),
                         "state": pa.array([blob], pa.large_binary())})
+
+
+def _fold_block(batch: pa.Table, schema: pa.Schema, config: ProfileConfig,
+                part_column: str | None) -> pa.Table:
+    """The per-block map of ``_partials``: one ``(part, rows, state)`` row
+    for the block, or one per value of ``part_column``, folded without
+    that column."""
+    if part_column is None:
+        subs = [(None, batch)]
+    else:
+        schema = schema.remove(schema.get_field_index(part_column))
+        col = batch.column(part_column)
+        subs = [(p, batch.filter(pc.equal(col, p)))
+                for p in pc.unique(col).to_pylist()]
+    return pa.table({
+        "part": pa.array([p for p, _ in subs], type=pa.string()),
+        "rows": pa.array([len(sub) for _, sub in subs], type=pa.int64()),
+        "state": pa.array([fold(sub, schema, config) for _, sub in subs],
+                          type=pa.large_binary()),
+    })
 
 
 def _partials(ds: "ray.data.Dataset", schema: pa.Schema,
@@ -188,7 +172,8 @@ def _partials(ds: "ray.data.Dataset", schema: pa.Schema,
     block, or per read batch where Ray fuses the map with a read, in block
     order (``_in_order``)."""
     yield from _in_order(ds.map_batches(
-        _PartialProfiler(schema, config, part_column),
+        _fold_block, fn_kwargs=dict(schema=schema, config=config,
+                                    part_column=part_column),
         batch_format="pyarrow", batch_size=None))
 
 
@@ -286,7 +271,7 @@ def profile_dataset(ds: "ray.data.Dataset", config: ProfileConfig | None = None,
     metas = bare_parquet_footers(ds)
     if metas is not None:
         read_run = functools.partial(
-            _fold_unit_run, profiler=_PartialProfiler(arrow_schema, config),
+            _fold_unit_run, schema=arrow_schema, config=config,
             batch_rows=_read_batch_rows(metas),
             columns=config.columns or None)
         partials = _in_order(FoldUnitsDatasource(
@@ -297,18 +282,9 @@ def profile_dataset(ds: "ray.data.Dataset", config: ProfileConfig | None = None,
         partials = _partials(ds, arrow_schema, config)
     total_rows, merged = merge_states(blob for _, _, blob in partials)
     if not merged:
-        merged = empty_accumulators(arrow_schema, config)
+        merged = make_accumulators(arrow_schema, config)
     return finalize_profile(total_rows, merged, config, t0,
                             filenames=filenames or [])
-
-
-def empty_accumulators(schema: pa.Schema, config: ProfileConfig
-                       ) -> dict[str, ColumnAccumulator]:
-    """The merged state of an input without rows: one empty accumulator
-    per profiled column, so the profile still holds one typed variable
-    per column."""
-    return {n: make_accumulator(schema.field(n), text_stats=config.text_stats)
-            for n in config.columns or schema.names}
 
 
 def finalize_profile(total_rows: int, merged: dict[str, ColumnAccumulator],

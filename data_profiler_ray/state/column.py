@@ -1,8 +1,10 @@
 """Per-column mergeable profile accumulators.
 
-One accumulator instance per column per fold unit (``stages/plan.py``),
-or per Ray Data block for a Dataset that is not a bare Parquet read;
-instances merge associatively, so the partials fold in any grouping. Together
+One accumulator instance per column per partial: ``stages.profile.fold``
+builds them fresh (``make_accumulators``) and feeds them one fold unit's
+read batches (``stages/plan.py``) or one Ray Data block, so a partial
+depends on its own rows alone; instances merge associatively, so the
+partials fold in any grouping. Together
 they reproduce the reference profiler's per-variable stat families
 (SURVEY.md §2.5):
 
@@ -126,30 +128,48 @@ def _string_type(t: pa.DataType) -> bool:
     return pa.types.is_string(t) or pa.types.is_large_string(t)
 
 
-def _long_keys(vals: pa.Array, key_cap: int) -> pa.Array:
-    """String values longer than ``key_cap`` chars keyed as their first
-    ``key_cap - 16`` chars + the 16 hex digits of their 64-bit word hash:
-    bounded state bytes, collision odds ~n²/2⁶⁵ per prefix bucket. Byte
-    lengths (≥ char lengths) pre-filter, so short-value columns skip the
-    key build; the build itself is all-Arrow (utf8_slice + hex +
-    binary_join)."""
-    blens = pc.binary_length(vals).to_numpy(zero_copy_only=False)
-    if not blens.size or int(blens.max()) <= key_cap:
-        return vals
-    long_mask = pc.greater(pc.utf8_length(vals), key_cap)
-    long_vals = vals.filter(long_mask)
-    if not len(long_vals):
+def _long_keys(vals: pa.Array, n_chars: np.ndarray, key_cap: int
+               ) -> pa.Array:
+    """String values longer than ``key_cap`` chars (``n_chars``: each
+    value's length in chars) keyed as their first ``key_cap - 16`` chars +
+    the 16 hex digits of their 64-bit word hash: bounded state bytes,
+    collision odds ~n²/2⁶⁵ per prefix bucket. The long values are read in
+    place: the hash takes their rows, and the prefixes come from a
+    zero-copy view of the data buffer whose even elements are the
+    prefixes, cut ``key_cap - 16`` bytes in for an ASCII value (one byte
+    per char) and where ``utf8_slice_codeunits`` cuts the others."""
+    long_rows = np.flatnonzero(n_chars > key_cap)
+    if not long_rows.size:
         return vals
     import binascii
     from ..functions.text import hash_string_array_words
-    h = hash_string_array_words(long_vals)
+    h = hash_string_array_words(vals, rows=long_rows)
+    b = vals.cast(pa.large_string())
+    offsets = np.frombuffer(b.buffers()[1], np.int64,
+                            count=b.offset + len(b) + 1)[b.offset:]
+    starts = offsets[long_rows]
+    cut = np.full(long_rows.size, key_cap - 16, np.int64)
+    wide = np.flatnonzero(offsets[long_rows + 1] - starts
+                          != n_chars[long_rows])
+    if wide.size:
+        cut[wide] = pc.binary_length(pc.utf8_slice_codeunits(
+            vals.take(pa.array(long_rows[wide])), 0, key_cap - 16)
+        ).to_numpy(zero_copy_only=False)
+    # element 2i: long value i's prefix; 2i + 1: the bytes up to value i + 1
+    bounds = np.empty(2 * long_rows.size, np.int64)
+    bounds[0::2], bounds[1::2] = starts, starts + cut
+    view = pa.LargeStringArray.from_buffers(
+        len(bounds) - 1, pa.py_buffer(bounds), b.buffers()[2])
     hexs = pa.FixedSizeBinaryArray.from_buffers(
         pa.binary(16), len(h),
         [None, pa.py_buffer(binascii.hexlify(h.astype(">u8").tobytes()))])
     keyed = pc.binary_join_element_wise(
-        pc.utf8_slice_codeunits(long_vals, 0, key_cap - 16),
+        view.take(pa.array(np.arange(0, len(view), 2))).cast(pa.string()),
         hexs.cast(pa.string()), "")
-    return pc.replace_with_mask(vals, long_mask, keyed.cast(vals.type))
+    long_mask = np.zeros(len(vals), bool)
+    long_mask[long_rows] = True
+    return pc.replace_with_mask(vals, pa.array(long_mask),
+                                keyed.cast(vals.type))
 
 
 def _key_hashes(keys: pa.Array) -> np.ndarray:
@@ -185,7 +205,7 @@ class _DistinctMixin:
     their HLL goes straight to registers; a string counter (cap 16,384)
     hands over to the HLL's exact hash set up to 65,536 distinct values.
     Long strings are counted and hashed in their prefix+hash key form
-    (``_long_keys``)."""
+    (``_long_keys``, applied by ``StringAccumulator._count``)."""
 
     def _init_distinct(self, topk_cap: int = 262_144):
         self.counter = TopKCounter(cap=topk_cap)
@@ -199,9 +219,6 @@ class _DistinctMixin:
         (``_value_counts``)."""
         if len(keys) == 0:
             return
-        key_cap = getattr(self, "_LONG_KEY", 0)
-        if key_cap and _string_type(keys.type):
-            keys = _long_keys(keys, key_cap)
         if self.counter.overflowed:
             self._seed_hll(keys)
             # Post-overflow fast path: batch singletons are guaranteed
@@ -586,15 +603,25 @@ class StringAccumulator(ColumnAccumulator, _DistinctMixin):
         if len(valid) == 0:
             return
         self.probe_checked = True
-        keys, counts = _value_counts(valid)
-        self._update_distinct(keys, counts)
+        keys, counts, n_chars = self._count(valid)
         self._probes(valid)
         if self.text_stats:
             if pc.max(pc.binary_length(keys)).as_py() >= _COMPACT_MAX:
                 # such a value may give a stat that folds row by row, in
                 # row order
                 keys, counts = valid, np.ones(len(valid), np.int64)
-            self._text(keys, counts)
+                n_chars = pc.utf8_length(keys).to_numpy(zero_copy_only=False)
+            self._text(keys, counts, n_chars)
+
+    def _count(self, valid: pa.Array):
+        """Fold a batch's non-null values into the counter, a long value as
+        its prefix+hash key (``_long_keys``). Returns the batch's distinct
+        values, their counts and their lengths in chars."""
+        keys, counts = _value_counts(valid)
+        n_chars = pc.utf8_length(keys).to_numpy(zero_copy_only=False)
+        self._update_distinct(_long_keys(keys, n_chars, self._LONG_KEY),
+                              counts)
+        return keys, counts, n_chars
 
     def _probes(self, valid: pa.Array) -> None:
         # Each probe quick-rejects on a small head sample before paying for a
@@ -648,11 +675,13 @@ class StringAccumulator(ColumnAccumulator, _DistinctMixin):
             self.all_geometry = all(isinstance(v, str) and _WKT_RE.match(v)
                                     for v in hv)
 
-    def _text(self, keys: pa.Array, counts: np.ndarray) -> None:
+    def _text(self, keys: pa.Array, counts: np.ndarray,
+              n_chars: np.ndarray) -> None:
         """Char-class, char-length and word-length stats of a batch from
-        its distinct ``keys`` and their ``counts``: each stat is computed
-        once per distinct value and weighted by its count, which folds the
-        same histograms as a pass over every row.
+        its distinct ``keys``, their ``counts`` and their lengths in chars
+        ``n_chars``: each stat is computed once per distinct value and
+        weighted by its count, which folds the same histograms as a pass
+        over every row.
 
         The reference ASCII-coerces text before scanning
         (``text/profiler.py:224-227``) and then counts char classes in a
@@ -664,7 +693,6 @@ class StringAccumulator(ColumnAccumulator, _DistinctMixin):
         non-empty runs between the whitespace bytes 9-13 and 32
         (``ascii_split_whitespace``).
         """
-        n_chars = pc.utf8_length(keys).to_numpy(zero_copy_only=False)
         self.total_chars += int(np.dot(n_chars.astype(np.int64), counts))
         self._update_compact(n_chars, counts, self.char_len,
                              self.char_len_kll)
@@ -861,7 +889,7 @@ class GeometryAccumulator(StringAccumulator):
         if len(valid) == 0:
             return
         self.probe_checked = True
-        self._update_distinct(*_value_counts(valid))
+        self._count(valid)
         self._probes(valid)
         areas, lengths = [], []
         pts = [self.hull_pts]

@@ -7,8 +7,8 @@ top-K + "Other Values (n)" reduction at ``utils.py:497-504`` and
 ``variables/numeric.py:88-94``, and the uniqueness fields n_unique/p_unique
 (count-of-count-1) at ``utils.py:179-186``.
 
-Per Ray Data block we fold an **exact** Arrow ``value_counts`` into this
-state; states merge associatively. While total cardinality stays under
+Each read batch of a column folds its **exact** Arrow ``value_counts``
+into this state; states merge associatively. While total cardinality stays under
 ``cap`` the counter is exact (test-data parity, exact n_unique). Past the
 cap it decays to Misra-Gries heavy-hitters (top-K still correct for any
 value with frequency > n/cap; n_unique flagged approximate).

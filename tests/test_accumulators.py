@@ -227,6 +227,26 @@ def test_long_string_distinct_stays_exact_past_counter_cap(merge):
     assert r["distinct_is_exact"]
 
 
+def test_long_large_string_values_key_like_string():
+    """Values over 64 chars, ASCII and multi-byte, in a ``large_string``
+    column fold to the same prefix+hash counter keys and the same profile
+    fields as the same values typed ``string``."""
+    vals = ["é" * 70, "x" * 100, "x" * 100, "ab" * 40 + "漢", "short", None]
+    got = {}
+    for t in (pa.string(), pa.large_string()):
+        acc = StringAccumulator("s")
+        acc.update(pa.array(vals, t))
+        r = acc.result()
+        got[t] = (acc.counter.keys.cast(pa.string()).to_pylist(),
+                  acc.counter.cnt.tolist(),
+                  {k: r[k] for k in ("count", "n_distinct", "n_unique",
+                                     "freq_value_counts", "num_chars")})
+    assert got[pa.string()] == got[pa.large_string()]
+    keys = got[pa.string()][0]
+    assert sorted(len(k) for k in keys) == [5, 64, 64, 64]
+    assert "é" * 48 in {k[:48] for k in keys}
+
+
 def test_extreme_dates_profile_and_bin():
     """Sentinel dates 0001-01-01 and 9999-12-31 sit past 2^53 epoch-µs,
     as do int64 values past 2^53: a profile folded from two blocks and
@@ -239,8 +259,7 @@ def test_extreme_dates_profile_and_bin():
     from data_profiler_ray.stages.drift import (DriftBinner,
                                                 bin_accumulators,
                                                 spec_from_profile)
-    from data_profiler_ray.stages.profile import (_PartialProfiler,
-                                                  finalize_profile,
+    from data_profiler_ray.stages.profile import (finalize_profile, fold,
                                                   merge_states)
     days = [dt.date(1, 1, 1), dt.date(2024, 5, 1), dt.date(2024, 5, 1),
             dt.date(2024, 5, 2), dt.date(9999, 12, 31)]
@@ -251,9 +270,9 @@ def test_extreme_dates_profile_and_bin():
         "big": pa.array([-2**60, 1, 1, 7, 2**60], pa.int64()),
     })
     cfg = ProfileConfig()
-    prof = _PartialProfiler(tbl.schema, cfg)
     rows, merged = merge_states(
-        [prof.fold(tbl.slice(0, 2)), prof.fold(tbl.slice(2))])
+        [fold(tbl.slice(0, 2), tbl.schema, cfg),
+         fold(tbl.slice(2), tbl.schema, cfg)])
     out = finalize_profile(rows, merged, cfg, dt.datetime.now(), [])
     var = {v["name"]: v for v in out["variables"]}
     for name in ("d", "ts"):

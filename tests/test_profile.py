@@ -222,9 +222,8 @@ def _counting_merges(monkeypatch):
 
 def _assert_profile_of(prof, whole):
     """``prof`` agrees with ``whole`` folded as a single partial."""
-    from data_profiler_ray.stages.profile import _PartialProfiler, loads_state
-    _, accs = loads_state(
-        _PartialProfiler(whole.schema, ProfileConfig()).fold(whole))
+    from data_profiler_ray.stages.profile import fold, loads_state
+    _, accs = loads_state(fold(whole, whole.schema, ProfileConfig()))
     assert prof["table"]["num_rows"] == len(whole)
     for v in prof["variables"]:
         w = accs[v["name"]].result()
@@ -262,28 +261,32 @@ def _operators(stream):
 
 
 def _recording_folds(monkeypatch, out, delay=0.0):
-    """Replace ``stages.profile._PartialProfiler`` with a subclass whose
-    ``fold``, wherever it runs, sleeps for a random time of up to
-    ``delay`` seconds and records the row count of each batch it folds in
-    a new file under ``out``. Returns a function that reads the records
-    back, one list of batch row counts per fold, in no particular order."""
+    """Wrap ``stages.profile._fold_unit_run`` so that, wherever it runs,
+    each unit's fold first sleeps for a random time of up to ``delay``
+    seconds and records the row count of each of the unit's read batches
+    (read once more for the record) in a new file under ``out``. The
+    wrapper is local to this function, so cloudpickle ships it to the
+    workers by value. Returns a function that reads the records back, one
+    list of batch row counts per fold, in no particular order."""
+    from data_profiler_ray.stages import plan
     from data_profiler_ray.stages import profile as prof_mod
     os.makedirs(out)
+    fold_unit_run = prof_mod._fold_unit_run
 
-    class Recording(prof_mod._PartialProfiler):
-        def fold(self, batches, part=None):
-            import random
-            import time
-            import uuid
-            if isinstance(batches, (pa.Table, pa.RecordBatch)):
-                batches = [batches]
-            batches = list(batches)
+    def recording(run, schema, config, batch_rows, columns):
+        import random
+        import time
+        import uuid
+        for item in run:
+            sizes = [len(b) for b in
+                     plan._unit_batches(item[1], batch_rows, columns)]
             time.sleep(random.uniform(0, delay))
             with open(os.path.join(out, uuid.uuid4().hex), "w") as f:
-                json.dump([len(b) for b in batches], f)
-            return super().fold(batches, part=part)
+                json.dump(sizes, f)
+            yield from fold_unit_run([item], schema, config, batch_rows,
+                                     columns)
 
-    monkeypatch.setattr(prof_mod, "_PartialProfiler", Recording)
+    monkeypatch.setattr(prof_mod, "_fold_unit_run", recording)
 
     def records():
         def load(name):
@@ -533,15 +536,13 @@ def test_sequential_fold_equals_merged_one_batch_partials():
     for every column kind of ``lineitem``."""
     from perfbench.inputs import lineitem
 
-    from data_profiler_ray.stages.profile import (_PartialProfiler,
-                                                  finalize_profile,
+    from data_profiler_ray.stages.profile import (finalize_profile, fold,
                                                   merge_states)
     tbl = lineitem(6_000, 3)
     cfg = ProfileConfig()
     batches = [tbl.slice(o, 1_500) for o in range(0, len(tbl), 1_500)]
-    seq = merge_states([_PartialProfiler(tbl.schema, cfg).fold(batches)])
-    per_batch = _PartialProfiler(tbl.schema, cfg)
-    merged = merge_states(per_batch.fold(b) for b in batches)
+    seq = merge_states([fold(batches, tbl.schema, cfg)])
+    merged = merge_states(fold(b, tbl.schema, cfg) for b in batches)
     assert not any(getattr(a, "counter", None) is not None
                    and a.counter.overflowed for a in merged[1].values())
     t0 = datetime.datetime.now()
@@ -624,12 +625,11 @@ def test_other_values_bucket_from_exact_totals(slices):
     ``lineitem(100_000, 52)``, about 75,000 distinct values)."""
     from perfbench.inputs import lineitem
 
-    from data_profiler_ray.stages.profile import (_PartialProfiler,
-                                                  merge_states)
+    from data_profiler_ray.stages.profile import fold, merge_states
     tbl = lineitem(100_000, 52).select(["l_comment"])
-    profiler = _PartialProfiler(tbl.schema, ProfileConfig())
     k = -(-len(tbl) // slices)
-    _, merged = merge_states(profiler.fold(tbl.slice(o, k))
+    _, merged = merge_states(fold(tbl.slice(o, k), tbl.schema,
+                                  ProfileConfig())
                              for o in range(0, len(tbl), k))
     acc = merged["l_comment"]
     assert acc.counter.overflowed
@@ -700,8 +700,7 @@ def test_partials_by_part_folds_split_parts(sf_dir):
     """A part split over several blocks folds to the same state as its rows
     profiled as one block; a part with one partial passes its blob through
     byte-identical."""
-    from data_profiler_ray.stages.profile import (_PartialProfiler,
-                                                  loads_state,
+    from data_profiler_ray.stages.profile import (fold, loads_state,
                                                   profile_partials_by_part)
     tbl = pq.read_table(f"{sf_dir}/lineitem.parquet",
                         columns=["l_quantity", "l_returnflag", "l_shipdate"])
@@ -715,15 +714,14 @@ def test_partials_by_part_folds_split_parts(sf_dir):
     # part "a" spans three blocks, part "b" is one block
     blocks = [tag(a.slice(0, 10_000), "a"), tag(a.slice(10_000, 12_000), "a"),
               tag(a.slice(22_000), "a"), tag(b, "b")]
-    schema = blocks[0].schema
     cfg = ProfileConfig()
     out = profile_partials_by_part(ray.data.from_arrow(blocks), cfg)
     assert out.column("part").to_pylist() == ["a", "b"]
     assert out.column("rows").to_pylist() == [len(a), len(b)]
 
     def one_block(t):
-        row = _PartialProfiler(schema, cfg, part_column="part")(t)
-        return row.column("state")[0].as_py()
+        rows = t.drop_columns(["part"])
+        return fold(rows, rows.schema, cfg)
 
     assert out.column("state")[1].as_py() == one_block(blocks[3])
     rows, split = loads_state(out.column("state")[0].as_py())

@@ -115,6 +115,12 @@ def test_text_stats_match_row_by_row_reference(case):
     _check_dist(acc.words_per_value, None, want["words_per_value"])
 
 
+def _n_chars(values: pa.Array) -> np.ndarray:
+    """Each value's length in chars, as ``StringAccumulator.update`` hands
+    it to ``_text``."""
+    return pc.utf8_length(values).to_numpy(zero_copy_only=False)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_value, max_size=40), st.integers(1, 50))
 def test_text_fold_per_distinct_value_equals_fold_per_row(values, repeat):
@@ -124,8 +130,9 @@ def test_text_fold_per_distinct_value_equals_fold_per_row(values, repeat):
     if not len(valid):
         return
     by_value, by_row = StringAccumulator("t"), StringAccumulator("t")
-    by_value._text(*_value_counts(valid))
-    by_row._text(valid, np.ones(len(valid), np.int64))
+    keys, counts = _value_counts(valid)
+    by_value._text(keys, counts, _n_chars(keys))
+    by_row._text(valid, np.ones(len(valid), np.int64), _n_chars(valid))
     assert _text_state(by_value) == _text_state(by_row)
 
 
@@ -138,7 +145,7 @@ def test_values_of_a_mebibyte_fold_row_by_row():
     acc.update(pa.array(values))
     valid = pa.array(values).drop_null()
     by_row = StringAccumulator("t")
-    by_row._text(valid, np.ones(len(valid), np.int64))
+    by_row._text(valid, np.ones(len(valid), np.int64), _n_chars(valid))
     assert _text_state(acc) == _text_state(by_row)
     assert acc.word_len_kll.levels[0].tolist() == [1, 1, 1 << 20, 1, 1, 1]
     want = _reference(values)
@@ -167,18 +174,23 @@ _HASH_VALUES = (["abcdefghijklmnopq"[:n] for n in range(18)]
                 + ["é" * n for n in range(9)] + ["漢字 😀\x00", None])
 
 
-@pytest.mark.parametrize("layout", ["plain", "sliced", "chunked"])
+@pytest.mark.parametrize("layout", ["plain", "sliced", "chunked", "rows"])
 def test_word_hash_matches_reference(layout):
     """Every length 0-17, multi-byte values, a NUL and a null (hashing to
-    0), whole, sliced out of a longer array or in two chunks."""
-    arr = pa.array(_HASH_VALUES, pa.string())
+    0), whole, sliced out of a longer array, in two chunks or picked by
+    row number from between other values."""
+    arr, rows = pa.array(_HASH_VALUES, pa.string()), None
     if layout == "sliced":
         arr = pa.array(["pad value"] + _HASH_VALUES + ["tail"]).slice(
             1, len(_HASH_VALUES))
     elif layout == "chunked":
         arr = pa.chunked_array([arr.slice(0, 7), arr.slice(7)])
+    elif layout == "rows":
+        arr = pa.array(["pad"] + [x for v in _HASH_VALUES
+                                  for x in (v, "pad value")]).slice(1)
+        rows = np.arange(0, 2 * len(_HASH_VALUES), 2)
     want = [_word_hash((v or "").encode()) for v in _HASH_VALUES]
-    assert hash_string_array_words(arr).tolist() == want
+    assert hash_string_array_words(arr, rows).tolist() == want
 
 
 def test_word_hash_pinned_values():

@@ -277,15 +277,14 @@ def _partial_block(conv: str, turns: list[int], code: list[str]):
 def test_fold_and_project_retry_overwrites_its_partial(tmp_path,
                                                        monkeypatch):
     """A retried read run rewrites its own partial files under the same
-    names, also on a worker whose probe memory from another unit of the
-    part made the state bytes differ; the driver then folds exactly the
-    units' rows."""
+    names and with the same bytes, also on a worker that folded another
+    unit of the part in between; the driver then folds exactly the units'
+    rows."""
     import glob
 
     from data_profiler_ray.pipelines.validate import (_fold_and_project,
                                                       _fold_part)
     from data_profiler_ray.stages import plan
-    from data_profiler_ray.stages.profile import _PartialProfiler
     monkeypatch.setattr(plan, "FOLD_ROWS", 3)
     block = _partial_block("c1", [0, 1, 2], ["1", "2", "3"])
     other = _partial_block("c2", [0, 1], ["x", "y"])  # kills all_numeric
@@ -294,23 +293,22 @@ def test_fold_and_project_retry_overwrites_its_partial(tmp_path,
     first, second = plan.numbered_units(metas)
     root = str(tmp_path / "parts")
 
-    def run(profiler, units):
-        return list(_fold_and_project(units, profiler, root, 100,
-                                      ["conv_id", "turn_idx"]))
+    def run(units):
+        return list(_fold_and_project(units, block.schema, ProfileConfig(),
+                                      root, 100, ["conv_id", "turn_idx"]))
 
-    out = run(_PartialProfiler(block.schema, ProfileConfig()), [first])
+    out = run([first])
     assert [t.column_names for t in out] == [["conv_id", "turn_idx", "part"]]
     assert out[0].column("part").to_pylist() == ["p0"] * 3
     [name] = glob.glob(f"{root}/p0/partials/*")
     assert os.path.basename(name) == "000000-3"
     first_bytes = open(name, "rb").read()
 
-    used = _PartialProfiler(block.schema, ProfileConfig())
-    run(used, [second])
-    run(used, [first])  # the retry, on a worker that folded another unit
+    run([second])
+    run([first])  # the retry, on a worker that folded another unit
     files = sorted(glob.glob(f"{root}/p0/partials/*"))
     assert [os.path.basename(f) for f in files] == ["000000-3", "000001-2"]
-    assert open(name, "rb").read() != first_bytes  # probe memory differs
+    assert open(name, "rb").read() == first_bytes
 
     rows, _, n_partials = _fold_part(f"{root}/p0")
     assert (rows, n_partials) == (5, 2)
@@ -326,7 +324,7 @@ def test_fold_and_project_folds_interleaved_parts_once(tmp_path,
 
     from data_profiler_ray.pipelines.validate import _fold_and_project
     from data_profiler_ray.stages import plan
-    from data_profiler_ray.stages.profile import _PartialProfiler
+    from data_profiler_ray.stages.profile import fold
     monkeypatch.setattr(plan, "FOLD_ROWS", 4)
     a = [_partial_block("c1", [0, 1, 2], ["1", "2", "3"]),
          _partial_block("c3", [0, 1, 2, 3], ["4", "5", "6", "7"])]
@@ -341,8 +339,7 @@ def test_fold_and_project_folds_interleaved_parts_once(tmp_path,
     root = str(tmp_path / "parts")
     schema = a[0].schema
     out = pa.concat_tables(_fold_and_project(
-        units, _PartialProfiler(schema, ProfileConfig()), root, 100,
-        ["conv_id"]))
+        units, schema, ProfileConfig(), root, 100, ["conv_id"]))
     assert out.column("conv_id").to_pylist() == ["c1"] * 3 + ["c3"] * 4 \
         + ["c2"] * 2
     assert out.column("part").to_pylist() == ["p0"] * 7 + ["p1"] * 2
@@ -353,9 +350,37 @@ def test_fold_and_project_folds_interleaved_parts_once(tmp_path,
     for rows, name in ((a[0], "p0/partials/000000-3"),
                        (a[1], "p0/partials/000001-4"),
                        (b[0], "p1/partials/000000-2")):
-        want = _PartialProfiler(schema, ProfileConfig()).fold(
-            rows, part=name[:2])
+        want = fold(rows, schema, ProfileConfig())
         assert open(os.path.join(root, name), "rb").read() == want
+
+
+def test_fold_and_project_part_state_independent_of_runs(tmp_path,
+                                                         monkeypatch):
+    """A shard of two units, ``["x", "y"]`` then all-numeric strings,
+    folds to the same ``state.pkl`` bytes whether its units share one
+    read run or each has its own: the second unit's numeric values feed
+    ``num_sub`` either way, whatever the first unit held."""
+    from data_profiler_ray.pipelines.validate import (_fold_and_project,
+                                                      _fold_part)
+    from data_profiler_ray.stages import plan
+    from data_profiler_ray.stages.profile import loads_state
+    monkeypatch.setattr(plan, "FOLD_ROWS", 3)
+    first = _partial_block("c1", [0, 1], ["x", "y"])
+    second = _partial_block("c2", [0, 1, 2], ["1", "2", "3"])
+    path = str(tmp_path / "p0.parquet")
+    units = plan.numbered_units({path: _write_groups(path, [first, second])})
+    assert [rows for _, _, rows in units] == [2, 3]
+    states = []
+    for runs in ([units], [[u] for u in units]):
+        root = str(tmp_path / f"parts{len(runs)}")
+        for run in runs:
+            list(_fold_and_project(run, first.schema, ProfileConfig(), root,
+                                   100, ["conv_id"]))
+        rows, blob, n_partials = _fold_part(f"{root}/p0")
+        assert (rows, n_partials) == (5, 2)
+        states.append(blob)
+    assert states[0] == states[1]
+    assert loads_state(states[0])[1]["code"].num_sub.n == 3
 
 
 def test_shard_of_one_table_twice_is_profiled_whole(tmp_path, monkeypatch):
@@ -569,6 +594,23 @@ def _two_shards(src, second=lambda t: t, rows=(100, 100)):
     return str(src)
 
 
+def test_output_files_do_not_name_their_directories(tmp_path):
+    """``profile.json`` lists the shards relative to ``input_dir`` and
+    ``summary.json`` leaves out ``output_dir``, so the same shards at
+    paths of different lengths write the same file names; the returned
+    summary still holds ``output_dir``."""
+    names = []
+    for d in ("in", "a_longer_input_directory"):
+        out = str(tmp_path / f"out-{d}")
+        s = run_validation(_two_shards(tmp_path / d), _cfg(out))
+        assert s["output_dir"] == out
+        with open(os.path.join(out, "summary.json")) as f:
+            assert "output_dir" not in json.load(f)
+        with open(os.path.join(out, "profile.json")) as f:
+            names.append(json.load(f)["analysis"]["filenames"])
+    assert names == [["s0.parquet", "s1.parquet"]] * 2
+
+
 def test_empty_shard_beside_a_full_one(tmp_path):
     """A shard without rows folds no partial and checks no conversation;
     the full shard beside it is validated as on its own."""
@@ -583,11 +625,13 @@ def test_empty_shard_beside_a_full_one(tmp_path):
     assert s["n_conversations"] > 0 and s["passed"]
 
 
-def test_all_empty_input(tmp_path):
+def test_all_empty_input(tmp_path, monkeypatch):
     """Shards without rows validate to an empty, passing summary: no
     partial, no conversation and a profile of no rows, whose variables
     are ``profile_dataset``'s over the same files (one typed variable per
-    column), on a fresh run and on a resume with every part done."""
+    column), on a fresh run and on a resume with every part done. Both
+    build the accumulators a fold of rows builds: a declared geometry
+    column is ``Geometry``, and ``light_mode`` drops the text stats."""
     src = _two_shards(tmp_path / "in", rows=(0, 0))
     cfg = _cfg(str(tmp_path / "out"))
     s = run_validation(src, cfg)
@@ -602,6 +646,35 @@ def test_all_empty_input(tmp_path):
     resumed = run_validation(src, cfg)
     assert resumed["parts_skipped"] == 2
     assert resumed["profile"]["variables"] == direct["variables"]
+
+    import pyarrow.parquet as pq
+
+    from data_profiler_ray.pipelines import validate as val_mod
+    from data_profiler_ray.stages import profile as prof_mod
+    from data_profiler_ray.synthetic import generate_transcripts
+    built, finalize = [], prof_mod.finalize_profile
+
+    def kinds(accs):
+        return {n: (type(a), getattr(a, "text_stats", None))
+                for n, a in accs.items()}
+
+    def recording(total_rows, merged, *args, **kwargs):
+        built.append(kinds(merged))
+        return finalize(total_rows, merged, *args, **kwargs)
+
+    monkeypatch.setattr(val_mod, "finalize_profile", recording)
+    monkeypatch.setattr(prof_mod, "finalize_profile", recording)
+    geo = _cfg(str(tmp_path / "geo"))
+    geo.profile = ProfileConfig(geometry_columns=["tool"], light_mode=True)
+    s = run_validation(src, geo)
+    direct = profile_dataset(ray.data.read_parquet(src), geo.profile)
+    assert {v["name"]: v["type"] for v in s["profile"]["variables"]}[
+        "tool"] == "Geometry"
+    assert s["profile"]["variables"] == direct["variables"]
+    _, folded = prof_mod.loads_state(prof_mod.fold(
+        generate_transcripts(20, seed=1),
+        pq.read_schema(os.path.join(src, "s0.parquet")), geo.profile))
+    assert built == [kinds(folded)] * 2
 
 
 @pytest.mark.parametrize("second, match", [

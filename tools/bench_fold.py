@@ -1,4 +1,4 @@
-"""In-process profile-fold micro-benchmark: ``_PartialProfiler.fold`` and
+"""In-process profile-fold micro-benchmark: ``stages.profile.fold`` and
 the driver's ``merge_states``, without Ray, on one pinned CPU.
 
 Sizes a change to the per-batch accumulator work without running the full
@@ -13,11 +13,16 @@ benchmark (``perfbench/run.py``). It writes the benchmark's two inputs
 The fold units' read batches are read into memory first, so only the fold
 is timed. Every figure is the best of ``--reps`` repetitions:
 
-- ``fold``: every unit folded into its state blob, untimed inside;
+- ``fold``: every unit folded into its state blob by its own ``fold``
+  call, as the read tasks fold it, untimed inside. Each unit runs the
+  string type probes on its own rows, as ``run_validation`` always did:
+  while this tool carried the probe verdicts of earlier units across all
+  16 dirty shards, dirty's figure read about 29 ms less (about 146 ms
+  against 175 ms, one pinned vCPU);
 - ``merge``: the blobs folded by ``merge_states``, as the driver does;
 - per column: each accumulator's ``update`` over all units;
-- per step: the accumulator steps (``_value_counts``, ``_update_distinct``
-  with ``_long_keys`` and ``hash_string_array_words`` inside it,
+- per step: the accumulator steps (``_value_counts``, ``_long_keys``,
+  ``_update_distinct``, ``hash_string_array_words`` inside both,
   ``_probes``, ``_text``) and ``dumps_state``, timed by wrapping them.
   The wrappers add a few microseconds per call, so the per-column and
   per-step figures come from separate repetitions from ``fold``'s.
@@ -150,10 +155,7 @@ def bench(wl: str, seed: int, reps: int, root: str) -> None:
     rows = sum(len(b) for u in units for b in u)
 
     def fold():
-        # a fresh profiler per pass: its dead-probe memo carries across
-        # the units of one read task only
-        p = profile._PartialProfiler(schema, ProfileConfig())
-        return [p.fold(u) for u in units]
+        return [profile.fold(u, schema, ProfileConfig()) for u in units]
 
     blobs = fold()
     t_fold = _best(fold, reps)
