@@ -3,8 +3,12 @@
 Both entry points read Parquet as fold units fixed by the footers
 (``pq.read_metadata``, once per file per call): runs of consecutive row
 groups of at most ``FOLD_ROWS`` rows (``fold_units``), each read in
-``_read_batch_rows`` batches and folded into one partial inside its read
-task. ``unit_runs`` packs the units into one read task per CPU, regrouping
+batches of ``_read_batch_rows`` rows cut across file boundaries
+(``_unit_batches``) and folded into one partial inside its read task. A
+unit of several small files is thus read as one batch where it fits
+one, not one per file, and its
+partial depends on its rows alone, not on how its files split them.
+``unit_runs`` packs the units into one read task per CPU, regrouping
 whole units only, and ``FoldUnitsDatasource`` reads the runs through Ray
 Data's public ``Datasource`` API. So the partials, and hence the profile,
 depend on the input alone, not on the CPU count or the task order.
@@ -129,15 +133,31 @@ def numbered_units(metas: dict[str, pq.FileMetaData]
 
 def _unit_batches(unit: list[tuple[str, list[int]]], batch_rows: int,
                   columns: list[str] | None):
-    """The row groups of a fold unit in Parquet read batches of at most
-    ``batch_rows`` rows, in file order, each as a table as Ray's read
-    gives it: ``memory_size`` counts a column's validity bitmap only
-    where it holds nulls, as a table column's ``combine_chunks`` does."""
+    """The rows of a fold unit in read batches of ``batch_rows`` rows (the
+    last one fewer), in file order, each a table of the Parquet record
+    batches that hold its rows. Batches are cut every ``batch_rows`` rows
+    across row-group and file boundaries, so they depend on the unit's
+    rows alone, not on how its files and row groups split them. Each
+    record batch is first cast to the schema of names and types the
+    footers share (``footer_schema``): ``pa.Table.from_batches`` rejects
+    files that differ in nullability or schema metadata. The accumulators
+    combine each column's chunks, so ``memory_size`` counts a column's
+    validity bitmap once per batch, and only where the batch holds
+    nulls."""
+    schema, buf = None, None
     for path, groups in unit:
         with pq.ParquetFile(path) as f:
             for b in f.iter_batches(batch_size=batch_rows,
                                     row_groups=groups, columns=columns):
-                yield pa.Table.from_batches([b])
+                if schema is None:
+                    schema = pa.schema([(c.name, c.type) for c in b.schema])
+                t = pa.Table.from_batches([b.cast(schema)])
+                buf = t if buf is None else pa.concat_tables([buf, t])
+                while len(buf) >= batch_rows:
+                    yield buf.slice(0, batch_rows)
+                    buf = buf.slice(batch_rows)
+    if buf is not None and len(buf):
+        yield buf
 
 
 class FoldUnitsDatasource(Datasource):

@@ -40,7 +40,7 @@ import pyarrow.compute as pc
 from .hll import HLLSketch, hash64
 from .kll import KLLSketch, weighted_quantile
 from .moments import MomentsState
-from .topk import TopKCounter
+from .topk import TopKCounter, _numeric
 
 # logical types, mirroring README.md:31-45 of the reference
 UNSUPPORTED = "Unsupported"
@@ -187,7 +187,17 @@ def _key_hashes(keys: pa.Array) -> np.ndarray:
 
 
 def _value_counts(valid: pa.Array) -> tuple[pa.Array, np.ndarray]:
-    """A batch's distinct values, in first-seen order, and their counts."""
+    """A batch's distinct values and their counts. Integer and float
+    values (and the int64 epochs of dates and timestamps) come sorted from
+    one ``np.unique``, with one key for -0.0 and 0.0, so the counter takes
+    them without a second group-sum (``topk._group_sum``); decimals and
+    strings come from Arrow's ``value_counts``, in first-seen order."""
+    if _numeric(valid.type):
+        v = valid.to_numpy(zero_copy_only=False)
+        if pa.types.is_floating(valid.type):
+            v = v + 0.0
+        keys, counts = np.unique(v, return_counts=True)
+        return pa.array(keys, valid.type), counts
     vc = valid.value_counts()
     return vc.field("values"), vc.field("counts").to_numpy(
         zero_copy_only=False)
@@ -231,9 +241,10 @@ class _DistinctMixin:
                 self.counter.add_skipped(int(counts[~heavy].sum()))
                 if n_heavy == 0:
                     return
-                idx = np.flatnonzero(heavy)
-                keys = keys.take(pa.array(idx))
-                counts = counts[idx]
+                # a filter, unlike a take, leaves no validity bitmap on
+                # keys the counter may keep as they are
+                keys = keys.filter(pa.array(heavy))
+                counts = counts[heavy]
         self.counter.update_counts(keys, counts, on_overflow=self._seed_hll)
 
     def _merge_distinct(self, other) -> None:

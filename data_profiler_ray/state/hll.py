@@ -71,18 +71,13 @@ class HLLSketch:
         h = h.astype(np.uint64, copy=False)
         idx = (h >> np.uint64(64 - self.p)).astype(np.int64)
         rest = (h << np.uint64(self.p)) | np.uint64((1 << self.p) - 1)
-        # rank = leading zeros of `rest` + 1, in [1, 64-p+1]
-        # count leading zeros via float64 exponent trick is lossy; use bit loop on 64 bits
-        rank = np.ones(h.size, dtype=np.uint8)
-        mask = np.uint64(1) << np.uint64(63)
-        cur = rest.copy()
-        # vectorized CLZ: shift while top bit is zero (max 64-p iterations over
-        # the *remaining* subset — cheap because subset shrinks geometrically)
-        active = (cur & mask) == 0
-        while active.any():
-            rank[active] += 1
-            cur[active] = cur[active] << np.uint64(1)
-            active = (cur & mask) == 0
+        # rank = leading zeros of `rest` + 1, in [1, 64-p+1]. Each 32-bit
+        # half of `rest` is exact in float64, and frexp's exponent of a
+        # positive integer is its bit length.
+        hi = (rest >> np.uint64(32)).astype(np.float64)
+        lo = (rest & np.uint64(0xFFFFFFFF)).astype(np.float64)
+        clz = np.where(hi > 0, 32 - np.frexp(hi)[1], 64 - np.frexp(lo)[1])
+        rank = (clz + 1).astype(np.uint8)
         np.maximum.at(self.registers, idx, rank)
 
     def merge(self, other: "HLLSketch") -> None:

@@ -7,8 +7,9 @@ top-K + "Other Values (n)" reduction at ``utils.py:497-504`` and
 ``variables/numeric.py:88-94``, and the uniqueness fields n_unique/p_unique
 (count-of-count-1) at ``utils.py:179-186``.
 
-Each read batch of a column folds its **exact** Arrow ``value_counts``
-into this state; states merge associatively. While total cardinality stays under
+Each read batch of a column folds its **exact** value counts
+(``state.column._value_counts``) into this state; states merge
+associatively. While total cardinality stays under
 ``cap`` the counter is exact (test-data parity, exact n_unique). Past the
 cap it decays to Misra-Gries heavy-hitters (top-K still correct for any
 value with frequency > n/cap; n_unique flagged approximate).
@@ -19,7 +20,11 @@ datetimes, string), and ``cnt``, their ``int64`` counts. A merge
 concatenates both and group-sums: ``np.unique`` for numeric keys, Arrow
 ``dictionary_encode`` for the rest (about 3x faster than an Arrow
 ``group_by`` at a few thousand string keys, which pays for an Acero plan
-per call), each followed by a ``bincount`` of the counts. The Misra-Gries
+per call), each followed by a ``bincount`` of the counts. Numeric keys
+that are already strictly increasing skip the sort: a numeric batch's
+counts come from one ``np.unique`` (sorted, each key once), so the first
+batch of a counter, or one whose keys all follow the held ones, is
+counted once, not twice. The Misra-Gries
 shrink finds its decrement with ``np.partition``; no per-key Python object
 is built. Pickled, the state is two raw buffers. Ties in ``top_k`` are broken by
 key, so the top-k list does not depend on how the rows were split into
@@ -38,11 +43,19 @@ def _numeric(t: pa.DataType) -> bool:
 
 
 def _group_sum(keys: pa.Array, cnt: np.ndarray) -> tuple[pa.Array, np.ndarray]:
-    """Unique keys and the summed count of each (unordered)."""
+    """Unique keys and the summed count of each: ascending for numeric
+    keys, unordered for the rest. Numeric keys already strictly
+    increasing (a batch's ``column._value_counts``) pass as they are."""
     if _numeric(keys.type):
         k = keys.to_numpy(zero_copy_only=False)
         if pa.types.is_floating(keys.type):
             k = k + 0.0  # one key for -0.0 and 0.0, as a dict would have
+            if np.all(k[1:] > k[:-1]):
+                return pa.array(k, keys.type), cnt
+        elif np.all(k[1:] > k[:-1]):
+            # the array itself: a re-wrapped view of its buffer would
+            # pickle with another mutability flag
+            return keys, cnt
         uk, inv = np.unique(k, return_inverse=True)
         return (pa.array(uk, keys.type),
                 np.bincount(inv, weights=cnt, minlength=uk.size)

@@ -3,19 +3,25 @@ oracles, using the reference's formula conventions (ddof=1 std, pandas
 bias-corrected skew/kurtosis — see SURVEY.md §5.2)."""
 
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from data_profiler_ray.stages.profile import dumps_state
+from data_profiler_ray.state import column, topk
 from data_profiler_ray.state.hll import HLLSketch
 from data_profiler_ray.state.kll import KLLSketch
 from data_profiler_ray.state.moments import MomentsState
 from data_profiler_ray.state.topk import TopKCounter
 from data_profiler_ray.state.column import (
     BooleanAccumulator, DatetimeAccumulator, NumericAccumulator,
-    StringAccumulator)
+    StringAccumulator, make_accumulator)
 
 
 @pytest.mark.parametrize("n_chunks", [1, 3, 17])
@@ -87,6 +93,48 @@ def test_hll_exact_then_approx():
     assert abs(h2.estimate() - 20000) / 20000 < 0.05
     h.merge(h2)
     assert abs(h.estimate() - 20050) / 20050 < 0.05
+
+
+def _registers_by_shift_loop(h: np.ndarray, p: int) -> np.ndarray:
+    """HLL registers of hashes ``h`` at precision ``p``, each rank counted
+    by shifting ``rest`` left while its top bit is zero."""
+    idx = (h >> np.uint64(64 - p)).astype(np.int64)
+    rest = (h << np.uint64(p)) | np.uint64((1 << p) - 1)
+    rank = np.ones(h.size, dtype=np.uint8)
+    top = np.uint64(1) << np.uint64(63)
+    active = (rest & top) == 0
+    while active.any():
+        rank[active] += 1
+        rest[active] <<= np.uint64(1)
+        active = (rest & top) == 0
+    regs = np.zeros(1 << p, dtype=np.uint8)
+    np.maximum.at(regs, idx, rank)
+    return regs
+
+
+@pytest.mark.parametrize("p", [4, 14, 16])
+def test_hll_rank_kernel_matches_shift_loop(p):
+    """The leading-zero count of ``HLLSketch._update_registers`` gives the
+    registers of the shift loop, for random hashes in bulk and, one at a
+    time, for random hashes, 0, 2**64 - 1 and every single-bit value."""
+    rng = np.random.default_rng(p)
+    rand = rng.integers(0, 2**64 - 1, 20_000, dtype=np.uint64,
+                        endpoint=True)
+    edges = np.array([0, 2**64 - 1] + [1 << i for i in range(64)],
+                     dtype=np.uint64)
+
+    def registers(h):
+        sk = HLLSketch(p=p)
+        sk.registers = np.zeros(sk.m, dtype=np.uint8)
+        sk._update_registers(h)
+        return sk.registers
+
+    np.testing.assert_array_equal(registers(rand),
+                                  _registers_by_shift_loop(rand, p))
+    for h in [*rand[:300], *edges]:
+        one = np.array([h], dtype=np.uint64)
+        np.testing.assert_array_equal(registers(one),
+                                      _registers_by_shift_loop(one, p))
 
 
 def test_topk_exact_and_other_bucket():
@@ -174,6 +222,90 @@ def test_topk_matches_counter_reference(seed, cap, kind):
     rest = len(r.counts) - min(k, len(r.counts))
     if rest:
         assert fd[f"Other Values ({rest})"] == r.other_bucket(k)
+
+
+def _arrow_value_counts(valid):
+    """Each batch's counts as Arrow's ``value_counts`` gives them, in
+    first-seen order, for every type. Floats count -0.0 as 0.0 first, as
+    the counter's group-sum always did: before the single count, an
+    overflowed counter's HLL hashed a batch's -0.0 apart from 0.0."""
+    if pa.types.is_floating(valid.type):
+        valid = pc.add(valid, pa.scalar(0.0, valid.type))
+    vc = valid.value_counts()
+    return vc.field("values"), vc.field("counts").to_numpy(
+        zero_copy_only=False)
+
+
+def _sorting_group_sum(keys, cnt):
+    """The counter's group-sum with a ``np.unique`` sort of every numeric
+    key array."""
+    if not topk._numeric(keys.type):
+        enc = keys.dictionary_encode()
+        return enc.dictionary, np.bincount(
+            enc.indices.to_numpy(), weights=cnt,
+            minlength=len(enc.dictionary)).astype(np.int64)
+    k = keys.to_numpy(zero_copy_only=False)
+    if pa.types.is_floating(keys.type):
+        k = k + 0.0
+    uk, inv = np.unique(k, return_inverse=True)
+    return pa.array(uk, keys.type), np.bincount(
+        inv, weights=cnt, minlength=uk.size).astype(np.int64)
+
+
+_INT_RANGES = {pa.int8(): (-2**7, 2**7 - 1), pa.int16(): (-2**15, 2**15 - 1),
+               pa.int32(): (-2**31, 2**31 - 1),
+               pa.int64(): (-2**63, 2**63 - 1), pa.uint64(): (0, 2**64 - 1),
+               # the dates and times Python's datetime holds (samples)
+               pa.date32(): (-719_162, 2_932_896),
+               pa.timestamp("us"): (-62_135_596_800_000_000,
+                                    253_402_300_799_999_999)}
+_FLOAT_EDGES = [0.0, -0.0, float("inf"), float("-inf"), float("nan"), None]
+
+
+@st.composite
+def _numeric_batches(draw):
+    """An integer, float, date or timestamp type and one to four batches of
+    its values: drawn from a few values (so that they repeat), from the
+    type's whole range (uint64 past 2**63) and, for floats, ±0.0, ±inf,
+    NaN and null."""
+    t = draw(st.sampled_from([*_INT_RANGES, pa.float32(), pa.float64()]))
+    if pa.types.is_floating(t):
+        # finite values within MomentsState's range; edges add ±inf
+        full = (st.floats(width=32, allow_nan=False, allow_infinity=False)
+                if t == pa.float32() else st.floats(-1e30, 1e30))
+        edges = st.sampled_from(_FLOAT_EDGES)
+    else:
+        lo, hi = _INT_RANGES[t]
+        full = st.integers(lo, hi)
+        edges = st.sampled_from([lo, hi, 0, None] if lo else [lo, hi, None])
+    pool = draw(st.lists(full, min_size=1, max_size=6))
+    value = st.one_of(st.sampled_from(pool), edges, full)
+    return t, draw(st.lists(st.lists(value, max_size=50), min_size=1,
+                            max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_numeric_batches(), st.sampled_from([4, 262_144]))
+def test_single_numeric_count_keeps_state_bytes(batches, cap):
+    """Counting a numeric batch once (``column._value_counts``'s sorted
+    ``np.unique``, passed through by ``topk._group_sum``) pickles to the
+    same state bytes as Arrow's ``value_counts`` followed by a sorting
+    group-sum, over one batch or several, with the counter exact or
+    overflowed."""
+    t, values = batches
+
+    def state():
+        acc = make_accumulator(pa.field("x", t))
+        acc.counter.cap = cap
+        for vals in values:
+            acc.update(pa.array(vals, t))
+        return dumps_state(acc)
+
+    new = state()
+    with mock.patch.object(column, "_value_counts", _arrow_value_counts), \
+            mock.patch.object(topk, "_group_sum", _sorting_group_sum):
+        old = state()
+    assert new == old
 
 
 def test_freq_value_counts_ties_do_not_depend_on_blocks():

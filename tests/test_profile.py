@@ -355,7 +355,7 @@ def test_fold_batches_bounded_by_block_bytes(monkeypatch, tmp_path):
     [batches] = records()
     assert sum(batches) == n
     assert max(batches) <= batch
-    assert len(batches) == 4 * -(-500 // batch)
+    assert len(batches) == -(-n // batch)
     _assert_profile_of(prof, whole)
 
 
@@ -448,7 +448,7 @@ def test_fold_units_pack_row_groups_from_footers(monkeypatch, tmp_path):
     most ``FOLD_ROWS`` rows: 12,500-row files pack two to a unit, a row
     group over ``FOLD_ROWS`` rows is its own unit, a file of several row
     groups is cut only at row-group boundaries, and a unit reads in
-    batches of at most ``_read_batch_rows`` rows."""
+    batches of ``_read_batch_rows`` rows, cut across its files."""
     from data_profiler_ray.stages import plan
     from data_profiler_ray.stages.profile import _unit_batches
     tbl = pa.table({"x": pa.array(np.arange(70_000))})
@@ -459,6 +459,9 @@ def test_fold_units_pack_row_groups_from_footers(monkeypatch, tmp_path):
     assert plan.fold_units(metas) == [[(p[0], [0]), (p[1], [0])],
                                       [(p[2], [0]), (p[3], [0])],
                                       [(p[4], [0])]]
+    batch = plan._read_batch_rows(metas)
+    assert [[len(b) for b in _unit_batches(u, batch, None)]
+            for u in plan.fold_units(metas)] == [[25_000], [25_000], [12_500]]
     # 5,000 rows, then one 70,000-row group, then 50,000 rows in groups
     # of 10,000
     layout = [(tbl.slice(0, 5_000), 5_000), (tbl, 70_000),
@@ -480,6 +483,61 @@ def test_fold_units_pack_row_groups_from_footers(monkeypatch, tmp_path):
     monkeypatch.setattr(plan, "_cpus", lambda: 8)
     assert plan.unit_runs(units) == [[u] for u in units]
     assert plan.unit_runs([]) == []
+
+
+def test_unit_partial_independent_of_file_layout(tmp_path):
+    """A fold unit's partial depends on its rows and the read batch size
+    alone: the same 40,000 rows as one file of one row group (over
+    ``FOLD_ROWS`` rows, still read in batches of ``batch`` rows), as one
+    file of three row groups, as two files, and as two files that differ
+    in nullability and schema metadata fold to byte-identical blobs, for
+    every column and for a ``columns=`` selection."""
+    from data_profiler_ray.stages import plan
+    from data_profiler_ray.stages.profile import _unit_batches, fold
+    rng = np.random.default_rng(18)
+    n = 40_000
+    f = rng.normal(0, 1, n)
+    f[:50] = -0.0
+    f[50:100] = 0.0
+    f[100:120] = np.nan
+    whole = pa.table({
+        "i": pa.array(rng.integers(0, 900, n), mask=rng.random(n) < 0.1),
+        "f": pa.array(f),
+        "s": pa.array([f"s{v}" for v in rng.integers(0, 20_000, n)]),
+        "d": pa.array(rng.integers(0, 20_000, n).astype(np.int32),
+                      pa.date32()),
+        "k": pa.array(np.arange(n)),
+    })
+    schema = pa.schema([(c.name, c.type) for c in whole.schema])
+    strict = pa.schema([c.with_nullable(c.name != "k") for c in schema],
+                       metadata={"origin": "first"})
+
+    def write(name, tbl, **kw):
+        path = str(tmp_path / f"{name}.parquet")
+        pq.write_table(tbl, path, **kw)
+        return path
+
+    one = write("one", whole, row_group_size=n)
+    groups = write("groups", whole, row_group_size=14_000)
+    halves = [write("a", whole.slice(0, 15_000)),
+              write("b", whole.slice(15_000))]
+    mixed = [write("c", whole.slice(0, 15_000).cast(strict)),
+             write("d", whole.slice(15_000).replace_schema_metadata(
+                 {"origin": "second"}))]
+    assert not pq.read_schema(mixed[0]).field("k").nullable
+    assert pq.read_schema(mixed[1]).field("k").nullable
+    assert plan.fold_units({one: pq.read_metadata(one)}) == [[(one, [0])]]
+    layouts = [[(one, [0])], [(groups, [0, 1, 2])],
+               [(p, [0]) for p in halves], [(p, [0]) for p in mixed]]
+    for batch in (7_000, plan.FOLD_ROWS):
+        for columns in (None, ["s", "i"]):
+            cfg = ProfileConfig(columns=columns)
+            sizes = {tuple(len(b) for b in _unit_batches(u, batch, columns))
+                     for u in layouts}
+            assert sizes == {(batch,) * (n // batch) + (n % batch,)}
+            blobs = {fold(_unit_batches(u, batch, columns), schema, cfg)
+                     for u in layouts}
+            assert len(blobs) == 1
 
 
 def test_zero_row_files_fold_nothing(monkeypatch, tmp_path):

@@ -710,10 +710,20 @@ def test_resumed_shard_of_another_schema_raises(tmp_path):
     assert (out / "parts" / "s1" / "state.pkl").exists()
 
 
-def test_profile_dataset_matches_run_validation(small_shards_dir, tmp_path):
-    """Where every shard is one read batch, ``profile_dataset`` over the
-    shards and ``run_validation`` fold the same partials in the same
-    order, and so give equal ``table``/``variables``."""
+def test_profile_dataset_matches_run_validation(small_shards_dir, tmp_path,
+                                                monkeypatch):
+    """Where every shard is one fold unit (``stages.plan.FOLD_ROWS`` set to
+    the largest shard's row count), ``profile_dataset`` over the shards
+    and ``run_validation`` fold the same partials in the same order, and
+    so give equal ``table``/``variables``."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    from data_profiler_ray.stages import plan
+    monkeypatch.setattr(plan, "FOLD_ROWS", max(
+        pq.read_metadata(p).num_rows
+        for p in glob.glob(f"{small_shards_dir}/*.parquet")))
     cfg = _cfg(str(tmp_path / "out"))
     s = run_validation(small_shards_dir, cfg)
     assert s["counters"]["partials_folded"] == s["parts_total"]

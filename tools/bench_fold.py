@@ -10,9 +10,12 @@ benchmark (``perfbench/run.py``). It writes the benchmark's two inputs
 - lineitem: ``lineitem(100_000, seed)`` in 8 shards, planned together as
   ``profile_dataset`` plans a bare ``read_parquet``.
 
-The fold units' read batches are read into memory first, so only the fold
-is timed. Every figure is the best of ``--reps`` repetitions:
+Every figure is the best of ``--reps`` repetitions:
 
+- ``read``: every unit's read batches (``plan._unit_batches``) read into
+  memory, as the read tasks read them; the tool also prints how many
+  batches each unit reads. The timed fold below folds these in-memory
+  batches, so it does not include the read;
 - ``fold``: every unit folded into its state blob by its own ``fold``
   call, as the read tasks fold it, untimed inside. Each unit runs the
   string type probes on its own rows, as ``run_validation`` always did:
@@ -73,9 +76,9 @@ _ACCS = (column.StringAccumulator, column.NumericAccumulator,
          column.DatetimeAccumulator, column.BooleanAccumulator)
 
 
-def _units(wl: str, seed: int, root: str) -> tuple[pa.Schema, list[list]]:
-    """The input's schema and each fold unit's read batches, in memory, in
-    fold order."""
+def _plan(wl: str, seed: int, root: str):
+    """The input's schema, its fold units in fold order and its read batch
+    rows."""
     d = os.path.join(root, wl)
     if wl == "dirty":
         inputs.write_shards(inputs.dirty_whale_transcripts(DIRTY_TURNS, seed),
@@ -89,9 +92,8 @@ def _units(wl: str, seed: int, root: str) -> tuple[pa.Schema, list[list]]:
         units = [u for p in metas for u in plan.numbered_units({p: metas[p]})]
     else:               # profile_dataset: the units of all files
         units = plan.numbered_units(metas)
-    rows = plan._read_batch_rows(metas)
-    return plan.footer_schema(metas), [
-        list(plan._unit_batches(unit, rows, None)) for _, unit, _ in units]
+    return (plan.footer_schema(metas), [unit for _, unit, _ in units],
+            plan._read_batch_rows(metas))
 
 
 def _best(fn, reps: int) -> float:
@@ -151,8 +153,16 @@ class _Timers:
 
 
 def bench(wl: str, seed: int, reps: int, root: str) -> None:
-    schema, units = _units(wl, seed, root)
+    schema, plan_units, batch_rows = _plan(wl, seed, root)
+
+    def read():
+        return [list(plan._unit_batches(unit, batch_rows, None))
+                for unit in plan_units]
+
+    units = read()
+    t_read = _best(read, reps)
     rows = sum(len(b) for u in units for b in u)
+    per_unit = collections.Counter(len(u) for u in units)
 
     def fold():
         return [profile.fold(u, schema, ProfileConfig()) for u in units]
@@ -164,6 +174,9 @@ def bench(wl: str, seed: int, reps: int, root: str) -> None:
         parts = timers.run(fold, reps)
     print(f"{wl}: {len(units)} fold units, {rows} rows, "
           f"{sum(map(len, blobs))} state bytes; best of {reps}")
+    print("  batches per unit: " + ", ".join(
+        f"{n} x {k}" for k, n in sorted(per_unit.items())))
+    print(f"  read   {t_read * 1e3:8.1f} ms")
     print(f"  fold   {t_fold * 1e3:8.1f} ms")
     print(f"  merge  {t_merge * 1e3:8.1f} ms  ({len(blobs)} blobs)")
     for k in sorted(parts, key=lambda k: (not k.startswith("column"),
