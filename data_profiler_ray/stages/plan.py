@@ -6,11 +6,11 @@ groups of at most ``FOLD_ROWS`` rows (``fold_units``), each read in
 batches of ``_read_batch_rows`` rows cut across file boundaries
 (``_unit_batches``) and folded into one partial inside its read task. A
 unit of several small files is thus read as one batch where it fits
-one, not one per file, and its
-partial depends on its rows alone, not on how its files split them.
-``unit_runs`` packs the units into one read task per CPU, regrouping
-whole units only, and ``FoldUnitsDatasource`` reads the runs through Ray
-Data's public ``Datasource`` API. So the partials, and hence the profile,
+one, not one per file, and its partial depends on its rows alone, not
+on how its files split them. ``unit_runs`` packs the units into one
+read task per CPU, regrouping whole units only, and
+``FoldUnitsDatasource`` reads the runs through Ray Data's public
+``Datasource`` API. So the partials, and hence the profile,
 depend on the input alone, not on the CPU count or the task order.
 ``profile_dataset`` plans the units of all its files; ``run_validation``
 plans each pending shard's units on their own, so a shard folds the same

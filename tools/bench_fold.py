@@ -175,7 +175,7 @@ def bench(wl: str, seed: int, reps: int, root: str) -> None:
     print(f"{wl}: {len(units)} fold units, {rows} rows, "
           f"{sum(map(len, blobs))} state bytes; best of {reps}")
     print("  batches per unit: " + ", ".join(
-        f"{n} x {k}" for k, n in sorted(per_unit.items())))
+        f"{k} ({n} units)" for k, n in sorted(per_unit.items())))
     print(f"  read   {t_read * 1e3:8.1f} ms")
     print(f"  fold   {t_fold * 1e3:8.1f} ms")
     print(f"  merge  {t_merge * 1e3:8.1f} ms  ({len(blobs)} blobs)")
