@@ -11,14 +11,20 @@ partitions runs, one after the other:
    (``_fold_and_project``) folds each unit into a profile partial
    (``stages.profile.fold``: a function of the unit's rows alone, so a
    retried task writes the same bytes), writes it from the worker to
-   ``parts/<part>/partials/`` and yields only the narrow key columns and the ``part`` → range-partition sort on
-   (conv_id, turn_idx) → one task per sorted block that checks it
-   (row-local and conversation checks) and writes its verdict and
-   violation rows to per-partition parquet (``_PartOutputWriter``). The
-   driver reads only the per-part tally rows and the o(#blocks) cut
-   pieces, merges the pieces and writes their rows
+   ``parts/<part>/partials/`` and yields only the narrow key columns and
+   the ``part`` → range-partition sort on (conv_id, turn_idx) → one task
+   per sorted block that checks it (row-local and conversation checks)
+   and writes its verdict and violation rows to per-partition parquet
+   (``_PartOutputWriter``). The driver reads only the per-part tally rows
+   and the o(#blocks) cut pieces, merges the pieces and writes their rows
    (``stages.constraints.check_and_write``). ``text`` is read once and
-   never enters the sort;
+   never enters the sort. At one partition — one read task, and a sort
+   width (``segments.shuffle_width`` of the key columns' footer bytes)
+   of 1, as at one CPU — the stream is one read-sort-check task
+   (``_fold_sort_and_check``): the read task sorts its own key rows in
+   the order the exchange would give them and checks them, so the same
+   files are written and the driver drains the same rows
+   (``stages.constraints.drain_checks``), without an exchange;
 2. per part, the driver folds the partial files in sorted-name order,
    which is unit order (``fold_partials``: a part with one partial passes
    through byte-identical), writes ``state.pkl`` and deletes
@@ -79,13 +85,15 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..config import ProfileConfig, ValidationConfig
-from ..stages.constraints import VIOLATION_SCHEMA, check_and_write
+from ..stages.constraints import (VIOLATION_SCHEMA, _CheckAndWrite,
+                                  check_and_write, drain_checks)
 from ..stages.drift import bin_accumulators, drift_from_counts, spec_from_profile
 from ..stages.plan import (FoldUnitsDatasource, _column_bytes,
                            _read_batch_rows, _unit_batches, footer_schema,
                            numbered_units, unit_runs)
 from ..stages.profile import (finalize_profile, fold, fold_partials,
                               make_accumulators, merge_states)
+from ..stages.segments import shuffle_width, sort_in_task
 
 # stage timings in summary["timings"]; a stage that did not run reports 0
 _TIMING_KEYS = ("profile", "constraints", "checkpoint_write", "final_merge",
@@ -140,6 +148,16 @@ def _fold_and_project(run: list, schema: pa.Schema, config: ProfileConfig,
         for t in narrow:
             yield t.append_column("part", pa.array([part] * len(t),
                                                    pa.string()))
+
+
+def _fold_sort_and_check(run: list, read, sort_cols: list[str], check):
+    """The read task of a stream that is one task: ``read(run)``
+    (``_fold_and_project``) folds and writes the run's partials, then its
+    narrow tables are sorted in the task (``segments.sort_in_task``) and
+    checked and written by ``check`` (``constraints._CheckAndWrite``).
+    Yields the one block of writer rows and cut pieces that the exchange's
+    single sort task would return."""
+    yield sort_in_task(read(run), sort_cols, check)
 
 
 def _key_digest(part: str, keys: pa.Table) -> str:
@@ -218,10 +236,12 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
                                    ccfg.tool_column)
                        if c in schema.names]
         parts_root = os.path.join(out, "parts")
-        ds = FoldUnitsDatasource(runs, functools.partial(
+        read = functools.partial(
             _fold_and_project, schema=schema, config=cfg.profile,
             parts_root=parts_root, batch_rows=_read_batch_rows(metas),
-            narrow_columns=narrow_cols)).read()
+            narrow_columns=narrow_cols)
+        width = shuffle_width(None, nbytes=_column_bytes(
+            [metas[p] for p in pending], narrow_cols))
 
         # verdict and violation rows are written to per-partition parquet
         # by the sort tasks (idempotent content-hashed filenames, so task
@@ -233,14 +253,27 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
         # partials stay on the workers' side too (``_fold_and_project``).
         t = time.time()
         stats: dict = {}
-        tally_tbl = check_and_write(
-            ds, ccfg,
-            _PartOutputWriter(parts_root, ccfg.max_violations_per_kind),
-            columns=narrow_cols + ["part"],
-            nbytes=_column_bytes([metas[p] for p in pending], narrow_cols),
-            stats=stats)
+        writer = _PartOutputWriter(parts_root, ccfg.max_violations_per_kind)
+        if len(runs) <= 1 and width == 1:
+            # One read task holds every key row (at most the 128 MB of one
+            # sort partition), and the sort would have one partition: that
+            # task sorts and checks its rows itself, so the stream is one
+            # Ray task instead of six. On the 50k-turn dirty benchmark
+            # input, a call took 0.89 of the exchange's wall time (median
+            # of 20 interleaved pairs, one pinned vCPU).
+            one_task = functools.partial(
+                _fold_sort_and_check, read=read,
+                sort_cols=[ccfg.group_column, ccfg.order_column],
+                check=_CheckAndWrite(ccfg, writer))
+            tally_tbl = drain_checks(
+                FoldUnitsDatasource(runs, one_task).read(), ccfg, writer,
+                stats)
+        else:
+            tally_tbl = check_and_write(
+                FoldUnitsDatasource(runs, read).read(), ccfg, writer,
+                columns=narrow_cols + ["part"], width=width, stats=stats)
         timings["constraints"] = time.time() - t
-        counters.update(sort_width=stats["width"],
+        counters.update(sort_width=width,
                         n_sort_blocks=stats["n_blocks"],
                         carry_rows=stats["carry_rows"],
                         carry_bytes=stats["carry_bytes"])

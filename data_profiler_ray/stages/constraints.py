@@ -443,7 +443,7 @@ conversation_checks_parts = conversation_checks
 class _CheckAndWrite:
     """Sort-task callable: block checks, then ``writer`` over the block's
     violations and verdicts; returns the writer's rows and the cut pieces
-    ``_stack``ed in one table."""
+    ``_stack``ed in one table (``drain_checks`` reads them)."""
 
     def __init__(self, cfg: ConstraintConfig, writer):
         self.checker = _BlockChecker(cfg, emit_row_violations=True)
@@ -458,24 +458,36 @@ class _CheckAndWrite:
 
 def check_and_write(ds: "ray.data.Dataset", cfg: ConstraintConfig, writer,
                     columns: list[str] | None = None,
-                    nbytes: int | None = None,
+                    width: int | None = None,
                     stats: dict | None = None) -> pa.Table:
     """Conversation + row-local checks whose outputs never reach the
     driver: each sort task hands its block's violations and verdicts to
     ``writer`` (a callable (VIOLATION_SCHEMA, VERDICT_SCHEMA) tables →
     ``writer.schema`` table, e.g. one that writes files and returns
-    tallies). The driver reads the small stream of writer rows and cut
-    pieces once, merges the pieces, and passes the merged rows through
-    ``writer`` itself.
+    tallies), and the driver finishes with ``drain_checks``.
 
     Returns every writer row (``writer.schema``). ``columns`` is as in
-    ``_narrow``; ``nbytes``, the key columns' size (e.g. from the Parquet
-    footers), as in ``segments.sort_stream``; ``stats`` as in
-    ``conversation_checks``."""
+    ``_narrow``; ``width``, the sort's partition count, as in
+    ``segments.sort_stream``; ``stats`` as in ``conversation_checks``.
+
+    A caller whose whole input is one task's output, sorted in one
+    partition, can run ``_CheckAndWrite`` in that task instead
+    (``segments.sort_in_task``) and drain that stream with
+    ``drain_checks``: the same writer rows, without the exchange."""
     stream = sort_stream(_narrow(ds, cfg, columns),
                          [cfg.group_column, cfg.order_column],
-                         _CheckAndWrite(cfg, writer), nbytes=nbytes,
+                         _CheckAndWrite(cfg, writer), width=width,
                          stats=stats)
+    return drain_checks(stream, cfg, writer, stats)
+
+
+def drain_checks(stream: "ray.data.Dataset", cfg: ConstraintConfig, writer,
+                 stats: dict | None = None) -> pa.Table:
+    """The driver's side of ``check_and_write``, over a stream of
+    ``_CheckAndWrite`` blocks (one per sorted block): read its writer rows
+    and cut pieces once (``_drain``), merge the pieces and pass the merged
+    rows through ``writer`` itself. Returns every writer row; ``stats``
+    (optional) receives ``carry_rows``, ``carry_bytes`` and ``n_blocks``."""
     (rows, pieces), n_blocks = _drain(stream, (writer.schema, PIECE_SCHEMA))
     _carry_stats(stats, pieces, n_blocks)
     return pa.concat_tables([rows, writer(*_merge_pieces(cfg, pieces))])

@@ -7,7 +7,10 @@ Shape:
 
 1. ``sort_stream``: range-partition sort on ``[key] + order_cols``, then ONE
    ``map_batches`` task per sorted block — each block is a contiguous key
-   range, so a key's rows can only be cut at a block's first/last segment;
+   range, so a key's rows can only be cut at a block's first/last segment.
+   Where one task already holds the whole input and the sort would have
+   one partition, ``sort_in_task`` sorts it in that task instead, in the
+   order Ray's sort gives, and runs the block task there: no exchange;
 2. the task runs a VECTORIZED ``block_fn`` over all *interior* segments of
    its block at once (change-point detection + ``reduceat`` kernels — zero
    per-group Python dispatch);
@@ -39,7 +42,7 @@ its per-conversation ordered pandas scans, e.g. gap run-lengths at
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import pyarrow as pa
@@ -106,25 +109,43 @@ def segment_reduce(x: np.ndarray, starts: np.ndarray, end_last: int,
 
 
 def sort_stream(ds: "ray.data.Dataset", sort_cols: Sequence[str], fn,
-                width: int | None = None, nbytes: int | None = None,
+                width: int | None = None,
                 stats: dict | None = None) -> "ray.data.Dataset":
     """Range-partition sort of ``ds`` on ``sort_cols`` → ``fn`` over each
     sorted block (one task per block).
 
-    ``width``: the partition count; by default ``shuffle_width`` of
-    ``nbytes``, the input size (e.g. from the Parquet footers). Without
-    ``nbytes`` the input is materialized first, so that ``size_bytes()``
-    does not execute its plan a second time; the sort exchange
-    re-materializes blocks anyway. ``stats`` (optional) receives the sort
-    ``width``."""
+    ``width``: the partition count, e.g. ``shuffle_width`` of the input
+    size from the Parquet footers. Without it the input is materialized
+    first, so that ``shuffle_width``'s ``size_bytes()`` does not execute
+    its plan a second time; the sort exchange re-materializes blocks
+    anyway. ``stats`` (optional) receives the sort ``width``.
+
+    At width 1 this is 6 Ray tasks (repartition split and reduce, sort map
+    and reduce, ``fn``, after the input's own) that concatenate and sort
+    one block; a caller whose input is one task's output can run
+    ``sort_in_task`` in that task instead."""
     if width is None:
-        if nbytes is None:
-            ds = ds.materialize()
-        width = shuffle_width(ds, nbytes=nbytes)
+        ds = ds.materialize()
+        width = shuffle_width(ds)
     if stats is not None:
         stats["width"] = width
     return ds.repartition(width).sort(list(sort_cols)).map_batches(
         fn, batch_format="pyarrow", batch_size=None)
+
+
+def sort_in_task(blocks: Iterable[pa.Table], sort_cols: Sequence[str],
+                 fn) -> pa.Table:
+    """``sort_stream`` at width 1, inside the one task that yields every
+    block of the stream: ``fn`` over ``blocks`` concatenated in order and
+    stably sorted on ``sort_cols``, nulls last. That is the block Ray's
+    one-partition sort hands ``fn`` (a stable Arrow sort of the blocks
+    concatenated in order), so ``fn`` returns the same table, without the
+    exchange's tasks and object-store copies. Since no Ray range
+    partitioning runs, a null sort key sorts last here, where at width
+    above 1 it fails in Ray's partitioning."""
+    table = pa.concat_tables(blocks)
+    return fn(table.take(pc.sort_indices(
+        table, sort_keys=[(c, "ascending") for c in sort_cols])))
 
 
 def _stack(tables, schemas) -> pa.Table:

@@ -22,6 +22,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def _pow(x: float, p: float) -> float:
+    """``x ** p`` for an odd integer ``p`` or a positive ``x``, and
+    ``±inf`` where that overflows, as numpy's float64 power gives it:
+    Python's float ``**`` raises ``OverflowError`` instead. Every finite
+    result is ``x ** p``'s, bit for bit."""
+    try:
+        return x ** p
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 @dataclass
 class MomentsState:
     """Mergeable central-moment state for one numeric column."""
@@ -132,7 +143,7 @@ class MomentsState:
         )
         m3 = (
             self.m3 + b_m3
-            + delta ** 3 * na_f * nb_f * (na_f - nb_f) / (n_f * n_f)
+            + _pow(delta, 3) * na_f * nb_f * (na_f - nb_f) / (n_f * n_f)
             + 3.0 * delta * (na_f * b_m2 - nb_f * self.m2) / n_f
         )
         m2 = self.m2 + b_m2 + delta2 * na_f * nb_f / n_f
@@ -159,7 +170,7 @@ class MomentsState:
         n = self.n
         if n < 3 or self.m2 == 0:
             return float("nan")
-        g1 = (self.m3 / n) / (self.m2 / n) ** 1.5
+        g1 = (self.m3 / n) / _pow(self.m2 / n, 1.5)
         return g1 * math.sqrt(n * (n - 1)) / (n - 2)
 
     @property

@@ -37,3 +37,23 @@ def dirty_transcripts_dir():
     return transcripts_path(
         20000, seed=42, dup_frac=0.01, gap_frac=0.005, bad_role_frac=0.01,
         ts_regression_frac=0.005, dangling_tool_frac=0.2)
+
+
+@pytest.fixture
+def one_partition(monkeypatch):
+    """``run_validation`` at one partition, as at one CPU, in the 4-CPU
+    session: one read task (``stages.plan._cpus``) and a constraint sort
+    width of 1 (``segments._MAX_CPU_WIDTH``), so its stream is one
+    read-sort-check task. ``Dataset.sort`` and ``Dataset.repartition``
+    raise if an exchange is built anyway."""
+    import ray.data
+
+    from data_profiler_ray.stages import plan, segments
+
+    def no_exchange(self, *args, **kwargs):
+        raise AssertionError("the one-partition stream built an exchange")
+
+    monkeypatch.setattr(plan, "_cpus", lambda: 1)
+    monkeypatch.setattr(segments, "_MAX_CPU_WIDTH", 1)
+    monkeypatch.setattr(ray.data.Dataset, "sort", no_exchange)
+    monkeypatch.setattr(ray.data.Dataset, "repartition", no_exchange)

@@ -55,6 +55,32 @@ def test_moments_special_values():
     assert st.n_negative == 1
 
 
+@pytest.mark.parametrize("big", [1e103, -1e103, 1.7e308])
+def test_moments_of_huge_floats_across_batches(big):
+    """Floats whose cubed or 1.5th-powered moments overflow float64 fold
+    and merge across batches to inf or nan skewness, as one batch of the
+    same values does, instead of raising ``OverflowError``."""
+    def skew(batches):
+        acc = NumericAccumulator("x")
+        for b in batches:
+            acc.update(pa.array(b, pa.float64()))
+        return acc.moments.result()
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        one = skew([[0.0, big, 1.0]])
+        for split in ([[0.0], [big], [1.0]], [[0.0, 1.0], [big]]):
+            got = skew(split)
+            assert (got["count"], got["min"], got["max"]) == \
+                (one["count"], one["min"], one["max"])
+            assert not np.isfinite(got["skewness"])
+            assert not np.isfinite(one["skewness"])
+        a, b = MomentsState(), MomentsState()
+        a.update(np.array([0.0, 1.0]))
+        b.update(np.array([big]))
+        a.merge(b)
+        assert not np.isfinite(a.skewness)
+
+
 def test_kll_exact_before_compaction():
     rng = np.random.default_rng(1)
     x = rng.random(1500)
@@ -270,9 +296,9 @@ def _numeric_batches(draw):
     NaN and null."""
     t = draw(st.sampled_from([*_INT_RANGES, pa.float32(), pa.float64()]))
     if pa.types.is_floating(t):
-        # finite values within MomentsState's range; edges add ±inf
-        full = (st.floats(width=32, allow_nan=False, allow_infinity=False)
-                if t == pa.float32() else st.floats(-1e30, 1e30))
+        # every finite value (edges add ±inf)
+        full = st.floats(width=32 if t == pa.float32() else 64,
+                         allow_nan=False, allow_infinity=False)
         edges = st.sampled_from(_FLOAT_EDGES)
     else:
         lo, hi = _INT_RANGES[t]

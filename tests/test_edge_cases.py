@@ -168,3 +168,13 @@ def test_validate_whale_only(tmp_path):
     s = _validate_shards(tmp_path, _one_conversation(40_000), 4)
     assert s["total_rows"] == 40_000
     _only_verdict(s, 40_000)
+
+
+@pytest.mark.parametrize("case", [test_validate_single_conversation,
+                                  test_validate_whale_only],
+                         ids=["single_conversation", "whale_only"])
+def test_validate_one_conversation_at_one_partition(case, tmp_path,
+                                                    one_partition):
+    """The one-conversation shapes above with the stream as one
+    read-sort-check task: the same single verdict."""
+    case(tmp_path)

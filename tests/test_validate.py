@@ -1,5 +1,6 @@
 """Validation pipeline e2e + resume + drift tests (SURVEY.md §5.2 items 3-5)."""
 
+import functools
 import json
 import os
 import shutil
@@ -192,8 +193,11 @@ def test_part_output_writer_idempotent(tmp_path):
 def test_null_conv_id_shard_completes(tmp_path, monkeypatch):
     """A shard with a null conv_id validates: the verdict and violation
     file names hash the key columns, so a null key does not crash the
-    sort task. The sort runs in one partition, as at one CPU: with more,
-    Ray's range partitioning of a null key fails before any check runs."""
+    check. The sort width is pinned to 1, as at one CPU, and the one
+    shard is one read task, so the read task sorts its rows itself and
+    no Ray range partitioning runs. At more than one partition, Ray's
+    range partitioning of a null key still fails before any check
+    runs."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -498,6 +502,95 @@ def test_one_read_and_one_execution_per_call(transcripts_dir, tmp_path,
     assert counters["read_tasks"] == min(s["parts_total"], cpus)
 
 
+def _output_files(out: str) -> dict[str, object]:
+    """Every file a call wrote under ``out`` by relative name: its bytes,
+    but ``lineage.json`` without ``completed_at``, ``profile.json`` as its
+    variables and no ``summary.json``."""
+    files = {}
+    for root, _, names in os.walk(out):
+        for name in names:
+            path = os.path.join(root, name)
+            rel = os.path.relpath(path, out)
+            if name == "summary.json":
+                continue
+            if name in ("lineage.json", "profile.json"):
+                with open(path) as f:
+                    doc = json.load(f)
+                doc.pop("completed_at", None)
+                files[rel] = doc.get("variables", doc)
+            else:
+                with open(path, "rb") as f:
+                    files[rel] = f.read()
+    return files
+
+
+def test_one_partition_stream_is_one_task(tmp_path, monkeypatch):
+    """With one read task and a sort of one partition, the read task sorts
+    and checks its own key rows: the call never builds ``Dataset.sort``
+    or ``Dataset.repartition``, drains one stream, and writes the files
+    of the exchange at the same width, byte for byte: every
+    ``state.pkl``, verdict and violation file (names and bytes, with the
+    per-kind violation cap binding), ``lineage.json`` but its
+    ``completed_at`` and ``profile.json``'s variables. The exchange's
+    input comes from 4 read tasks kept in order (``preserve_order``), so
+    that rows of equal keys from different tasks meet in the order one
+    task yields them. The counters keep every key."""
+    import pyarrow.parquet as pq
+    from ray.data import DataContext
+
+    from data_profiler_ray.stages import plan, segments
+    from perfbench.inputs import dirty_whale_transcripts, write_shards
+    src = str(tmp_path / "in")
+    write_shards(dirty_whale_transcripts(8_000, 19), src, 8)
+    monkeypatch.setattr(segments, "_MAX_CPU_WIDTH", 1)
+    monkeypatch.setattr(DataContext.get_current().execution_options,
+                        "preserve_order", True)
+    calls = {"sort": 0, "repartition": 0, "iter_batches": 0}
+
+    def counted(name):
+        fn = getattr(ray.data.Dataset, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(ray.data.Dataset, name, call)
+
+    def no_exchange(self, *args, **kwargs):
+        raise AssertionError("the one-partition stream built an exchange")
+
+    def validate(name):
+        cfg = _cfg(str(tmp_path / name))
+        cfg.constraints.max_violations_per_kind = 2
+        return run_validation(src, cfg)
+
+    for name in calls:
+        counted(name)
+    exchange = validate("exchange")
+    assert calls == {"sort": 1, "repartition": 1, "iter_batches": 1}
+    assert exchange["counters"]["read_tasks"] == 4
+    monkeypatch.setattr(plan, "_cpus", lambda: 1)
+    monkeypatch.setattr(ray.data.Dataset, "sort", no_exchange)
+    monkeypatch.setattr(ray.data.Dataset, "repartition", no_exchange)
+    fused = validate("fused")
+    assert calls["iter_batches"] == 2
+
+    assert fused["counters"] == {**exchange["counters"], "read_tasks": 1}
+    assert (fused["counters"]["sort_width"],
+            fused["counters"]["n_sort_blocks"]) == (1, 1)
+    kept = pa.concat_tables([
+        pq.read_table(os.path.join(tmp_path, "fused", name))
+        for name in _output_files(str(tmp_path / "fused"))
+        if "/violations/" in name]).num_rows
+    assert 0 < kept < fused["n_violations"]     # the cap binds
+    assert fused["n_violations"] == exchange["n_violations"]
+    want = _output_files(str(tmp_path / "exchange"))
+    got = _output_files(str(tmp_path / "fused"))
+    assert sorted(got) == sorted(want)
+    assert any("/verdicts/" in name for name in got)
+    for name in want:
+        assert got[name] == want[name], name
+
+
 @pytest.mark.parametrize("fold_rows", [None, 300])
 def test_profile_is_exact_across_fresh_and_resumed_runs(
         tmp_path, monkeypatch, fold_rows):
@@ -675,6 +768,21 @@ def test_all_empty_input(tmp_path, monkeypatch):
         generate_transcripts(20, seed=1),
         pq.read_schema(os.path.join(src, "s0.parquet")), geo.profile))
     assert built == [kinds(folded)] * 2
+
+
+@pytest.mark.parametrize("case", [
+    test_all_empty_input,
+    functools.partial(test_profile_is_exact_across_fresh_and_resumed_runs,
+                      fold_rows=None),
+    functools.partial(test_profile_is_exact_across_fresh_and_resumed_runs,
+                      fold_rows=300)],
+    ids=["all_empty", "resume", "resume_fold_rows_300"])
+def test_edge_shapes_at_one_partition(case, tmp_path, monkeypatch,
+                                      one_partition):
+    """The all-empty input (no unit, so no read task) and the resume of 2
+    of 16 shards, whose profile equals the fresh run's, with the stream as
+    one read-sort-check task: the same outputs as in the tests above."""
+    case(tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("second, match", [
