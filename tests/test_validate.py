@@ -524,10 +524,11 @@ def _output_files(out: str) -> dict[str, object]:
     return files
 
 
-def test_one_partition_stream_is_one_task(tmp_path, monkeypatch):
+def test_one_partition_stream_is_one_task(tmp_path, monkeypatch, request):
     """With one read task and a sort of one partition, the read task sorts
     and checks its own key rows: the call never builds ``Dataset.sort``
-    or ``Dataset.repartition``, drains one stream, and writes the files
+    or ``Dataset.repartition`` (``one_partition`` makes them raise), drains
+    one stream, and writes the files
     of the exchange at the same width, byte for byte: every
     ``state.pkl``, verdict and violation file (names and bytes, with the
     per-kind violation cap binding), ``lineage.json`` but its
@@ -538,7 +539,7 @@ def test_one_partition_stream_is_one_task(tmp_path, monkeypatch):
     import pyarrow.parquet as pq
     from ray.data import DataContext
 
-    from data_profiler_ray.stages import plan, segments
+    from data_profiler_ray.stages import segments
     from perfbench.inputs import dirty_whale_transcripts, write_shards
     src = str(tmp_path / "in")
     write_shards(dirty_whale_transcripts(8_000, 19), src, 8)
@@ -555,9 +556,6 @@ def test_one_partition_stream_is_one_task(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(ray.data.Dataset, name, call)
 
-    def no_exchange(self, *args, **kwargs):
-        raise AssertionError("the one-partition stream built an exchange")
-
     def validate(name):
         cfg = _cfg(str(tmp_path / name))
         cfg.constraints.max_violations_per_kind = 2
@@ -568,9 +566,7 @@ def test_one_partition_stream_is_one_task(tmp_path, monkeypatch):
     exchange = validate("exchange")
     assert calls == {"sort": 1, "repartition": 1, "iter_batches": 1}
     assert exchange["counters"]["read_tasks"] == 4
-    monkeypatch.setattr(plan, "_cpus", lambda: 1)
-    monkeypatch.setattr(ray.data.Dataset, "sort", no_exchange)
-    monkeypatch.setattr(ray.data.Dataset, "repartition", no_exchange)
+    request.getfixturevalue("one_partition")
     fused = validate("fused")
     assert calls["iter_batches"] == 2
 

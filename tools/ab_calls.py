@@ -31,9 +31,11 @@ Earlier A/A runs on that VM read 0.94 and 1.02. Read a B/A ratio inside
 about 0.94-1.02, or fewer than 18 of 20 wins, as no change. With both
 sessions on one CPU a call runs slower than alone (medians of 0.81-0.93
 s per dirty call, against 0.65-0.85 s for one session alone on the
-CPU), since the idle session's Ray processes share the CPU. It is a tool for sizing a change, not the
-benchmark of record (``perfbench/run.py``), and not part of the tests.
-Outputs are not checked against an oracle here; the benchmark does that.
+CPU), since the idle session's Ray processes share the CPU.
+
+It is a tool for sizing a change, not the benchmark of record
+(``perfbench/run.py``), and not part of the tests. Outputs are not
+checked against an oracle here; the benchmark does that.
 """
 
 from __future__ import annotations
