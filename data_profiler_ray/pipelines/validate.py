@@ -12,19 +12,19 @@ partitions runs, one after the other:
    (``stages.profile.fold``: a function of the unit's rows alone, so a
    retried task writes the same bytes), writes it from the worker to
    ``parts/<part>/partials/`` and yields only the narrow key columns and
-   the ``part`` → range-partition sort on (conv_id, turn_idx) → one task
-   per sorted block that checks it (row-local and conversation checks)
-   and writes its verdict and violation rows to per-partition parquet
-   (``_PartOutputWriter``). The driver reads only the per-part tally rows
-   and the o(#blocks) cut pieces, merges the pieces and writes their rows
-   (``stages.constraints.check_and_write``). ``text`` is read once and
+   the ``part`` → range-partition sort on (conv_id, turn_idx, part) →
+   one task per sorted block that checks it (row-local and conversation
+   checks, ``stages.constraints._CheckAndWrite``) and writes its verdict
+   and violation rows to per-partition parquet (``_PartOutputWriter``).
+   The driver reads only the per-part tally rows and the o(#blocks) cut
+   pieces, merges the pieces and writes their rows
+   (``stages.constraints.drain_checks``). ``text`` is read once and
    never enters the sort. At one partition — one read task, and a sort
    width (``segments.shuffle_width`` of the key columns' footer bytes)
    of 1, as at one CPU — the stream is one read-sort-check task
-   (``_fold_sort_and_check``): the read task sorts its own key rows in
-   the order the exchange would give them and checks them, so the same
-   files are written and the driver drains the same rows
-   (``stages.constraints.drain_checks``), without an exchange;
+   (``_fold_sort_and_check``): the read task sorts its own key rows on
+   the same keys and runs the same check, so the same files are written
+   and the driver drains the same rows, without an exchange;
 2. per part, the driver folds the partial files in sorted-name order,
    which is unit order (``fold_partials``: a part with one partial passes
    through byte-identical), writes ``state.pkl`` and deletes
@@ -150,14 +150,14 @@ def _fold_and_project(run: list, schema: pa.Schema, config: ProfileConfig,
                                                    pa.string()))
 
 
-def _fold_sort_and_check(run: list, read, sort_cols: list[str], check):
+def _fold_sort_and_check(run: list, read, check: _CheckAndWrite):
     """The read task of a stream that is one task: ``read(run)``
     (``_fold_and_project``) folds and writes the run's partials, then its
-    narrow tables are sorted in the task (``segments.sort_in_task``) and
-    checked and written by ``check`` (``constraints._CheckAndWrite``).
+    narrow tables are sorted in the task on ``check.sort_cols``
+    (``segments.sort_in_task``) and checked and written by ``check``.
     Yields the one block of writer rows and cut pieces that the exchange's
     single sort task would return."""
-    yield sort_in_task(read(run), sort_cols, check)
+    yield sort_in_task(read(run), check.sort_cols, check)
 
 
 def _key_digest(part: str, keys: pa.Table) -> str:
@@ -253,7 +253,9 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
         # partials stay on the workers' side too (``_fold_and_project``).
         t = time.time()
         stats: dict = {}
-        writer = _PartOutputWriter(parts_root, ccfg.max_violations_per_kind)
+        check = _CheckAndWrite(
+            ccfg, _PartOutputWriter(parts_root, ccfg.max_violations_per_kind),
+            narrow_cols + ["part"])
         if len(runs) <= 1 and width == 1:
             # One read task holds every key row (at most the 128 MB of one
             # sort partition), and the sort would have one partition: that
@@ -261,17 +263,14 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
             # Ray task instead of six. On the 50k-turn dirty benchmark
             # input, a call took 0.89 of the exchange's wall time (median
             # of 20 interleaved pairs, one pinned vCPU).
-            one_task = functools.partial(
-                _fold_sort_and_check, read=read,
-                sort_cols=[ccfg.group_column, ccfg.order_column],
-                check=_CheckAndWrite(ccfg, writer))
-            tally_tbl = drain_checks(
-                FoldUnitsDatasource(runs, one_task).read(), ccfg, writer,
-                stats)
+            one_task = functools.partial(_fold_sort_and_check, read=read,
+                                         check=check)
+            (tally_tbl,) = drain_checks(
+                FoldUnitsDatasource(runs, one_task).read(), check, stats)
         else:
-            tally_tbl = check_and_write(
-                FoldUnitsDatasource(runs, read).read(), ccfg, writer,
-                columns=narrow_cols + ["part"], width=width, stats=stats)
+            (tally_tbl,) = check_and_write(
+                FoldUnitsDatasource(runs, read).read(), check, width=width,
+                stats=stats)
         timings["constraints"] = time.time() - t
         counters.update(sort_width=width,
                         n_sort_blocks=stats["n_blocks"],
@@ -421,7 +420,7 @@ _TALLY_SCHEMA = pa.schema([("part", pa.string())]
 
 
 class _PartOutputWriter:
-    """Sort-task writer (``check_and_write``'s ``writer``): writes a
+    """Sort-task writer (``_CheckAndWrite``'s ``writer``): writes a
     block's verdicts to ``<parts_root>/<part>/verdicts/v-<digest>.
     parquet`` and its violations (capped per kind per task) to
     ``<parts_root>/<part>/violations/x-<digest>.parquet`` from the WORKER,
@@ -437,13 +436,14 @@ class _PartOutputWriter:
     must be shared/object storage.
     """
 
-    schema = _TALLY_SCHEMA
+    schemas = (_TALLY_SCHEMA,)
 
     def __init__(self, parts_root: str, max_per_kind: int):
         self.parts_root = parts_root
         self.max_per_kind = max_per_kind
 
-    def __call__(self, violations: pa.Table, verdicts: pa.Table) -> pa.Table:
+    def __call__(self, violations: pa.Table, verdicts: pa.Table
+                 ) -> tuple[pa.Table]:
         parts = (set(pc.unique(verdicts.column("part")).to_pylist())
                  | set(pc.unique(violations.column("part")).to_pylist()))
         rows = []
@@ -480,5 +480,5 @@ class _PartOutputWriter:
                 pq.write_table(capped.cast(VIOLATION_SCHEMA),
                                os.path.join(pdir, f"x-{digest}.parquet"))
             rows.append(row)
-        return pa.Table.from_pylist(rows, schema=_TALLY_SCHEMA)
+        return (pa.Table.from_pylist(rows, schema=_TALLY_SCHEMA),)
 

@@ -20,14 +20,15 @@ North-rule constraints over the transcript table
   shuffle.
 
 Execution shape (SURVEY.md §3.4): the sorted-segment stream of
-``stages/segments.py`` — one range-partition sort on (conv_id, turn_idx) of
-ONLY the key columns (``conv_id, turn_idx, ts, role, tool, part`` —
-``text`` is projected away, so shuffle volume is o(input)), then one task
-per sorted block (``_BlockChecker``), which returns its outputs and its cut
-pieces as typed tables ``_stack``ed in one block:
+``stages/segments.py`` — one range-partition sort on (conv_id, turn_idx,
+part) of ONLY the key columns (``conv_id, turn_idx, ts, role, tool, part``
+— ``text`` is projected away, so shuffle volume is o(input)), then one
+task per sorted block (``_CheckAndWrite``), which checks it, hands its
+violations and verdicts to a writer, and returns the writer's tables and
+its cut pieces as typed tables ``_stack``ed in one block:
 
 - row-local checks (role domain, tool registry) are vectorized over the
-  whole block;
+  whole block, one violation row per bad row;
 - a conversation the block holds whole and that is clean in its turn
   structure and ts order gets its verdict from ``reduceat`` kernels over
   the block's conversation segments — no per-conversation Python;
@@ -40,12 +41,14 @@ pieces as typed tables ``_stack``ed in one block:
   arithmetic over the pieces' (first, last) ranges. The sort task merges
   the single piece of each anomalous conversation it holds whole; the
   block's first and last conversation, which the sort may have cut, go to
-  the driver, which reads them once (``_drain``) and merges them with the
-  same function. Driver carry is o(#blocks) rows even when ONE
-  conversation spans every block (SURVEY.md §7.3).
+  the driver, which reads them once (``drain_checks``), merges them with
+  the same function and passes the merged rows through the same writer.
+  Driver carry is o(#blocks) rows even when ONE conversation spans every
+  block (SURVEY.md §7.3).
 
 Outputs are typed: violations (VIOLATION_SCHEMA, one row per violation) and
-verdicts (VERDICT_SCHEMA, one row per conversation).
+verdicts (VERDICT_SCHEMA, one row per conversation). A null ``turn_idx``
+raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -100,9 +103,6 @@ PIECE_SCHEMA = pa.schema([
     ("piece_ts", pa.list_(pa.int64())),
 ])
 
-_CHECK_SCHEMAS = (VIOLATION_SCHEMA, VERDICT_SCHEMA, PIECE_SCHEMA)
-
-
 def _ts_drops(ts) -> tuple[np.ndarray, np.ndarray]:
     """(values, drop) of an int64 ts column: ``drop[i]`` when ``ts[i] <
     ts[i-1]``. A comparison with a null ts is no regression (the oracle's
@@ -123,33 +123,49 @@ def _verdicts(conv_id, part, counts: np.ndarray) -> pa.Table:
         + [pa.array(~counts[:, 1:].any(axis=1))], schema=VERDICT_SCHEMA)
 
 
-class _BlockChecker:
-    """Checks of one (conv_id, turn_idx)-sorted block (see the module
-    docstring). ``check`` returns (violations, verdicts, pieces); calling
-    the checker returns the three ``_stack``ed in one table.
-    ``emit_row_violations`` adds a violation row per bad role and dangling
-    tool (the verdict counts include them either way)."""
+# the row-local kinds: the block's task emits them, the piece merge never
+_ROW_KINDS = ("bad_role", "dangling_tool")
 
-    def __init__(self, cfg: ConstraintConfig, emit_row_violations: bool = False):
+
+class _CheckAndWrite:
+    """Sort-task callable: the checks of one block of the constraint
+    stream (see the module docstring), then ``writer`` over the block's
+    violations and verdicts; returns the writer's tables and the cut
+    pieces ``_stack``ed in one table (``drain_checks`` reads them).
+
+    ``writer``: a callable (VIOLATION_SCHEMA, VERDICT_SCHEMA) tables → a
+    tuple of tables of ``writer.schemas``, e.g. ``_ReturnRows`` or
+    ``pipelines.validate._PartOutputWriter``. ``sort_cols``, the stream's
+    sort keys: (conv_id, turn_idx), then ``part`` where the stream's
+    columns ``names`` have it, so that rows of equal keys from different
+    parts meet in part order, whatever order their blocks arrive in."""
+
+    def __init__(self, cfg: ConstraintConfig, writer, names: list[str]):
         self.cfg = cfg
-        self.emit_row_violations = emit_row_violations
+        self.writer = writer
+        self.schemas = (*writer.schemas, PIECE_SCHEMA)
+        self.sort_cols = [cfg.group_column, cfg.order_column] + (
+            ["part"] if "part" in names else [])
         self.domains = [
-            ("bad_role", cfg.role_column,
+            (_ROW_KINDS[0], cfg.role_column,
              pa.array(sorted(set(cfg.role_domain)), pa.string())),
-            ("dangling_tool", cfg.tool_column,
+            (_ROW_KINDS[1], cfg.tool_column,
              pa.array(sorted(set(cfg.tool_registry)), pa.string())
              if cfg.tool_registry else None)]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        return _stack(self.check(batch), _CHECK_SCHEMAS)
-
-    def check(self, batch: pa.Table) -> tuple[pa.Table, pa.Table, pa.Table]:
         cfg = self.cfg
         if batch.num_rows == 0:
-            return tuple(s.empty_table() for s in _CHECK_SCHEMAS)
+            return _stack([s.empty_table() for s in self.schemas],
+                          self.schemas)
         batch = batch.combine_chunks()
         conv = batch.column(cfg.group_column)
         turn_col = batch.column(cfg.order_column)
+        if turn_col.null_count:
+            raise ValueError(
+                f"{cfg.order_column} is null in {turn_col.null_count} rows "
+                f"of a sorted block: the conversation checks need it on "
+                f"every row")
         part = (batch.column("part") if "part" in batch.column_names
                 else pa.nulls(batch.num_rows, pa.string()))
         starts, ends = _segments_of(batch, cfg.group_column)
@@ -177,7 +193,7 @@ class _BlockChecker:
                 pc.is_in(values, value_set=domain))).to_numpy(
                 zero_copy_only=False)
             n_bad.append(np.add.reduceat(bad, starts))
-            if self.emit_row_violations and bad.any():
+            if bad.any():
                 # context-free: emitted for the whole block, cut
                 # conversations included; the piece merge never re-emits
                 idx = pa.array(np.flatnonzero(bad))
@@ -220,8 +236,9 @@ class _BlockChecker:
             pc.invert(is_cut)))
         violations.append(merged_v)
         verdicts.append(merged_d)
-        return (pa.concat_tables(violations), pa.concat_tables(verdicts),
-                pieces.filter(is_cut))
+        return _stack([*self.writer(pa.concat_tables(violations),
+                                    pa.concat_tables(verdicts)),
+                       pieces.filter(is_cut)], self.schemas)
 
     @staticmethod
     def _pieces(batch, conv, part, turn, ts, s, e, raw, nbr, nbt
@@ -259,7 +276,7 @@ class _BlockChecker:
 def _decode_piece(row: dict, turns: pa.Array | None,
                   tss: pa.Array | None) -> dict:
     """One piece from its PIECE_SCHEMA row (the inverse of
-    ``_BlockChecker._pieces``); ``turns``/``tss`` are its raw run or None.
+    ``_CheckAndWrite._pieces``); ``turns``/``tss`` are its raw run or None.
     The sort orders a block by (conv_id, turn), so a raw run is
     turn-sorted."""
     first, last = row["piece_first"], row["piece_last"]
@@ -401,93 +418,71 @@ def _merge_pieces(cfg: ConstraintConfig, pieces: pa.Table
     return violations, _verdicts(conv_ids, parts, counts)
 
 
-def _narrow(ds: "ray.data.Dataset", cfg: ConstraintConfig,
-            columns: list[str] | None = None) -> "ray.data.Dataset":
-    """The key columns of ``ds`` the checks read. ``columns``: the names
-    ``ds`` has (default ``ds.schema()``, which executes a mapped dataset)."""
-    names = ds.schema().names if columns is None else columns
-    return ds.select_columns([cfg.group_column, cfg.order_column] + [
-        c for c in (cfg.ts_column, cfg.role_column, cfg.tool_column, "part")
-        if c in names])
+class _ReturnRows:
+    """The writer of ``conversation_checks``: returns the rows."""
+    schemas = (VIOLATION_SCHEMA, VERDICT_SCHEMA)
+
+    def __call__(self, violations: pa.Table, verdicts: pa.Table):
+        return violations, verdicts
 
 
 def conversation_checks(ds: "ray.data.Dataset", cfg: ConstraintConfig,
                         emit_row_violations: bool = False,
                         stats: dict | None = None
                         ) -> tuple[pa.Table, pa.Table]:
-    """Range-partition sort on (conv_id, turn_idx) → block checks → driver
-    merge of the block-cut conversations' pieces.
+    """Range-partition sort on (conv_id, turn_idx, part) → block checks →
+    driver merge of the block-cut conversations' pieces
+    (``check_and_write`` with the writer ``_ReturnRows``).
 
     Returns (violations, verdicts): VIOLATION_SCHEMA rows and one
     VERDICT_SCHEMA row per conversation. Only the narrow key columns enter
-    the shuffle — ``text`` never moves. ``stats`` (optional) receives
-    ``carry_rows`` / ``carry_bytes`` (the cut pieces the driver reads),
-    ``n_blocks`` and the sort ``width``.
-
-    ``check_and_write`` is the form that writes the outputs inside the sort
-    tasks instead of returning them."""
-    stream = sort_stream(_narrow(ds, cfg),
-                         [cfg.group_column, cfg.order_column],
-                         _BlockChecker(cfg, emit_row_violations), stats=stats)
-    (violations, verdicts, pieces), n_blocks = _drain(stream, _CHECK_SCHEMAS)
-    _carry_stats(stats, pieces, n_blocks)
-    merged_v, merged_d = _merge_pieces(cfg, pieces)
-    return (pa.concat_tables([violations, merged_v]),
-            pa.concat_tables([verdicts, merged_d]))
+    the shuffle — ``text`` never moves. ``emit_row_violations`` keeps a
+    violation row per bad role and dangling tool (the verdict counts
+    include them either way). ``stats`` (optional) receives ``carry_rows``
+    / ``carry_bytes`` (the cut pieces the driver reads), ``n_blocks`` and
+    the sort ``width``."""
+    names = ds.schema().names
+    narrow = ds.select_columns([cfg.group_column, cfg.order_column] + [
+        c for c in (cfg.ts_column, cfg.role_column, cfg.tool_column, "part")
+        if c in names])
+    violations, verdicts = check_and_write(
+        narrow, _CheckAndWrite(cfg, _ReturnRows(), names), stats=stats)
+    if not emit_row_violations:
+        violations = violations.filter(pc.invert(pc.is_in(
+            violations.column("kind"), value_set=pa.array(_ROW_KINDS))))
+    return violations, verdicts
 
 
 # the name the benchmark's per-layer probe calls
 conversation_checks_parts = conversation_checks
 
 
-class _CheckAndWrite:
-    """Sort-task callable: block checks, then ``writer`` over the block's
-    violations and verdicts; returns the writer's rows and the cut pieces
-    ``_stack``ed in one table (``drain_checks`` reads them)."""
-
-    def __init__(self, cfg: ConstraintConfig, writer):
-        self.checker = _BlockChecker(cfg, emit_row_violations=True)
-        self.writer = writer
-        self.schemas = (writer.schema, PIECE_SCHEMA)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        violations, verdicts, pieces = self.checker.check(batch)
-        return _stack([self.writer(violations, verdicts), pieces],
-                      self.schemas)
-
-
-def check_and_write(ds: "ray.data.Dataset", cfg: ConstraintConfig, writer,
-                    columns: list[str] | None = None,
+def check_and_write(ds: "ray.data.Dataset", check: _CheckAndWrite,
                     width: int | None = None,
-                    stats: dict | None = None) -> pa.Table:
-    """Conversation + row-local checks whose outputs never reach the
-    driver: each sort task hands its block's violations and verdicts to
-    ``writer`` (a callable (VIOLATION_SCHEMA, VERDICT_SCHEMA) tables →
-    ``writer.schema`` table, e.g. one that writes files and returns
-    tallies), and the driver finishes with ``drain_checks``.
-
-    Returns every writer row (``writer.schema``). ``columns`` is as in
-    ``_narrow``; ``width``, the sort's partition count, as in
-    ``segments.sort_stream``; ``stats`` as in ``conversation_checks``.
+                    stats: dict | None = None) -> tuple[pa.Table, ...]:
+    """The checks of ``ds``, the key columns: a range-partition sort on
+    ``check.sort_cols``, ``check`` over each sorted block, whose task hands
+    its rows to ``check.writer``, then ``drain_checks``. ``width``, the
+    sort's partition count, as in ``segments.sort_stream``; ``stats`` as in
+    ``conversation_checks``.
 
     A caller whose whole input is one task's output, sorted in one
-    partition, can run ``_CheckAndWrite`` in that task instead
+    partition, can run ``check`` in that task instead
     (``segments.sort_in_task``) and drain that stream with
     ``drain_checks``: the same writer rows, without the exchange."""
-    stream = sort_stream(_narrow(ds, cfg, columns),
-                         [cfg.group_column, cfg.order_column],
-                         _CheckAndWrite(cfg, writer), width=width,
-                         stats=stats)
-    return drain_checks(stream, cfg, writer, stats)
+    return drain_checks(sort_stream(ds, check.sort_cols, check, width=width,
+                                    stats=stats), check, stats)
 
 
-def drain_checks(stream: "ray.data.Dataset", cfg: ConstraintConfig, writer,
-                 stats: dict | None = None) -> pa.Table:
-    """The driver's side of ``check_and_write``, over a stream of
-    ``_CheckAndWrite`` blocks (one per sorted block): read its writer rows
-    and cut pieces once (``_drain``), merge the pieces and pass the merged
-    rows through ``writer`` itself. Returns every writer row; ``stats``
+def drain_checks(stream: "ray.data.Dataset", check: _CheckAndWrite,
+                 stats: dict | None = None) -> tuple[pa.Table, ...]:
+    """The driver's side of the checks, over a stream of ``check``'s
+    blocks (one per sorted block): read its writer rows and cut pieces
+    once (``_drain``), merge the pieces and pass the merged rows through
+    ``check.writer`` itself. Returns the writer's tables
+    (``writer.schemas``), each over every block and the merge; ``stats``
     (optional) receives ``carry_rows``, ``carry_bytes`` and ``n_blocks``."""
-    (rows, pieces), n_blocks = _drain(stream, (writer.schema, PIECE_SCHEMA))
+    (*rows, pieces), n_blocks = _drain(stream, check.schemas)
     _carry_stats(stats, pieces, n_blocks)
-    return pa.concat_tables([rows, writer(*_merge_pieces(cfg, pieces))])
+    merged = check.writer(*_merge_pieces(check.cfg, pieces))
+    return tuple(pa.concat_tables(t) for t in zip(rows, merged))

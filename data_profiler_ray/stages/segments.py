@@ -9,8 +9,10 @@ Shape:
    ``map_batches`` task per sorted block — each block is a contiguous key
    range, so a key's rows can only be cut at a block's first/last segment.
    Where one task already holds the whole input and the sort would have
-   one partition, ``sort_in_task`` sorts it in that task instead, in the
-   order Ray's sort gives, and runs the block task there: no exchange;
+   one partition, ``sort_in_task`` sorts it in that task instead: no
+   exchange. Rows that tie on every sort key keep the order their blocks
+   arrive in (in the exchange, task completion order), so the keys should
+   order every row whose order shows in the output;
 2. the task runs a VECTORIZED ``block_fn`` over all *interior* segments of
    its block at once (change-point detection + ``reduceat`` kernels — zero
    per-group Python dispatch);
@@ -59,7 +61,6 @@ _TABLE_COL = "__table"  # which ``_stack``ed table a row belongs to
 
 
 def shuffle_width(ds: "ray.data.Dataset" | None, cpus: int | None = None,
-                  target_block_bytes: int = _TARGET_SORT_BLOCK,
                   nbytes: int | None = None) -> int:
     """Partition count for a sort/shuffle exchange: one per CPU up to 24,
     or one per ~128 MB of input when that is more, ``max(min(cpus, 24),
@@ -89,7 +90,7 @@ def shuffle_width(ds: "ray.data.Dataset" | None, cpus: int | None = None,
         except Exception:
             nbytes = None
     return max(min(cpus, _MAX_CPU_WIDTH),
-               -(-(nbytes or 0) // target_block_bytes))
+               -(-(nbytes or 0) // _TARGET_SORT_BLOCK))
 
 
 def segment_reduce(x: np.ndarray, starts: np.ndarray, end_last: int,

@@ -8,7 +8,10 @@ import pyarrow as pa
 import pytest
 import ray.data
 
+from data_profiler_ray.config import ConstraintConfig
+from data_profiler_ray.stages.constraints import _CheckAndWrite, _ReturnRows
 from data_profiler_ray.stages.segments import (segment_reduce, shuffle_width,
+                                               sort_in_task,
                                                sorted_segment_map)
 
 
@@ -53,6 +56,29 @@ def test_shuffle_width_scales_with_bytes():
     # unknown size → one partition per CPU, at most 24
     assert shuffle_width(Stub(0), cpus=32) == 24
     assert shuffle_width(Stub(0), cpus=4) == 4
+
+
+def test_sort_in_task_orders_tied_keys_by_part():
+    """A (conv_id, turn_idx) key duplicated across two parts: on the
+    constraint stream's sort keys, ``sort_in_task`` returns the same table
+    whichever part's block comes first; on (conv_id, turn_idx) alone the
+    tied rows would keep the block order."""
+    keys = _CheckAndWrite(ConstraintConfig(), _ReturnRows(),
+                          ["conv_id", "turn_idx", "part"]).sort_cols
+    assert keys == ["conv_id", "turn_idx", "part"]
+    p1 = pa.table({"conv_id": ["c", "b", "c"], "turn_idx": [1, 0, 0],
+                   "part": ["p1"] * 3, "row": [0, 1, 2]})
+    p0 = pa.table({"conv_id": ["c", "a"], "turn_idx": [1, 0],
+                   "part": ["p0"] * 2, "row": [3, 4]})
+
+    def same(t):
+        return t
+
+    got = sort_in_task([p1, p0], keys, same)
+    assert got.equals(sort_in_task([p0, p1], keys, same))
+    assert got.column("row").to_pylist() == [4, 1, 2, 3, 0]
+    assert not sort_in_task([p1, p0], keys[:2], same).equals(
+        sort_in_task([p0, p1], keys[:2], same))
 
 
 @pytest.mark.parametrize("width", [2, 5, 11])

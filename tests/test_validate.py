@@ -175,10 +175,10 @@ def test_part_output_writer_idempotent(tmp_path):
     }, schema=VERDICT_SCHEMA)
     root = str(tmp_path / "parts")
     w = _PartOutputWriter(root, max_per_kind=100)
-    t1 = w(violations, verdicts)
+    (t1,) = w(violations, verdicts)
     files1 = {f: open(f, "rb").read()
               for f in glob.glob(f"{root}/p0/*/*.parquet")}
-    t2 = w(violations, verdicts)  # simulated retry
+    (t2,) = w(violations, verdicts)  # simulated retry
     files2 = {f: open(f, "rb").read()
               for f in glob.glob(f"{root}/p0/*/*.parquet")}
     assert t1.to_pydict() == t2.to_pydict()
@@ -215,6 +215,68 @@ def test_null_conv_id_shard_completes(tmp_path, monkeypatch):
     }), str(src / "s0.parquet"))
     s = run_validation(str(src), _cfg(str(tmp_path / "out")))
     assert s["total_rows"] == 4
+
+
+@pytest.mark.parametrize("form", ["one_partition", "exchange",
+                                  "conversation_checks"])
+def test_null_turn_idx_is_a_clear_error(tmp_path, request, form):
+    """A null turn_idx stops the call with the check's ValueError, which
+    names the column and the null-row count: ``run_validation`` at one
+    partition, as at one CPU, and through the exchange at 4 CPUs, and
+    ``conversation_checks``. Through the exchange Ray Data wraps a map
+    task's error in its ``UserCodeException``, whose message carries the
+    ValueError's."""
+    import pyarrow.parquet as pq
+
+    from data_profiler_ray.stages.constraints import conversation_checks
+    tbl = pa.table({
+        "conv_id": pa.array(["a", "a", "b", "b", "c"], pa.string()),
+        "turn_idx": pa.array([0, None, 0, 1, 0], pa.int32()),
+        "role": pa.array(["user", "assistant", "user", "assistant", "user"]),
+        "text": pa.array(["hi", "x", "q", "a", "z"]),
+        "tool": pa.array([None] * 5, pa.string()),
+        "ts": pa.array([0, 1, 2, 3, 4], pa.timestamp("us")),
+    })
+    error = ValueError if form == "one_partition" else Exception
+    with pytest.raises(error, match="turn_idx is null in 1 rows"):
+        if form == "conversation_checks":
+            conversation_checks(ray.data.from_arrow(tbl), ConstraintConfig())
+        else:
+            if form == "one_partition":
+                request.getfixturevalue("one_partition")
+            (tmp_path / "in").mkdir()
+            pq.write_table(tbl, str(tmp_path / "in" / "s0.parquet"))
+            run_validation(str(tmp_path / "in"), _cfg(str(tmp_path / "out")))
+
+
+def test_both_writers_see_the_same_rows(dirty_transcripts_dir, tmp_path):
+    """One check path, two writers: on the dirty fixture,
+    ``conversation_checks``' in-memory writer and ``run_validation``'s
+    ``_PartOutputWriter`` see the same rows. The verdict rows, compared
+    without ``part``, equal ``verdicts.parquet``'s, and the violation rows
+    per kind add up to ``lineage.json``'s ``violations_by_kind``."""
+    import collections
+
+    import pyarrow.parquet as pq
+
+    from data_profiler_ray.stages.constraints import conversation_checks
+    cfg = _cfg(str(tmp_path / "out"))
+    s = run_validation(dirty_transcripts_dir, cfg)
+    violations, verdicts = conversation_checks(
+        ray.data.read_parquet(dirty_transcripts_dir), cfg.constraints,
+        emit_row_violations=True)
+
+    def rows(t):
+        return t.drop_columns(["part"]).sort_by("conv_id").to_pylist()
+
+    assert verdicts.num_rows == s["n_conversations"]
+    assert rows(verdicts) == rows(pq.read_table(
+        os.path.join(cfg.output_dir, "verdicts.parquet")))
+    by_kind = collections.Counter()
+    for lineage in s["lineage"]:
+        by_kind.update(lineage["violations_by_kind"])
+    assert collections.Counter(violations.column("kind").to_pylist()) == by_kind
+    assert len(by_kind) == 5
 
 
 def test_violation_counts_match_duckdb_oracle():
@@ -533,19 +595,17 @@ def test_one_partition_stream_is_one_task(tmp_path, monkeypatch, request):
     ``state.pkl``, verdict and violation file (names and bytes, with the
     per-kind violation cap binding), ``lineage.json`` but its
     ``completed_at`` and ``profile.json``'s variables. The exchange's
-    input comes from 4 read tasks kept in order (``preserve_order``), so
-    that rows of equal keys from different tasks meet in the order one
-    task yields them. The counters keep every key."""
+    input comes from 4 read tasks in whatever order they finish: both
+    forms sort on (conv_id, turn_idx, part), so rows of equal keys from
+    different shards meet in part order either way. The counters keep
+    every key."""
     import pyarrow.parquet as pq
-    from ray.data import DataContext
 
     from data_profiler_ray.stages import segments
     from perfbench.inputs import dirty_whale_transcripts, write_shards
     src = str(tmp_path / "in")
     write_shards(dirty_whale_transcripts(8_000, 19), src, 8)
     monkeypatch.setattr(segments, "_MAX_CPU_WIDTH", 1)
-    monkeypatch.setattr(DataContext.get_current().execution_options,
-                        "preserve_order", True)
     calls = {"sort": 0, "repartition": 0, "iter_batches": 0}
 
     def counted(name):
