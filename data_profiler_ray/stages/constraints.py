@@ -103,6 +103,7 @@ PIECE_SCHEMA = pa.schema([
     ("piece_ts", pa.list_(pa.int64())),
 ])
 
+
 def _ts_drops(ts) -> tuple[np.ndarray, np.ndarray]:
     """(values, drop) of an int64 ts column: ``drop[i]`` when ``ts[i] <
     ts[i-1]``. A comparison with a null ts is no regression (the oracle's
