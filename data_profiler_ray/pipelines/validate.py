@@ -3,17 +3,17 @@
 The north-rule lifecycle (SURVEY.md §3.4). One call over the pending
 partitions runs, one after the other:
 
-1. one stream, one Ray Data execution: each pending shard's fold units
+1. one stream: each pending shard's fold units
    (``stages.plan.fold_units``: runs of its row groups of at most
-   ``FOLD_ROWS`` rows), packed into one read task per CPU and read
-   through the datasource ``profile_dataset`` also reads by
-   (``stages.plan.FoldUnitsDatasource``). Each read task
-   (``_fold_and_project``) folds each unit into a profile partial
-   (``stages.profile.fold``: a function of the unit's rows alone, so a
-   retried task writes the same bytes), writes it from the worker to
-   ``parts/<part>/partials/`` and yields only the narrow key columns and
-   the ``part`` → range-partition sort on (conv_id, turn_idx, part) →
-   one task per sorted block that checks it (row-local and conversation
+   ``FOLD_ROWS`` rows), packed into one read task per CPU, each a plain
+   Ray task, as in ``profile_dataset`` (``stages.plan.read_tasks``).
+   Each read task (``_fold_and_project``) folds each unit into a profile
+   partial (``stages.profile.fold``: a function of the unit's rows alone,
+   so a retried task writes the same bytes), writes it from the worker
+   to ``parts/<part>/partials/`` and returns only the narrow key columns
+   and the ``part`` → one Ray Data execution over the tasks' tables
+   (``from_arrow_refs``): range-partition sort on (conv_id, turn_idx,
+   part) → one task per sorted block that checks it (row-local and conversation
    checks, ``stages.constraints._CheckAndWrite``) and writes its verdict
    and violation rows to per-partition parquet (``_PartOutputWriter``).
    The driver reads only the per-part tally rows and the o(#blocks) cut
@@ -24,7 +24,7 @@ partitions runs, one after the other:
    of 1, as at one CPU — the stream is one read-sort-check task
    (``_fold_sort_and_check``): the read task sorts its own key rows on
    the same keys and runs the same check, so the same files are written
-   and the driver drains the same rows, without an exchange;
+   and the driver drains the same rows, without Ray Data;
 2. per part, the driver folds the partial files in sorted-name order,
    which is unit order (``fold_partials``: a part with one partial passes
    through byte-identical), writes ``state.pkl`` and deletes
@@ -38,7 +38,7 @@ partitions runs, one after the other:
    and drift.
 
 Schemas, the read plan and the sort width come from the Parquet footers,
-so no Ray Data execution runs only to learn a schema or a size. Every
+so no Ray execution runs only to learn a schema or a size. Every
 shard, done or pending, must have the same columns and types
 (``stages.plan.footer_schema``); one that differs raises ``ValueError``
 before any task starts.
@@ -84,13 +84,16 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+import ray
+import ray.data
+
 from ..config import ProfileConfig, ValidationConfig
 from ..stages.constraints import (VIOLATION_SCHEMA, _CheckAndWrite,
                                   check_and_write, drain_checks)
 from ..stages.drift import bin_accumulators, drift_from_counts, spec_from_profile
-from ..stages.plan import (FoldUnitsDatasource, _column_bytes,
-                           _read_batch_rows, _unit_batches, footer_schema,
-                           numbered_units, unit_runs)
+from ..stages.plan import (_column_bytes, _read_batch_rows, _unit_batches,
+                           footer_schema, numbered_units, read_tasks,
+                           unit_runs)
 from ..stages.profile import (finalize_profile, fold, fold_partials,
                               make_accumulators, merge_states)
 from ..stages.segments import shuffle_width, sort_in_task
@@ -123,7 +126,7 @@ def _write_atomic(path: str, data: bytes) -> None:
 def _fold_and_project(run: list, schema: pa.Schema, config: ProfileConfig,
                       parts_root: str, batch_rows: int,
                       narrow_columns: list[str]):
-    """A read task of the stream (``plan.FoldUnitsDatasource``): for each
+    """A read task of the stream (``plan.read_tasks``): for each
     ``(k, unit, rows)`` of ``run``, fold the unit's read batches into one
     profile partial, write it from the worker to
     ``<parts_root>/<part>/partials/<k:06d>-<rows>``, and yield only the
@@ -218,9 +221,11 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
         # batches sized from the whole input (``stages.plan``), so it
         # folds the same partials whether it is pending alone or with all
         # the others. ``unit_runs`` packs the units into one read task per
-        # CPU: on one vCPU a Ray Data task costs about 21 ms of wall time
-        # whatever it does. A row group of more than ``FOLD_ROWS`` rows is
-        # one unit, and loses nothing by it: the 208k rows of
+        # CPU: a plain Ray task costs about 1.8 ms of wall time on one
+        # pinned vCPU whatever it does (a no-op task, median of 600
+        # calls), paid once per run. A row group of more than
+        # ``FOLD_ROWS`` rows is one unit, and loses nothing by it: the
+        # 208k rows of
         # ``perfbench.inputs.dirty_whale_transcripts(204_000, 1701)`` as
         # one row group folded as one partial over 7 read batches of
         # 32,768 rows in 0.94-0.95 s with a 201 KB state, and as 7
@@ -265,12 +270,13 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
             # of 20 interleaved pairs, one pinned vCPU).
             one_task = functools.partial(_fold_sort_and_check, read=read,
                                          check=check)
-            (tally_tbl,) = drain_checks(
-                FoldUnitsDatasource(runs, one_task).read(), check, stats)
+            with read_tasks(runs, one_task) as refs:
+                (tally_tbl,) = drain_checks(map(ray.get, refs), check, stats)
         else:
-            (tally_tbl,) = check_and_write(
-                FoldUnitsDatasource(runs, read).read(), check, width=width,
-                stats=stats)
+            with read_tasks(runs, read) as refs:
+                (tally_tbl,) = check_and_write(
+                    ray.data.from_arrow_refs(refs), check, width=width,
+                    stats=stats)
         timings["constraints"] = time.time() - t
         counters.update(sort_width=width,
                         n_sort_blocks=stats["n_blocks"],

@@ -469,21 +469,23 @@ def check_and_write(ds: "ray.data.Dataset", check: _CheckAndWrite,
 
     A caller whose whole input is one task's output, sorted in one
     partition, can run ``check`` in that task instead
-    (``segments.sort_in_task``) and drain that stream with
+    (``segments.sort_in_task``) and pass that task's block to
     ``drain_checks``: the same writer rows, without the exchange."""
-    return drain_checks(sort_stream(ds, check.sort_cols, check, width=width,
-                                    stats=stats), check, stats)
+    stream = sort_stream(ds, check.sort_cols, check, width=width,
+                         stats=stats)
+    return drain_checks(stream.iter_batches(batch_format="pyarrow",
+                                            batch_size=None), check, stats)
 
 
-def drain_checks(stream: "ray.data.Dataset", check: _CheckAndWrite,
+def drain_checks(blocks, check: _CheckAndWrite,
                  stats: dict | None = None) -> tuple[pa.Table, ...]:
-    """The driver's side of the checks, over a stream of ``check``'s
-    blocks (one per sorted block): read its writer rows and cut pieces
-    once (``_drain``), merge the pieces and pass the merged rows through
-    ``check.writer`` itself. Returns the writer's tables
+    """The driver's side of the checks, over ``check``'s blocks (an
+    iterable of tables, one per sorted block): read their writer rows and
+    cut pieces once (``_drain``), merge the pieces and pass the merged
+    rows through ``check.writer`` itself. Returns the writer's tables
     (``writer.schemas``), each over every block and the merge; ``stats``
     (optional) receives ``carry_rows``, ``carry_bytes`` and ``n_blocks``."""
-    (*rows, pieces), n_blocks = _drain(stream, check.schemas)
+    (*rows, pieces), n_blocks = _drain(blocks, check.schemas)
     _carry_stats(stats, pieces, n_blocks)
     merged = check.writer(*_merge_pieces(check.cfg, pieces))
     return tuple(pa.concat_tables(t) for t in zip(rows, merged))

@@ -8,10 +8,10 @@ batches of ``_read_batch_rows`` rows cut across file boundaries
 unit of several small files is thus read as one batch where it fits
 one, not one per file, and its partial depends on its rows alone, not
 on how its files split them. ``unit_runs`` packs the units into one
-read task per CPU, regrouping whole units only, and
-``FoldUnitsDatasource`` reads the runs through Ray Data's public
-``Datasource`` API. So the partials, and hence the profile,
-depend on the input alone, not on the CPU count or the task order.
+read task per CPU, regrouping whole units only, and ``read_tasks`` runs
+each run as one plain Ray task, whose table the caller takes in run
+order. So the partials, and hence the profile, depend on the input
+alone, not on the CPU count or the task order.
 ``profile_dataset`` plans the units of all its files; ``run_validation``
 plans each pending shard's units on their own, so a shard folds the same
 partials whether it is pending alone or with the others.
@@ -23,7 +23,7 @@ cluster.
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import os
 
 import pyarrow as pa
@@ -31,8 +31,6 @@ import pyarrow.parquet as pq
 
 import ray
 import ray.data
-from ray.data import Datasource, ReadTask
-from ray.data.block import BlockMetadata
 
 # Most rows of one fold unit (``fold_units``), unless one row group alone
 # holds more, and of one Parquet read batch (``_read_batch_rows``). At
@@ -160,35 +158,27 @@ def _unit_batches(unit: list[tuple[str, list[int]]], batch_rows: int,
         yield buf
 
 
-class FoldUnitsDatasource(Datasource):
-    """Fold units read as one read task per run (``unit_runs`` of
-    ``numbered_units``): a task's blocks are ``read_run(run)``'s tables.
-    The runs are fixed when the datasource is built, and ``read`` asks
-    for exactly that many blocks, so Ray adds no split of its own."""
+@ray.remote
+def _read_task(read_run, run) -> pa.Table:
+    """One read task: ``read_run(run)``'s tables as one table."""
+    return pa.concat_tables(list(read_run(run)))
 
-    def __init__(self, runs: list[list[tuple[int, list, int]]], read_run):
-        self.runs = runs
-        self.read_run = read_run
 
-    def get_name(self) -> str:
-        return "ParquetFoldUnits"
-
-    def estimate_inmemory_data_size(self) -> None:
-        """None: from an input size Ray would work out a split of its own."""
-        return None
-
-    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
-        return [ReadTask(
-            functools.partial(self.read_run, run),
-            BlockMetadata(num_rows=None, size_bytes=None, exec_stats=None,
-                          input_files=sorted({p for _, unit, _ in run
-                                              for p, _ in unit})))
-            for run in self.runs]
-
-    def read(self) -> "ray.data.Dataset":
-        """The Dataset of every run's blocks; an empty one without runs."""
-        return ray.data.read_datasource(
-            self, override_num_blocks=max(1, len(self.runs)))
+@contextlib.contextmanager
+def read_tasks(runs: list, read_run):
+    """One plain Ray task per run of ``runs`` (``unit_runs``), returning
+    ``read_run(run)``'s tables as one table: yields their object refs, in
+    run order. Ray only schedules these tasks, so a Ray Data execution
+    would add its fixed cost and its operator reservation and nothing
+    else. If the body raises, e.g. a task's error met at ``ray.get``,
+    every task is cancelled before the error goes on."""
+    refs = [_read_task.remote(read_run, run) for run in runs]
+    try:
+        yield refs
+    except BaseException:
+        for ref in refs:
+            ray.cancel(ref)
+        raise
 
 
 def footer_schema(metas: dict[str, pq.FileMetaData]) -> pa.Schema:

@@ -1,11 +1,11 @@
-"""Distributed table profiling: one streaming pass, one driver-side fold.
+"""Distributed table profiling: one parallel read, one driver-side fold.
 
 Replaces the reference's whole-file pandas loop
 (``/root/reference/stelardataprofiler/tabular_timeseries/profiler.py:329-403``)
-with the Ray-Data-native shape from SURVEY.md §3.4:
+with the shape from SURVEY.md §3.4:
 
     read (+ partial accumulators per fold unit or block)
-        → iter_batches to the driver → merge_states fold → profile dict
+        → partials to the driver → merge_states fold → profile dict
 
 Each partial contributes ONE small row holding the serialized accumulator
 bundle (``dumps_state``: per column moments + KLL + a capped value counter
@@ -16,15 +16,15 @@ Every partial is ``fold``: fresh accumulators (``make_accumulators``, also
 the merged state of an input without rows) fed one fold unit's or one
 block's batches in order, so a partial depends on its own rows alone.
 A bare ``read_parquet`` is read again from its footers (``stages.plan``)
-through ``plan.FoldUnitsDatasource``: one read task per CPU, each reading a
-contiguous run of fold units (``plan.fold_units``: consecutive row groups
-of at most ``FOLD_ROWS`` rows) and folding each unit's read batches into
-one partial. Any other Dataset folds one partial per Ray block. Either way
-the driver folds the partials in the stream's block order
-(``preserve_order``), so a Parquet input's profile depends on the files
-alone, not on the CPU count or on which task finished first: KLL
-compaction, the Misra-Gries shrink and float sums all depend on merge
-order. The final profile dict has the reference's three-part shape
+in plain Ray tasks (``plan.read_tasks``): one read task per CPU, each
+reading a contiguous run of fold units (``plan.fold_units``: consecutive
+row groups of at most ``FOLD_ROWS`` rows) and folding each unit's read
+batches into one partial; the driver takes the tasks' partials in run
+order. Any other Dataset folds one partial per Ray block, in block order
+(``preserve_order``). Either way a Parquet input's profile depends on
+the files alone, not on the CPU count or on which task finished first:
+KLL compaction, the Misra-Gries shrink and float sums all depend on
+merge order. The final profile dict has the reference's three-part shape
 (``analysis`` / ``table`` / ``variables``, profiler.py:343-362).
 """
 
@@ -37,11 +37,13 @@ import pickle
 import pyarrow as pa
 import pyarrow.compute as pc
 
+import ray
+
 from ..config import ProfileConfig
 from ..state.column import (ColumnAccumulator, GeometryAccumulator,
                             make_accumulator)
-from .plan import (FoldUnitsDatasource, _read_batch_rows, _unit_batches,
-                   bare_parquet_footers, numbered_units, unit_runs)
+from .plan import (_read_batch_rows, _unit_batches, bare_parquet_footers,
+                   numbered_units, read_tasks, unit_runs)
 
 
 # State blobs start with this magic and a format version. The version
@@ -136,7 +138,7 @@ def fold(batches, schema: pa.Schema, config: ProfileConfig) -> bytes:
 
 def _fold_unit_run(run: list, schema: pa.Schema, config: ProfileConfig,
                    batch_rows: int, columns: list[str] | None):
-    """A ``profile_dataset`` read task (``plan.FoldUnitsDatasource``): one
+    """A ``profile_dataset`` read task (``plan.read_tasks``): one
     ``(part, rows, state)`` row per ``(k, unit, rows)`` of ``run``."""
     for _, unit, rows in run:
         blob = fold(_unit_batches(unit, batch_rows, columns), schema, config)
@@ -170,18 +172,13 @@ def _partials(ds: "ray.data.Dataset", schema: pa.Schema,
     """Yield ``(part, rows, blob)`` for every partial-state row of ``ds``
     (``part`` is None without a ``part_column``): one partial per Ray
     block, or per read batch where Ray fuses the map with a read, in block
-    order (``_in_order``)."""
-    yield from _in_order(ds.map_batches(
+    order. The order is ``preserve_order``'s, set on the stream's context
+    for the stream and restored after it, so it does not depend on which
+    task finishes first."""
+    stream = ds.map_batches(
         _fold_block, fn_kwargs=dict(schema=schema, config=config,
                                     part_column=part_column),
-        batch_format="pyarrow", batch_size=None))
-
-
-def _in_order(stream: "ray.data.Dataset"):
-    """Yield ``(part, rows, blob)`` for every row of a partial stream, in
-    block order. The order is ``preserve_order``'s, set on ``stream``'s
-    context for the stream and restored after it, so it does not depend
-    on which task finishes first."""
+        batch_format="pyarrow", batch_size=None)
     opts = stream.context.execution_options
     kept, opts.preserve_order = opts.preserve_order, True
     try:
@@ -260,9 +257,9 @@ def profile_dataset(ds: "ray.data.Dataset", config: ProfileConfig | None = None,
     """Profile a Dataset into the reference-shaped dict. A bare
     ``read_parquet`` (``stages.plan.bare_parquet_footers``) is read again
     as its fold units, each folded into one partial inside its read task
-    (``plan.FoldUnitsDatasource``); any other Dataset folds one partial per
-    block. The partials fold on the driver as they stream in, in the
-    stream's order."""
+    (``plan.read_tasks``), and the driver folds each task's partials as
+    the task's result arrives, in run order. Any other Dataset folds one
+    partial per block, in block order, as the blocks stream in."""
     config = config or ProfileConfig()
     t0 = datetime.datetime.now()
     schema = ds.schema()
@@ -274,13 +271,15 @@ def profile_dataset(ds: "ray.data.Dataset", config: ProfileConfig | None = None,
             _fold_unit_run, schema=arrow_schema, config=config,
             batch_rows=_read_batch_rows(metas),
             columns=config.columns or None)
-        partials = _in_order(FoldUnitsDatasource(
-            unit_runs(numbered_units(metas)), read_run).read())
+        with read_tasks(unit_runs(numbered_units(metas)), read_run) as refs:
+            total_rows, merged = merge_states(
+                blob for ref in refs
+                for blob in ray.get(ref).column("state").to_pylist())
     else:
         if config.columns:
             ds = ds.select_columns(config.columns)
-        partials = _partials(ds, arrow_schema, config)
-    total_rows, merged = merge_states(blob for _, _, blob in partials)
+        total_rows, merged = merge_states(
+            blob for _, _, blob in _partials(ds, arrow_schema, config))
     if not merged:
         merged = make_accumulators(arrow_schema, config)
     return finalize_profile(total_rows, merged, config, t0,

@@ -173,13 +173,13 @@ def _unstack(tbl: pa.Table, schemas) -> list[pa.Table]:
             for i, s in enumerate(schemas)]
 
 
-def _drain(stream: "ray.data.Dataset", schemas
+def _drain(blocks: Iterable[pa.Table], schemas
            ) -> tuple[list[pa.Table], int]:
-    """Read a stream of ``_stack``ed sort-task blocks once: one table per
-    schema, and the number of blocks."""
+    """Read ``_stack``ed sort-task blocks once: one table per schema, and
+    the number of blocks."""
     tables = [[s.empty_table()] for s in schemas]
     n_blocks = 0
-    for block in stream.iter_batches(batch_format="pyarrow", batch_size=None):
+    for block in blocks:
         n_blocks += 1
         for acc, t in zip(tables, _unstack(block, schemas)):
             acc.append(t)
@@ -349,9 +349,11 @@ def sorted_segment_map(ds: "ray.data.Dataset", key: str,
     res = sort_stream(ds, sort_cols, _SegmentKernel(key, block_fn, cut,
                                                     schemas),
                       width=width, stats=stats).materialize()
-    (_, pieces), n_blocks = _drain(res.map_batches(
+    carried = res.map_batches(
         lambda t: t.filter(pc.equal(t.column(_TABLE_COL), 1)),
-        batch_format="pyarrow"), schemas)
+        batch_format="pyarrow")
+    (_, pieces), n_blocks = _drain(carried.iter_batches(
+        batch_format="pyarrow", batch_size=None), schemas)
     _carry_stats(stats, pieces, n_blocks)
 
     fixed, adjust_map = out_schema.empty_table(), {}

@@ -241,33 +241,25 @@ def _write_files(d, whole, sizes):
     return str(d)
 
 
-def _recording_streams(monkeypatch):
-    """Wrap ``Dataset.iter_batches``; returns the list that gets every
-    Dataset it drains, so a test can read the stream's ``stats()``."""
-    seen, iter_batches = [], ray.data.Dataset.iter_batches
+def _no_streams(monkeypatch):
+    """Make ``Dataset.iter_batches`` raise: the bare-Parquet path drains
+    no Ray Data stream."""
+    def no_stream(self, *args, **kwargs):
+        raise AssertionError("profile_dataset drained a Ray Data stream")
 
-    def recording(self, *args, **kwargs):
-        seen.append(self)
-        return iter_batches(self, *args, **kwargs)
-
-    monkeypatch.setattr(ray.data.Dataset, "iter_batches", recording)
-    return seen
-
-
-def _operators(stream):
-    """The ``Operator`` lines of a drained stream's ``stats()``."""
-    return [line for line in stream.stats().splitlines()
-            if line.startswith("Operator")]
+    monkeypatch.setattr(ray.data.Dataset, "iter_batches", no_stream)
 
 
 def _recording_folds(monkeypatch, out, delay=0.0):
     """Wrap ``stages.profile._fold_unit_run`` so that, wherever it runs,
     each unit's fold first sleeps for a random time of up to ``delay``
     seconds and records the row count of each of the unit's read batches
-    (read once more for the record) in a new file under ``out``. The
-    wrapper is local to this function, so cloudpickle ships it to the
-    workers by value. Returns a function that reads the records back, one
-    list of batch row counts per fold, in no particular order."""
+    (read once more for the record) and the id of the Ray task it runs in
+    (None on the driver) in a new file under ``out``. The wrapper is local
+    to this function, so cloudpickle ships it to the workers by value.
+    Returns a function that takes the records written since its last
+    call, one ``{"sizes": [...], "task": id}`` per fold, in no particular
+    order."""
     from data_profiler_ray.stages import plan
     from data_profiler_ray.stages import profile as prof_mod
     os.makedirs(out)
@@ -277,22 +269,25 @@ def _recording_folds(monkeypatch, out, delay=0.0):
         import random
         import time
         import uuid
+        task = ray.get_runtime_context().get_task_id()
         for item in run:
             sizes = [len(b) for b in
                      plan._unit_batches(item[1], batch_rows, columns)]
             time.sleep(random.uniform(0, delay))
             with open(os.path.join(out, uuid.uuid4().hex), "w") as f:
-                json.dump(sizes, f)
+                json.dump({"sizes": sizes, "task": task}, f)
             yield from fold_unit_run([item], schema, config, batch_rows,
                                      columns)
 
     monkeypatch.setattr(prof_mod, "_fold_unit_run", recording)
 
     def records():
-        def load(name):
+        def take(name):
             with open(os.path.join(out, name)) as f:
-                return json.load(f)
-        return [load(name) for name in os.listdir(out)]
+                record = json.load(f)
+            os.remove(os.path.join(out, name))
+            return record
+        return [take(name) for name in os.listdir(out)]
     return records
 
 
@@ -352,7 +347,8 @@ def test_fold_batches_bounded_by_block_bytes(monkeypatch, tmp_path):
     folded = _counting_merges(monkeypatch)
     prof = profile_dataset(ray.data.read_parquet(d), ProfileConfig())
     assert folded == [n]
-    [batches] = records()
+    [record] = records()
+    batches = record["sizes"]
     assert sum(batches) == n
     assert max(batches) <= batch
     assert len(batches) == -(-n // batch)
@@ -360,9 +356,8 @@ def test_fold_batches_bounded_by_block_bytes(monkeypatch, tmp_path):
 
 
 def test_fold_batches_keep_read_fusion(monkeypatch, tmp_path):
-    """The fold runs inside the read: one operator,
-    ``ReadParquetFoldUnits`` (no ``ReadParquet``), in one task per CPU,
-    folding one partial per fold unit."""
+    """The fold runs inside the read: one Ray task per CPU reads and folds
+    one partial per fold unit, and no Ray Data stream is drained."""
     from data_profiler_ray.stages import plan
     monkeypatch.setattr(plan, "FOLD_ROWS", 2_000)
     cpus = int(ray.cluster_resources()["CPU"])
@@ -370,12 +365,13 @@ def test_fold_batches_keep_read_fusion(monkeypatch, tmp_path):
     files = 2 * cpus
     whole = pa.table({"x": pa.array(rng.normal(0, 1, 2_000 * files))})
     d = _write_files(tmp_path / "in", whole, [2_000] * files)
-    seen = _recording_streams(monkeypatch)
+    records = _recording_folds(monkeypatch, str(tmp_path / "folds"))
+    _no_streams(monkeypatch)
     folded = _counting_merges(monkeypatch)
     prof = profile_dataset(ray.data.read_parquet(d), ProfileConfig())
-    [op] = _operators(seen[-1])
-    assert op.startswith(
-        f"Operator 1 ReadParquetFoldUnits: {cpus} tasks executed"), op
+    tasks = [r["task"] for r in records()]
+    assert len(tasks) == files and None not in tasks
+    assert len(set(tasks)) == cpus
     assert folded == [2_000] * files
     _assert_profile_of(prof, whole)
 
@@ -396,15 +392,17 @@ def lineitem_dir(tmp_path_factory):
 
 
 def test_parquet_profile_same_at_one_and_four_read_tasks(monkeypatch,
-                                                         lineitem_dir):
+                                                         lineitem_dir,
+                                                         tmp_path):
     """A Parquet input's profile ``table``/``variables`` do not depend on
     the CPU count the read plan sizes its tasks by: at 1 and at 4 read
     tasks the same fold units (here 4 of two files each) fold in the same
-    order."""
+    order, each in a Ray task of its run."""
     from data_profiler_ray.stages import plan
     monkeypatch.setattr(plan, "FOLD_ROWS", 10_000)
-    seen = _recording_streams(monkeypatch)
+    _no_streams(monkeypatch)
     folded = _counting_merges(monkeypatch)
+    records = _recording_folds(monkeypatch, str(tmp_path / "folds"))
     got = {}
     for cpus in (1, 4):
         monkeypatch.setattr(plan, "_cpus", lambda cpus=cpus: cpus)
@@ -412,8 +410,9 @@ def test_parquet_profile_same_at_one_and_four_read_tasks(monkeypatch,
         got[cpus] = _profile_json(profile_dataset(
             ray.data.read_parquet(lineitem_dir), ProfileConfig()))
         assert folded == [10_000] * 4
-        [op] = _operators(seen[-1])
-        assert f"{cpus} tasks executed" in op, op
+        tasks = [r["task"] for r in records()]
+        assert len(tasks) == 4 and None not in tasks
+        assert len(set(tasks)) == cpus
     assert got[1] == got[4]
 
 
@@ -426,14 +425,44 @@ def test_parquet_profile_ignores_task_completion_order(monkeypatch,
     from data_profiler_ray.stages import plan
     monkeypatch.setattr(plan, "FOLD_ROWS", 10_000)
     monkeypatch.setattr(plan, "_cpus", lambda: 4)
+    records = _recording_folds(monkeypatch, str(tmp_path / "folds"),
+                               delay=0.3)
     runs = []
-    for run in range(2):
-        records = _recording_folds(monkeypatch, str(tmp_path / f"{run}"),
-                                   delay=0.3)
+    for _ in range(2):
         runs.append(_profile_json(profile_dataset(
             ray.data.read_parquet(lineitem_dir), ProfileConfig())))
-        assert sorted(map(sum, records())) == [10_000] * 4
+        assert sorted(sum(r["sizes"]) for r in records()) == [10_000] * 4
     assert runs[0] == runs[1]
+
+
+def test_read_task_error_reaches_the_caller_as_itself(monkeypatch,
+                                                      lineitem_dir):
+    """A read task that raises ``ValueError`` on its second fold unit
+    makes ``profile_dataset`` raise an instance of ``ValueError``, after
+    the call cancels every read task. The failing wrapper is local to the
+    test, so cloudpickle ships it to the workers by value."""
+    from data_profiler_ray.stages import plan
+    from data_profiler_ray.stages import profile as prof_mod
+    monkeypatch.setattr(plan, "FOLD_ROWS", 5_000)
+    monkeypatch.setattr(plan, "_cpus", lambda: 4)
+    fold_unit_run = prof_mod._fold_unit_run
+
+    def failing(run, *args, **kwargs):
+        first, second = run
+        yield from fold_unit_run([first], *args, **kwargs)
+        raise ValueError(f"unit {second[0]} is unreadable")
+
+    cancelled, cancel = [], ray.cancel
+
+    def counted(ref, **kwargs):
+        cancelled.append(ref)
+        return cancel(ref, **kwargs)
+
+    monkeypatch.setattr(prof_mod, "_fold_unit_run", failing)
+    monkeypatch.setattr(ray, "cancel", counted)
+    with pytest.raises(ValueError, match=r"unit \d is unreadable"):
+        profile_dataset(ray.data.read_parquet(lineitem_dir), ProfileConfig())
+    assert len(cancelled) == 4
 
 
 def _write_row_groups(path, whole, group_rows):
@@ -572,18 +601,20 @@ def test_zero_row_files_fold_nothing(monkeypatch, tmp_path):
 
 def test_columns_read_folds_only_those_columns(monkeypatch, tmp_path):
     """``config.columns`` on a bare read: the fold units read and profile
-    only those columns, with the values a whole-table fold gives them."""
+    only those columns, in a read task and without a Ray Data stream, with
+    the values a whole-table fold gives them."""
     rng = np.random.default_rng(8)
     whole = pa.table({"i": pa.array(rng.integers(0, 1_000, 4_000)),
                       "f": pa.array(rng.normal(0, 1, 4_000)),
                       "s": pa.array([f"s{v}" for v in
                                      rng.integers(0, 99, 4_000)])})
     d = _write_files(tmp_path / "in", whole, [1_000] * 4)
-    seen = _recording_streams(monkeypatch)
+    records = _recording_folds(monkeypatch, str(tmp_path / "folds"))
+    _no_streams(monkeypatch)
     prof = profile_dataset(ray.data.read_parquet(d),
                            ProfileConfig(columns=["s", "f"]))
-    [op] = _operators(seen[-1])
-    assert op.startswith("Operator 1 ReadParquetFoldUnits"), op
+    [record] = records()
+    assert record["sizes"] == [4_000] and record["task"] is not None
     assert [v["name"] for v in prof["variables"]] == ["s", "f"]
     _assert_profile_of(prof, whole.select(["s", "f"]))
 

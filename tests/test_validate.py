@@ -525,9 +525,9 @@ def test_stale_partials_are_ignored(transcripts_dir, tmp_path):
 
 def test_one_read_and_one_execution_per_call(transcripts_dir, tmp_path,
                                              monkeypatch):
-    """A call reads the shards once, through the fold-units datasource and
-    not Ray's Parquet reader, and drains one Ray Data stream; its counters
-    land in summary.json."""
+    """A call reads the shards once, in plain read tasks and not through
+    Ray's Parquet reader or a Ray Data datasource, and drains one Ray Data
+    stream, the exchange's; its counters land in summary.json."""
     calls = {"read_parquet": 0, "read_datasource": 0, "iter_batches": 0}
     read_parquet = ray.data.read_parquet
     read_datasource = ray.data.read_datasource
@@ -551,7 +551,7 @@ def test_one_read_and_one_execution_per_call(transcripts_dir, tmp_path,
     monkeypatch.setattr(ray.data.Dataset, "materialize", no_materialize)
     cfg = _cfg(str(tmp_path / "out"))
     s = run_validation(transcripts_dir, cfg)
-    assert calls == {"read_parquet": 0, "read_datasource": 1,
+    assert calls == {"read_parquet": 0, "read_datasource": 0,
                      "iter_batches": 1}
     with open(os.path.join(cfg.output_dir, "summary.json")) as f:
         counters = json.load(f)["counters"]
@@ -590,7 +590,7 @@ def test_one_partition_stream_is_one_task(tmp_path, monkeypatch, request):
     """With one read task and a sort of one partition, the read task sorts
     and checks its own key rows: the call never builds ``Dataset.sort``
     or ``Dataset.repartition`` (``one_partition`` makes them raise), drains
-    one stream, and writes the files
+    no Ray Data stream, and writes the files
     of the exchange at the same width, byte for byte: every
     ``state.pkl``, verdict and violation file (names and bytes, with the
     per-kind violation cap binding), ``lineage.json`` but its
@@ -628,7 +628,7 @@ def test_one_partition_stream_is_one_task(tmp_path, monkeypatch, request):
     assert exchange["counters"]["read_tasks"] == 4
     request.getfixturevalue("one_partition")
     fused = validate("fused")
-    assert calls["iter_batches"] == 2
+    assert calls["iter_batches"] == 1
 
     assert fused["counters"] == {**exchange["counters"], "read_tasks": 1}
     assert (fused["counters"]["sort_width"],
@@ -702,6 +702,71 @@ def test_small_shards_read_in_one_task_per_cpu(small_shards_dir, tmp_path):
     cpus = int(ray.cluster_resources()["CPU"])
     assert s["counters"]["read_tasks"] == min(16, cpus)
     assert s["counters"]["partials_folded"] == 16
+
+
+def _timed_runs(monkeypatch, module, name, out, pause):
+    """Wrap the read-run function ``module.<name>`` so that, wherever it
+    runs, it first sleeps ``pause`` seconds, then reads its run and
+    records its pid, Ray task id, start and end times in a new file under
+    ``out``. The wrapper is local to this function, so cloudpickle ships
+    it to the workers by value. Returns a function that reads the records
+    back, one per run, in no particular order."""
+    os.makedirs(out)
+    read_run = getattr(module, name)
+
+    def timed(run, *args, **kwargs):
+        import time
+        import uuid
+        start = time.time()
+        time.sleep(pause)
+        yield from read_run(run, *args, **kwargs)
+        with open(os.path.join(out, uuid.uuid4().hex), "w") as f:
+            json.dump({"pid": os.getpid(), "start": start, "end": time.time(),
+                       "task": ray.get_runtime_context().get_task_id()}, f)
+
+    monkeypatch.setattr(module, name, timed)
+
+    def records():
+        def load(name):
+            with open(os.path.join(out, name)) as f:
+                return json.load(f)
+        return [load(name) for name in os.listdir(out)]
+    return records
+
+
+def test_read_tasks_run_at_once(small_shards_dir, tmp_path, monkeypatch):
+    """At 4 CPUs the 4 read tasks of a 16-shard ``run_validation`` call
+    and of a 4-run ``profile_dataset`` call run at once: 4 tasks in 4
+    distinct worker processes, each started before the first one ended.
+    Each task sleeps 1 s before it reads, so the overlap does not depend
+    on how long the reads take on a loaded host."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    from data_profiler_ray.pipelines import validate as val_mod
+    from data_profiler_ray.stages import plan
+    from data_profiler_ray.stages import profile as prof_mod
+    assert ray.cluster_resources()["CPU"] == 4
+    monkeypatch.setattr(plan, "FOLD_ROWS", max(
+        pq.read_metadata(p).num_rows
+        for p in glob.glob(f"{small_shards_dir}/*.parquet")))
+    calls = [
+        (val_mod, "_fold_and_project", lambda: run_validation(
+            small_shards_dir, _cfg(str(tmp_path / "out")))),
+        (prof_mod, "_fold_unit_run", lambda: profile_dataset(
+            ray.data.read_parquet(small_shards_dir), ProfileConfig())),
+    ]
+    for module, name, call in calls:
+        records = _timed_runs(monkeypatch, module, name,
+                              str(tmp_path / name), pause=1.0)
+        call()
+        tasks = records()
+        assert len(tasks) == 4, name
+        assert len({t["task"] for t in tasks}) == 4, name
+        assert len({t["pid"] for t in tasks}) == 4, name
+        assert max(t["start"] for t in tasks) < min(
+            t["end"] for t in tasks), (name, tasks)
 
 
 def test_read_tasks_keep_blocks_under_target_size(small_shards_dir, tmp_path,
