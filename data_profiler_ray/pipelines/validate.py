@@ -13,9 +13,10 @@ partitions runs, one after the other:
    to ``parts/<part>/partials/`` and returns only the narrow key columns
    and the ``part`` → one Ray Data execution over the tasks' tables
    (``from_arrow_refs``): range-partition sort on (conv_id, turn_idx,
-   part) → one task per sorted block that checks it (row-local and conversation
-   checks, ``stages.constraints._CheckAndWrite``) and writes its verdict
-   and violation rows to per-partition parquet (``_PartOutputWriter``).
+   part) → one task per sorted block that checks it (row-local and
+   conversation checks, ``stages.constraints._CheckAndWrite``) and writes
+   its verdict and violation rows to per-partition parquet
+   (``_PartOutputWriter``).
    The driver reads only the per-part tally rows and the o(#blocks) cut
    pieces, merges the pieces and writes their rows
    (``stages.constraints.drain_checks``). ``text`` is read once and
