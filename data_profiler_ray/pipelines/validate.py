@@ -11,21 +11,16 @@ partitions runs, one after the other:
    partial (``stages.profile.fold``: a function of the unit's rows alone,
    so a retried task writes the same bytes), writes it from the worker
    to ``parts/<part>/partials/`` and returns only the narrow key columns
-   and the ``part`` → one Ray Data execution over the tasks' tables
-   (``from_arrow_refs``): range-partition sort on (conv_id, turn_idx,
-   part) → one task per sorted block that checks it (row-local and
-   conversation checks, ``stages.constraints._CheckAndWrite``) and writes
-   its verdict and violation rows to per-partition parquet
-   (``_PartOutputWriter``).
-   The driver reads only the per-part tally rows and the o(#blocks) cut
-   pieces, merges the pieces and writes their rows
-   (``stages.constraints.drain_checks``). ``text`` is read once and
-   never enters the sort. At one partition — one read task, and a sort
-   width (``segments.shuffle_width`` of the key columns' footer bytes)
-   of 1, as at one CPU — the stream is one read-sort-check task
-   (``_fold_sort_and_check``): the read task sorts its own key rows on
-   the same keys and runs the same check, so the same files are written
-   and the driver drains the same rows, without Ray Data;
+   and the ``part``, sorted on (conv_id, turn_idx, part) (``_sorted_run``)
+   → the range exchange on plain Ray tasks (``segments.range_blocks``):
+   one task per key range (``segments.shuffle_width`` of the key columns'
+   footer bytes) checks its rows of every run (row-local and conversation
+   checks, ``stages.constraints._CheckAndWrite``) and writes its verdict
+   and violation rows to per-partition parquet (``_PartOutputWriter``).
+   The ranges depend on the runs alone, so calls at one width write the
+   same files. The driver reads only the per-part tally rows and the o(#blocks)
+   cut pieces, in range order, merges the pieces and writes their rows
+   (``stages.constraints.drain_checks``). ``text`` is read once;
 2. per part, the driver folds the partial files in sorted-name order,
    which is unit order (``fold_partials``: a part with one partial passes
    through byte-identical), writes ``state.pkl`` and deletes
@@ -85,19 +80,16 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-import ray
-import ray.data
-
 from ..config import ProfileConfig, ValidationConfig
 from ..stages.constraints import (VIOLATION_SCHEMA, _CheckAndWrite,
-                                  check_and_write, drain_checks)
+                                  drain_checks)
 from ..stages.drift import bin_accumulators, drift_from_counts, spec_from_profile
 from ..stages.plan import (_column_bytes, _read_batch_rows, _unit_batches,
                            footer_schema, numbered_units, read_tasks,
                            unit_runs)
 from ..stages.profile import (finalize_profile, fold, fold_partials,
                               make_accumulators, merge_states)
-from ..stages.segments import shuffle_width, sort_in_task
+from ..stages.segments import range_blocks, shuffle_width, sort_table
 
 # stage timings in summary["timings"]; a stage that did not run reports 0
 _TIMING_KEYS = ("profile", "constraints", "checkpoint_write", "final_merge",
@@ -154,14 +146,11 @@ def _fold_and_project(run: list, schema: pa.Schema, config: ProfileConfig,
                                                    pa.string()))
 
 
-def _fold_sort_and_check(run: list, read, check: _CheckAndWrite):
-    """The read task of a stream that is one task: ``read(run)``
-    (``_fold_and_project``) folds and writes the run's partials, then its
-    narrow tables are sorted in the task on ``check.sort_cols``
-    (``segments.sort_in_task``) and checked and written by ``check``.
-    Yields the one block of writer rows and cut pieces that the exchange's
-    single sort task would return."""
-    yield sort_in_task(read(run), check.sort_cols, check)
+def _sorted_run(run: list, read, sort_cols: list[str]):
+    """A read task of the stream: ``read(run)``'s narrow tables
+    (``_fold_and_project``) as one run of the range exchange, stably
+    sorted on ``sort_cols``, nulls last."""
+    return [sort_table(pa.concat_tables(list(read(run))), sort_cols)]
 
 
 def _key_digest(part: str, keys: pa.Table) -> str:
@@ -250,7 +239,7 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
             [metas[p] for p in pending], narrow_cols))
 
         # verdict and violation rows are written to per-partition parquet
-        # by the sort tasks (idempotent content-hashed filenames, so task
+        # by the range tasks (idempotent content-hashed filenames, so task
         # retries overwrite identically; on a cluster this path would be
         # shared/object storage). Violation rows are capped per kind per
         # task (``max_violations_per_kind``); only per-part TALLY rows — a
@@ -262,22 +251,13 @@ def run_validation(input_dir: str, cfg: ValidationConfig,
         check = _CheckAndWrite(
             ccfg, _PartOutputWriter(parts_root, ccfg.max_violations_per_kind),
             narrow_cols + ["part"])
-        if len(runs) <= 1 and width == 1:
-            # One read task holds every key row (at most the 128 MB of one
-            # sort partition), and the sort would have one partition: that
-            # task sorts and checks its rows itself, so the stream is one
-            # Ray task instead of six. On the 50k-turn dirty benchmark
-            # input, a call took 0.89 of the exchange's wall time (median
-            # of 20 interleaved pairs, one pinned vCPU).
-            one_task = functools.partial(_fold_sort_and_check, read=read,
-                                         check=check)
-            with read_tasks(runs, one_task) as refs:
-                (tally_tbl,) = drain_checks(map(ray.get, refs), check, stats)
-        else:
-            with read_tasks(runs, read) as refs:
-                (tally_tbl,) = check_and_write(
-                    ray.data.from_arrow_refs(refs), check, width=width,
-                    stats=stats)
+        # One stream at every width. At one CPU the one range task checks
+        # the one read task's run as it is: a second task of about 7 ms on
+        # the dirty benchmark's 2.7 MB of key rows (one pinned vCPU).
+        with read_tasks(runs, functools.partial(
+                _sorted_run, read=read, sort_cols=check.sort_cols)) as refs:
+            (tally_tbl,) = drain_checks(range_blocks(
+                refs, check.sort_cols, check, width), check, stats)
         timings["constraints"] = time.time() - t
         counters.update(sort_width=width,
                         n_sort_blocks=stats["n_blocks"],
@@ -427,7 +407,7 @@ _TALLY_SCHEMA = pa.schema([("part", pa.string())]
 
 
 class _PartOutputWriter:
-    """Sort-task writer (``_CheckAndWrite``'s ``writer``): writes a
+    """Range-task writer (``_CheckAndWrite``'s ``writer``): writes a
     block's verdicts to ``<parts_root>/<part>/verdicts/v-<digest>.
     parquet`` and its violations (capped per kind per task) to
     ``<parts_root>/<part>/violations/x-<digest>.parquet`` from the WORKER,
@@ -435,12 +415,12 @@ class _PartOutputWriter:
     violation rows, so its memory is independent of violation count.
 
     Per-kind counts in the tally are PRE-cap (exact totals); only the
-    persisted example rows are capped. Filenames hash the part and the
-    rows' keys (``_key_digest``: conv_id for verdicts, conv_id, turn_idx
-    and kind for violations; a null key hashes too), so a retried task
-    overwrites its own file idempotently. Local-mode note: workers and
-    driver share the filesystem; on a multi-node cluster ``parts_root``
-    must be shared/object storage.
+    persisted examples are capped, per key range, which the sorted runs
+    fix. Filenames hash the part and the rows' keys (``_key_digest``:
+    conv_id for verdicts, conv_id, turn_idx and kind for violations; a
+    null key hashes too), so a retried task overwrites its own file
+    idempotently. Workers and driver share the local filesystem; on a
+    multi-node cluster ``parts_root`` must be shared/object storage.
     """
 
     schemas = (_TALLY_SCHEMA,)

@@ -19,13 +19,13 @@ North-rule constraints over the transcript table
   the object store, one copy per node), ``pc.is_in`` does the probe; no
   shuffle.
 
-Execution shape (SURVEY.md §3.4): the sorted-segment stream of
-``stages/segments.py`` — one range-partition sort on (conv_id, turn_idx,
-part) of ONLY the key columns (``conv_id, turn_idx, ts, role, tool, part``
-— ``text`` is projected away, so shuffle volume is o(input)), then one
-task per sorted block (``_CheckAndWrite``), which checks it, hands its
-violations and verdicts to a writer, and returns the writer's tables and
-its cut pieces as typed tables ``_stack``ed in one block:
+Execution shape (SURVEY.md §3.4): the range exchange on plain Ray tasks
+(``segments.range_blocks``) over runs of ONLY the key columns (``conv_id,
+turn_idx, ts, role, tool, part`` — ``text`` is projected away, so shuffle
+volume is o(input)), each sorted on (conv_id, turn_idx, part) by the task
+that made it. One task per key range (``_CheckAndWrite``) checks its rows,
+hands its violations and verdicts to a writer, and returns the writer's
+tables and its cut pieces as typed tables ``_stack``ed in one block:
 
 - row-local checks (role domain, tool registry) are vectorized over the
   whole block, one violation row per bad row;
@@ -38,9 +38,9 @@ its cut pieces as typed tables ``_stack``ed in one block:
   also carries its raw (turn, ts) run. ``_merge_pieces`` turns the pieces
   of a conversation into its violations and verdict: dup/ts/role/tool
   counts add up across pieces and turn contiguity merges by interval
-  arithmetic over the pieces' (first, last) ranges. The sort task merges
+  arithmetic over the pieces' (first, last) ranges. The range task merges
   the single piece of each anomalous conversation it holds whole; the
-  block's first and last conversation, which the sort may have cut, go to
+  block's first and last conversation, which a boundary may cut, go to
   the driver, which reads them once (``drain_checks``), merges them with
   the same function and passes the merged rows through the same writer.
   Driver carry is o(#blocks) rows even when ONE conversation spans every
@@ -59,7 +59,7 @@ import pyarrow.compute as pc
 
 from ..config import ConstraintConfig
 from .segments import (_carry_stats, _drain, _segments_of, _stack,
-                       sort_stream)
+                       range_blocks, shuffle_width, sort_task)
 
 # violation-row schema: one row per violation, referencing rows by key only
 # (never by text payload) so violation output stays narrow at scale
@@ -129,7 +129,7 @@ _ROW_KINDS = ("bad_role", "dangling_tool")
 
 
 class _CheckAndWrite:
-    """Sort-task callable: the checks of one block of the constraint
+    """Range-task callable: the checks of one block of the constraint
     stream (see the module docstring), then ``writer`` over the block's
     violations and verdicts; returns the writer's tables and the cut
     pieces ``_stack``ed in one table (``drain_checks`` reads them).
@@ -431,9 +431,9 @@ def conversation_checks(ds: "ray.data.Dataset", cfg: ConstraintConfig,
                         emit_row_violations: bool = False,
                         stats: dict | None = None
                         ) -> tuple[pa.Table, pa.Table]:
-    """Range-partition sort on (conv_id, turn_idx, part) → block checks →
-    driver merge of the block-cut conversations' pieces
-    (``check_and_write`` with the writer ``_ReturnRows``).
+    """Each block of the key columns sorted in a plain Ray task → checks
+    over the range exchange (``segments.range_blocks``, ``shuffle_width``
+    ranges) → driver merge of the cut conversations' pieces.
 
     Returns (violations, verdicts): VIOLATION_SCHEMA rows and one
     VERDICT_SCHEMA row per conversation. Only the narrow key columns enter
@@ -445,9 +445,13 @@ def conversation_checks(ds: "ray.data.Dataset", cfg: ConstraintConfig,
     names = ds.schema().names
     narrow = ds.select_columns([cfg.group_column, cfg.order_column] + [
         c for c in (cfg.ts_column, cfg.role_column, cfg.tool_column, "part")
-        if c in names])
-    violations, verdicts = check_and_write(
-        narrow, _CheckAndWrite(cfg, _ReturnRows(), names), stats=stats)
+        if c in names]).materialize()
+    check = _CheckAndWrite(cfg, _ReturnRows(), names)
+    runs = [sort_task.remote(b, check.sort_cols)
+            for b in narrow.to_arrow_refs()]
+    violations, verdicts = drain_checks(range_blocks(
+        runs, check.sort_cols, check, shuffle_width(narrow), stats), check,
+        stats)
     if not emit_row_violations:
         violations = violations.filter(pc.invert(pc.is_in(
             violations.column("kind"), value_set=pa.array(_ROW_KINDS))))
@@ -456,25 +460,6 @@ def conversation_checks(ds: "ray.data.Dataset", cfg: ConstraintConfig,
 
 # the name the benchmark's per-layer probe calls
 conversation_checks_parts = conversation_checks
-
-
-def check_and_write(ds: "ray.data.Dataset", check: _CheckAndWrite,
-                    width: int | None = None,
-                    stats: dict | None = None) -> tuple[pa.Table, ...]:
-    """The checks of ``ds``, the key columns: a range-partition sort on
-    ``check.sort_cols``, ``check`` over each sorted block, whose task hands
-    its rows to ``check.writer``, then ``drain_checks``. ``width``, the
-    sort's partition count, as in ``segments.sort_stream``; ``stats`` as in
-    ``conversation_checks``.
-
-    A caller whose whole input is one task's output, sorted in one
-    partition, can run ``check`` in that task instead
-    (``segments.sort_in_task``) and pass that task's block to
-    ``drain_checks``: the same writer rows, without the exchange."""
-    stream = sort_stream(ds, check.sort_cols, check, width=width,
-                         stats=stats)
-    return drain_checks(stream.iter_batches(batch_format="pyarrow",
-                                            batch_size=None), check, stats)
 
 
 def drain_checks(blocks, check: _CheckAndWrite,

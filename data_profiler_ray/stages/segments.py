@@ -8,11 +8,10 @@ Shape:
 1. ``sort_stream``: range-partition sort on ``[key] + order_cols``, then ONE
    ``map_batches`` task per sorted block — each block is a contiguous key
    range, so a key's rows can only be cut at a block's first/last segment.
-   Where one task already holds the whole input and the sort would have
-   one partition, ``sort_in_task`` sorts it in that task instead: no
-   exchange. Rows that tie on every sort key keep the order their blocks
-   arrive in (in the exchange, task completion order), so the keys should
-   order every row whose order shows in the output;
+   Rows that tie on every sort key keep the order their blocks arrive in
+   (task completion order), so the keys should order every row whose
+   order shows in the output. ``range_blocks`` is the same shape on
+   plain Ray tasks over sorted runs, with ties kept in run order;
 2. the task runs a VECTORIZED ``block_fn`` over all *interior* segments of
    its block at once (change-point detection + ``reduceat`` kernels — zero
    per-group Python dispatch);
@@ -44,6 +43,7 @@ its per-conversation ordered pandas scans, e.g. gap run-lengths at
 
 from __future__ import annotations
 
+import bisect
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -58,6 +58,7 @@ _TARGET_SORT_BLOCK = 128 << 20  # one ~128 MB block per sort partition
 # and 64 tiny partitions of a 1M-row sort took 8.6 s against 1.25 s for 16
 _MAX_CPU_WIDTH = 24
 _TABLE_COL = "__table"  # which ``_stack``ed table a row belongs to
+_SAMPLES_PER_RANGE = 16  # rows sampled per range for its boundaries
 
 
 def shuffle_width(ds: "ray.data.Dataset" | None, cpus: int | None = None,
@@ -110,43 +111,76 @@ def segment_reduce(x: np.ndarray, starts: np.ndarray, end_last: int,
 
 
 def sort_stream(ds: "ray.data.Dataset", sort_cols: Sequence[str], fn,
-                width: int | None = None,
-                stats: dict | None = None) -> "ray.data.Dataset":
-    """Range-partition sort of ``ds`` on ``sort_cols`` → ``fn`` over each
-    sorted block (one task per block).
-
-    ``width``: the partition count, e.g. ``shuffle_width`` of the input
-    size from the Parquet footers. Without it the input is materialized
-    first, so that ``shuffle_width``'s ``size_bytes()`` does not execute
-    its plan a second time; the sort exchange re-materializes blocks
-    anyway. ``stats`` (optional) receives the sort ``width``.
-
-    At width 1 this is 6 Ray tasks (repartition split and reduce, sort map
-    and reduce, ``fn``, after the input's own) that concatenate and sort
-    one block; a caller whose input is one task's output can run
-    ``sort_in_task`` in that task instead."""
-    if width is None:
-        ds = ds.materialize()
-        width = shuffle_width(ds)
+                width: int, stats: dict | None = None) -> "ray.data.Dataset":
+    """Range-partition sort of ``ds`` on ``sort_cols`` into ``width``
+    partitions (``shuffle_width``) → ``fn`` over each sorted block (one
+    task per block). ``stats`` (optional) receives the sort ``width``."""
     if stats is not None:
         stats["width"] = width
     return ds.repartition(width).sort(list(sort_cols)).map_batches(
         fn, batch_format="pyarrow", batch_size=None)
 
 
-def sort_in_task(blocks: Iterable[pa.Table], sort_cols: Sequence[str],
-                 fn) -> pa.Table:
-    """``sort_stream`` at width 1, inside the one task that yields every
-    block of the stream: ``fn`` over ``blocks`` concatenated in order and
-    stably sorted on ``sort_cols``, nulls last. That is the block Ray's
-    one-partition sort hands ``fn`` (a stable Arrow sort of the blocks
-    concatenated in order), so ``fn`` returns the same table, without the
-    exchange's tasks and object-store copies. Since no Ray range
-    partitioning runs, a null sort key sorts last here, where at width
-    above 1 it fails in Ray's partitioning."""
-    table = pa.concat_tables(blocks)
-    return fn(table.take(pc.sort_indices(
-        table, sort_keys=[(c, "ascending") for c in sort_cols])))
+def sort_table(table: pa.Table, sort_cols: Sequence[str]) -> pa.Table:
+    """``table`` stably sorted on ``sort_cols``, nulls last."""
+    return table.take(pc.sort_indices(
+        table, sort_keys=[(c, "ascending") for c in sort_cols]))
+
+
+sort_task = ray.remote(sort_table)  # ``sort_table`` as a plain Ray task
+
+
+@ray.remote
+def _range_task(fn, sort_cols: Sequence[str], i: int, width: int,
+                *runs: pa.Table):
+    """``fn`` over range ``i`` of ``width`` of the sorted ``runs``: each
+    run's rows in the range, found by binary search, concatenated in run
+    order and stably sorted. Every range task computes the same boundaries:
+    ``width - 1`` whole key tuples (nulls last, as Arrow sorts), evenly
+    spaced among the sorted keys of every ``stride``-th row of each run,
+    a run of rows at least once: a function of the runs, not their order."""
+    def key(run: pa.Table, row: int) -> tuple:
+        return tuple((v is None, v) for v in
+                     (run.column(c)[row].as_py() for c in sort_cols))
+
+    stride = max(1, sum(map(len, runs)) // (width * _SAMPLES_PER_RANGE))
+    samples = sorted(key(r, j) for r in runs
+                     for j in range(len(r) % stride // 2, len(r), stride))
+
+    def start(run: pa.Table, j: int) -> int:  # range j's first row
+        if j in (0, width) or not samples:  # no samples: no rows
+            return len(run) if j else 0
+        return bisect.bisect_left(range(len(run)),
+                                  samples[len(samples) * j // width],
+                                  key=lambda row: key(run, row))
+
+    slices = [run.slice(a, b - a) for run in runs
+              for a, b in [(start(run, i), start(run, i + 1))]]
+    held = [s for s in slices if s.num_rows]
+    # a slice that holds the range's rows alone is sorted already
+    return fn(held[0] if len(held) == 1
+              else sort_table(pa.concat_tables(slices), sort_cols))
+
+
+def range_blocks(runs: list, sort_cols: Sequence[str], fn, width: int,
+                 stats: dict | None = None):
+    """The range exchange on plain Ray tasks: ``fn`` over each of ``width``
+    key ranges of ``runs`` (object refs of tables ``sort_table`` sorted on
+    ``sort_cols``), one ``_range_task`` each, none without runs; yields
+    the results in range order, the same for the same runs. If a task
+    raises, every run and range task is cancelled before its error goes
+    on. ``stats`` (optional) receives the ``width``."""
+    if stats is not None:
+        stats["width"] = width
+    refs = [_range_task.remote(fn, sort_cols, i, width, *runs)
+            for i in range(width if runs else 0)]
+    try:
+        for ref in refs:
+            yield ray.get(ref)
+    except BaseException:
+        for ref in [*runs, *refs]:
+            ray.cancel(ref)
+        raise
 
 
 def _stack(tables, schemas) -> pa.Table:

@@ -42,10 +42,10 @@ def dirty_transcripts_dir():
 @pytest.fixture
 def one_partition(monkeypatch):
     """``run_validation`` at one partition, as at one CPU, in the 4-CPU
-    session: one read task (``stages.plan._cpus``) and a constraint sort
-    width of 1 (``segments._MAX_CPU_WIDTH``), so its stream is one
-    read-sort-check task. ``Dataset.sort`` and ``Dataset.repartition``
-    raise if an exchange is built anyway."""
+    session: one read task (``stages.plan._cpus``) and one key range
+    (``segments._MAX_CPU_WIDTH``), so its stream is one read task and one
+    range task, which checks the one sorted run as it is. ``Dataset.sort``
+    and ``Dataset.repartition`` raise if a Ray Data exchange is built."""
     import ray.data
 
     from data_profiler_ray.stages import plan, segments

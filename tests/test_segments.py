@@ -10,8 +10,8 @@ import ray.data
 
 from data_profiler_ray.config import ConstraintConfig
 from data_profiler_ray.stages.constraints import _CheckAndWrite, _ReturnRows
-from data_profiler_ray.stages.segments import (segment_reduce, shuffle_width,
-                                               sort_in_task,
+from data_profiler_ray.stages.segments import (_range_task, segment_reduce,
+                                               shuffle_width,
                                                sorted_segment_map)
 
 
@@ -58,27 +58,65 @@ def test_shuffle_width_scales_with_bytes():
     assert shuffle_width(Stub(0), cpus=4) == 4
 
 
-def test_sort_in_task_orders_tied_keys_by_part():
-    """A (conv_id, turn_idx) key duplicated across two parts: on the
-    constraint stream's sort keys, ``sort_in_task`` returns the same table
-    whichever part's block comes first; on (conv_id, turn_idx) alone the
-    tied rows would keep the block order."""
+def test_range_task_orders_tied_keys_by_part():
+    """A (conv_id, turn_idx) key duplicated across two sorted runs: on the
+    constraint stream's sort keys, the range task's concatenate-and-sort
+    returns the same table whichever part's run comes first; on
+    (conv_id, turn_idx) alone the tied rows would keep the run order."""
     keys = _CheckAndWrite(ConstraintConfig(), _ReturnRows(),
                           ["conv_id", "turn_idx", "part"]).sort_cols
     assert keys == ["conv_id", "turn_idx", "part"]
-    p1 = pa.table({"conv_id": ["c", "b", "c"], "turn_idx": [1, 0, 0],
-                   "part": ["p1"] * 3, "row": [0, 1, 2]})
-    p0 = pa.table({"conv_id": ["c", "a"], "turn_idx": [1, 0],
-                   "part": ["p0"] * 2, "row": [3, 4]})
+    p1 = pa.table({"conv_id": ["b", "c", "c"], "turn_idx": [0, 0, 1],
+                   "part": ["p1"] * 3, "row": [1, 2, 0]})
+    p0 = pa.table({"conv_id": ["a", "c"], "turn_idx": [0, 1],
+                   "part": ["p0"] * 2, "row": [4, 3]})
 
     def same(t):
         return t
 
-    got = sort_in_task([p1, p0], keys, same)
-    assert got.equals(sort_in_task([p0, p1], keys, same))
+    def merged(runs, sort_cols):
+        return ray.get(_range_task.remote(same, sort_cols, 0, 1, *runs))
+
+    got = merged([p1, p0], keys)
+    assert got.equals(merged([p0, p1], keys))
     assert got.column("row").to_pylist() == [4, 1, 2, 3, 0]
-    assert not sort_in_task([p1, p0], keys[:2], same).equals(
-        sort_in_task([p0, p1], keys[:2], same))
+    assert not merged([p1, p0], keys[:2]).equals(
+        merged([p0, p1], keys[:2]))
+
+
+def test_range_tasks_split_sorted_runs_at_fixed_key_tuples():
+    """The range exchange of 3 sorted runs, one a whale key and one with
+    null keys, over 4 ranges: the blocks in range order are the runs'
+    stable sort, nulls last; the whale is cut across ranges; and the
+    same runs in another order give the same ranges, each holding the
+    same rows."""
+    from data_profiler_ray.stages.segments import range_blocks, sort_table
+    keys = ["conv_id", "turn_idx", "part"]
+    rng = np.random.default_rng(5)
+
+    def run(part, conv, turns):
+        return sort_table(pa.table({
+            "conv_id": pa.array(conv, pa.string()),
+            "turn_idx": pa.array(turns, pa.int32()),
+            "part": [part] * len(turns)}), keys)
+
+    runs = [run("p0", ["w"] * 300, rng.permutation(300)),
+            run("p1", [None, "a", None, "w", "z"] * 20,
+                rng.integers(0, 9, 100)),
+            run("p2", [f"c{i % 37}" for i in range(200)], np.arange(200) % 7)]
+
+    def blocks(order):
+        return list(range_blocks([ray.put(runs[j]) for j in order], keys,
+                                 lambda t: t, 4))
+
+    got = blocks([0, 1, 2])
+    assert pa.concat_tables(got).equals(
+        sort_table(pa.concat_tables(runs), keys))
+    assert all(b.num_rows for b in got)
+    assert sum("w" in b.column("conv_id").to_pylist() for b in got) >= 2
+    for mine, other in zip(got, blocks([2, 0, 1])):
+        assert sorted(mine.to_pylist(), key=str) == sorted(
+            other.to_pylist(), key=str)
 
 
 @pytest.mark.parametrize("width", [2, 5, 11])

@@ -190,19 +190,15 @@ def test_part_output_writer_idempotent(tmp_path):
     assert row["n_v_bad_role"] == 1 and row["n_v_duplicate_key"] == 1
 
 
-def test_null_conv_id_shard_completes(tmp_path, monkeypatch):
-    """A shard with a null conv_id validates: the verdict and violation
-    file names hash the key columns, so a null key does not crash the
-    check. The sort width is pinned to 1, as at one CPU, and the one
-    shard is one read task, so the read task sorts its rows itself and
-    no Ray range partitioning runs. At more than one partition, Ray's
-    range partitioning of a null key still fails before any check
-    runs."""
+def test_null_conv_id_shard_completes(tmp_path, request):
+    """A shard with a null conv_id validates at every width: the range
+    tasks order a null key last, as Arrow's sort does, and the verdict and
+    violation file names hash the key columns, so a null key does not
+    crash the check. At 4 CPUs (4 key ranges) the call gives the totals
+    of the same call at one partition, as at one CPU."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from data_profiler_ray.stages import segments
-    monkeypatch.setattr(segments, "_MAX_CPU_WIDTH", 1)
     src = tmp_path / "in"
     src.mkdir()
     pq.write_table(pa.table({
@@ -213,19 +209,28 @@ def test_null_conv_id_shard_completes(tmp_path, monkeypatch):
         "tool": pa.array([None] * 4, pa.string()),
         "ts": pa.array([0, 1, 2, 3], pa.timestamp("us")),
     }), str(src / "s0.parquet"))
-    s = run_validation(str(src), _cfg(str(tmp_path / "out")))
-    assert s["total_rows"] == 4
+
+    def totals(s):
+        return s["total_rows"], s["n_conversations"], s["n_violations"]
+
+    wide = run_validation(str(src), _cfg(str(tmp_path / "wide")))
+    assert wide["counters"]["sort_width"] == 4
+    assert wide["total_rows"] == 4
+    request.getfixturevalue("one_partition")
+    one = run_validation(str(src), _cfg(str(tmp_path / "one")))
+    assert one["counters"]["sort_width"] == 1
+    assert totals(wide) == totals(one)
 
 
 @pytest.mark.parametrize("form", ["one_partition", "exchange",
                                   "conversation_checks"])
 def test_null_turn_idx_is_a_clear_error(tmp_path, request, form):
     """A null turn_idx stops the call with the check's ValueError, which
-    names the column and the null-row count: ``run_validation`` at one
-    partition, as at one CPU, and through the exchange at 4 CPUs, and
-    ``conversation_checks``. Through the exchange Ray Data wraps a map
-    task's error in its ``UserCodeException``, whose message carries the
-    ValueError's."""
+    names the column and the null-row count, as an instance of
+    ``ValueError`` in every form: ``run_validation`` at one partition, as
+    at one CPU, and over 4 key ranges at 4 CPUs, and
+    ``conversation_checks``. The range task raises it, and Ray hands it
+    on as its own class."""
     import pyarrow.parquet as pq
 
     from data_profiler_ray.stages.constraints import conversation_checks
@@ -237,8 +242,7 @@ def test_null_turn_idx_is_a_clear_error(tmp_path, request, form):
         "tool": pa.array([None] * 5, pa.string()),
         "ts": pa.array([0, 1, 2, 3, 4], pa.timestamp("us")),
     })
-    error = ValueError if form == "one_partition" else Exception
-    with pytest.raises(error, match="turn_idx is null in 1 rows"):
+    with pytest.raises(ValueError, match="turn_idx is null in 1 rows"):
         if form == "conversation_checks":
             conversation_checks(ray.data.from_arrow(tbl), ConstraintConfig())
         else:
@@ -526,12 +530,14 @@ def test_stale_partials_are_ignored(transcripts_dir, tmp_path):
 def test_one_read_and_one_execution_per_call(transcripts_dir, tmp_path,
                                              monkeypatch):
     """A call reads the shards once, in plain read tasks and not through
-    Ray's Parquet reader or a Ray Data datasource, and drains one Ray Data
-    stream, the exchange's; its counters land in summary.json."""
-    calls = {"read_parquet": 0, "read_datasource": 0, "iter_batches": 0}
+    Ray's Parquet reader or a Ray Data datasource, and checks them in the
+    engine's range exchange, also on plain Ray tasks: at the session's 4
+    CPUs it drains no Ray Data stream and never builds ``Dataset.sort`` or
+    ``Dataset.repartition``. Its counters land in summary.json."""
+    calls = dict.fromkeys(("read_parquet", "read_datasource", "iter_batches",
+                           "sort", "repartition"), 0)
     read_parquet = ray.data.read_parquet
     read_datasource = ray.data.read_datasource
-    iter_batches = ray.data.Dataset.iter_batches
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -546,18 +552,18 @@ def test_one_read_and_one_execution_per_call(transcripts_dir, tmp_path,
                         counted("read_parquet", read_parquet))
     monkeypatch.setattr(ray.data, "read_datasource",
                         counted("read_datasource", read_datasource))
-    monkeypatch.setattr(ray.data.Dataset, "iter_batches",
-                        counted("iter_batches", iter_batches))
+    for name in ("iter_batches", "sort", "repartition"):
+        monkeypatch.setattr(ray.data.Dataset, name, counted(
+            name, getattr(ray.data.Dataset, name)))
     monkeypatch.setattr(ray.data.Dataset, "materialize", no_materialize)
     cfg = _cfg(str(tmp_path / "out"))
     s = run_validation(transcripts_dir, cfg)
-    assert calls == {"read_parquet": 0, "read_datasource": 0,
-                     "iter_batches": 1}
+    assert calls == dict.fromkeys(calls, 0)
     with open(os.path.join(cfg.output_dir, "summary.json")) as f:
         counters = json.load(f)["counters"]
     assert counters == s["counters"]
-    assert counters["sort_width"] >= 1
-    assert counters["n_sort_blocks"] >= 1
+    assert counters["sort_width"] == 4
+    assert counters["n_sort_blocks"] == 4
     assert counters["partials_folded"] >= s["parts_total"]
     assert counters["carry_rows"] >= 1 and counters["carry_bytes"] > 0
     cpus = int(ray.cluster_resources()["CPU"])
@@ -586,19 +592,17 @@ def _output_files(out: str) -> dict[str, object]:
     return files
 
 
-def test_one_partition_stream_is_one_task(tmp_path, monkeypatch, request):
-    """With one read task and a sort of one partition, the read task sorts
-    and checks its own key rows: the call never builds ``Dataset.sort``
-    or ``Dataset.repartition`` (``one_partition`` makes them raise), drains
-    no Ray Data stream, and writes the files
-    of the exchange at the same width, byte for byte: every
-    ``state.pkl``, verdict and violation file (names and bytes, with the
-    per-kind violation cap binding), ``lineage.json`` but its
-    ``completed_at`` and ``profile.json``'s variables. The exchange's
-    input comes from 4 read tasks in whatever order they finish: both
-    forms sort on (conv_id, turn_idx, part), so rows of equal keys from
-    different shards meet in part order either way. The counters keep
-    every key."""
+def test_width_one_stream_same_at_one_and_four_read_tasks(tmp_path,
+                                                         monkeypatch,
+                                                         request):
+    """At one key range, 4 read tasks and 1 read task write the same
+    files, byte for byte: every ``state.pkl``, verdict and violation file
+    (names and bytes, with the per-kind violation cap binding),
+    ``lineage.json`` but its ``completed_at`` and ``profile.json``'s
+    variables. The one range task concatenates the 4 sorted runs in run
+    order and sorts them stably on (conv_id, turn_idx, part), so rows of
+    equal keys meet in unit order, as in the one run. The counters keep
+    every key but ``read_tasks``."""
     import pyarrow.parquet as pq
 
     from data_profiler_ray.stages import segments
@@ -606,45 +610,65 @@ def test_one_partition_stream_is_one_task(tmp_path, monkeypatch, request):
     src = str(tmp_path / "in")
     write_shards(dirty_whale_transcripts(8_000, 19), src, 8)
     monkeypatch.setattr(segments, "_MAX_CPU_WIDTH", 1)
-    calls = {"sort": 0, "repartition": 0, "iter_batches": 0}
-
-    def counted(name):
-        fn = getattr(ray.data.Dataset, name)
-
-        def call(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(ray.data.Dataset, name, call)
 
     def validate(name):
         cfg = _cfg(str(tmp_path / name))
         cfg.constraints.max_violations_per_kind = 2
         return run_validation(src, cfg)
 
-    for name in calls:
-        counted(name)
-    exchange = validate("exchange")
-    assert calls == {"sort": 1, "repartition": 1, "iter_batches": 1}
-    assert exchange["counters"]["read_tasks"] == 4
+    four = validate("four")
+    assert four["counters"]["read_tasks"] == 4
     request.getfixturevalue("one_partition")
-    fused = validate("fused")
-    assert calls["iter_batches"] == 1
+    one = validate("one")
 
-    assert fused["counters"] == {**exchange["counters"], "read_tasks": 1}
-    assert (fused["counters"]["sort_width"],
-            fused["counters"]["n_sort_blocks"]) == (1, 1)
+    assert one["counters"] == {**four["counters"], "read_tasks": 1}
+    assert (one["counters"]["sort_width"],
+            one["counters"]["n_sort_blocks"]) == (1, 1)
     kept = pa.concat_tables([
-        pq.read_table(os.path.join(tmp_path, "fused", name))
-        for name in _output_files(str(tmp_path / "fused"))
+        pq.read_table(os.path.join(tmp_path, "one", name))
+        for name in _output_files(str(tmp_path / "one"))
         if "/violations/" in name]).num_rows
-    assert 0 < kept < fused["n_violations"]     # the cap binds
-    assert fused["n_violations"] == exchange["n_violations"]
-    want = _output_files(str(tmp_path / "exchange"))
-    got = _output_files(str(tmp_path / "fused"))
+    assert 0 < kept < one["n_violations"]     # the cap binds
+    assert one["n_violations"] == four["n_violations"]
+    want = _output_files(str(tmp_path / "four"))
+    got = _output_files(str(tmp_path / "one"))
     assert sorted(got) == sorted(want)
     assert any("/verdicts/" in name for name in got)
     for name in want:
         assert got[name] == want[name], name
+
+
+def test_four_range_runs_are_reproducible(tmp_path):
+    """Two fresh calls at 4 CPUs (4 read tasks, 4 key ranges) write the
+    same files with the same bytes, names included, and the same
+    counters, with the per-kind violation cap binding: the range
+    boundaries are a function of the sorted runs, not a random sample.
+    ``conversation_checks`` called twice on one dataset gives equal
+    ``stats``."""
+    from data_profiler_ray.stages.constraints import conversation_checks
+    from perfbench.inputs import dirty_whale_transcripts, write_shards
+    src = str(tmp_path / "in")
+    write_shards(dirty_whale_transcripts(8_000, 19), src, 8)
+    runs = []
+    for name in ("a", "b"):
+        cfg = _cfg(str(tmp_path / name))
+        cfg.constraints.max_violations_per_kind = 2
+        runs.append(run_validation(src, cfg))
+    assert runs[0]["counters"] == runs[1]["counters"]
+    assert runs[0]["counters"]["sort_width"] == 4
+    assert runs[0]["counters"]["read_tasks"] == 4
+    want = _output_files(str(tmp_path / "a"))
+    got = _output_files(str(tmp_path / "b"))
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name] == want[name], name
+
+    ds = ray.data.read_parquet(src)
+    stats = [{}, {}]
+    for st in stats:
+        conversation_checks(ds, ConstraintConfig(), stats=st)
+    assert stats[0] == stats[1]
+    assert stats[0]["width"] == 4 and stats[0]["carry_rows"] > 0
 
 
 @pytest.mark.parametrize("fold_rows", [None, 300])
